@@ -64,7 +64,6 @@ class ParityConfig:
     max_sim_time: float = 400.0
     working_capital_cents: int = 0
     time_scale: float = 0.01  # wall seconds per sim unit in the net arm
-    quiet_period: float = 4.0
     spawn: str = "task"  # parity sweeps favor the fast in-process nodes
 
 
@@ -166,7 +165,6 @@ def run_parity_case(
             deadline=config.deadline,
             working_capital_cents=config.working_capital_cents,
             max_sim_time=config.max_sim_time,
-            quiet_period=config.quiet_period,
             spawn=config.spawn,
         ),
         fault_plan=plan,

@@ -170,9 +170,14 @@ class ExchangeNode:
         self.writer: asyncio.StreamWriter | None = None
         self.epoch = 0.0
         self.scale = 1.0
+        self.handled = 0  # proxy frames handled on this connection, welcome included
         self._deadline_task: asyncio.Task[None] | None = None
 
-        self._replay()
+        try:
+            self._replay()
+        except BaseException:
+            self.wal.close()
+            raise
 
     # ------------------------------------------------------------------ time
 
@@ -416,7 +421,6 @@ class ExchangeNode:
         self.seen_recv.add(key)
         self._write({"type": "got", "key": key})
         self._absorb(action, self._send_new, live=True)
-        self.report()
 
     def on_ack(self, frame: dict[str, Any]) -> None:
         key = str(frame["key"])
@@ -425,9 +429,15 @@ class ExchangeNode:
             return
         self.wal.append({"rec": "ack", "key": key})
         entry.acked.set()
-        self.report()
 
     def report(self) -> None:
+        """Tell the proxy where this node stands.
+
+        Sent after every frame handled and after every change a timer makes
+        (deadline, abandon).  ``handled`` lets the proxy tell whether the
+        report covers everything it has written on this connection — the
+        quiescence predicate's per-party clause.
+        """
         if self.trusted_core is not None:
             if self.trusted_core.completed:
                 phase = "completed"
@@ -446,6 +456,7 @@ class ExchangeNode:
                 "phase": phase,
                 "armed": self.armed,
                 "pending": len(self.pending),
+                "handled": self.handled,
                 "balance": self.assets.balance_cents,
                 "docs": sorted(self.assets.documents),
             }
@@ -476,24 +487,26 @@ async def _connect(cfg: NodeConfig) -> tuple[asyncio.StreamReader, asyncio.Strea
 async def run_node(cfg: NodeConfig) -> int:
     """The ``repro client`` event loop: connect, recover, exchange, exit."""
     node = ExchangeNode(cfg)
-    reader, writer = await _connect(cfg)
-    node.writer = writer
-    write_frame(
-        writer,
-        {
-            "type": "hello",
-            "party": node.party.name,
-            "pid": os.getpid(),
-            "resumed": node.resumed,
-        },
-    )
-    welcome = await read_frame(reader)
-    if welcome is None or welcome.get("type") != "welcome":
-        raise NetRuntimeError(f"expected welcome frame, got {welcome!r}")
-    node.epoch = float(welcome["epoch"])
-    node.scale = float(welcome["time_scale"])
-
+    writer: asyncio.StreamWriter | None = None
     try:
+        reader, writer = await _connect(cfg)
+        node.writer = writer
+        write_frame(
+            writer,
+            {
+                "type": "hello",
+                "party": node.party.name,
+                "pid": os.getpid(),
+                "resumed": node.resumed,
+            },
+        )
+        welcome = await read_frame(reader)
+        if welcome is None or welcome.get("type") != "welcome":
+            raise NetRuntimeError(f"expected welcome frame, got {welcome!r}")
+        node.epoch = float(welcome["epoch"])
+        node.scale = float(welcome["time_scale"])
+        node.handled = 1
+
         if node.armed:
             node.schedule_deadline()
         # Waived: replayed offers were logged before the crash — the WAL
@@ -517,12 +530,17 @@ async def run_node(cfg: NodeConfig) -> int:
                 node.on_delivery(frame)
             elif kind == "ack":
                 node.on_ack(frame)
+            node.handled += 1
+            node.report()
             await writer.drain()
     finally:
+        # Whether it ends by shutdown, EOF, error or cancellation (a crash
+        # in task mode), the node releases its WAL and its socket.
         node.shutdown()
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        if writer is not None:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
     return 0

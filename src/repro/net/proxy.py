@@ -32,6 +32,17 @@ accepted the asset), mirroring ``Envelope.delivered`` for crashed parties.
 The ordered delivery log the proxy keeps is the run's ground truth: the
 supervisor folds it over the initial ledger to produce the final snapshot
 that :func:`repro.sim.safety.evaluate_safety` judges.
+
+Quiescence is exact, not inferred from silence.  Every node reports after
+each frame it handles, stamped with how many proxy frames it has handled on
+its connection, and the proxy counts the frames it writes per connection;
+:meth:`NetFaultProxy.quiescent` holds once nothing can move any more (no
+delivery timer outstanding, no restart pending, no unresolved envelope from
+a live sender, and every live party connected with a report that covers
+every frame written to it and shows nothing pending and no armed
+deadline).  One event is set on every state change — frame read, connect,
+disconnect, delivery-timer firing, fault enactment — so waiters re-evaluate
+exactly when the answer can change.
 """
 
 from __future__ import annotations
@@ -40,7 +51,8 @@ import asyncio
 import hashlib
 import itertools
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.actions import Action
@@ -49,6 +61,9 @@ from repro.obs.messages import MessageObs
 from repro.obs.runtime import active as _active_tracer
 from repro.sim.faults import FaultPlan
 from repro.sim.network import NetworkStats
+
+#: Wall seconds :meth:`NetFaultProxy.close` waits for its tasks to finish.
+_CLOSE_TIMEOUT = 5.0
 
 
 @dataclass
@@ -84,6 +99,38 @@ class DeliveryRecord:
         }
 
 
+class _Session:
+    """One node connection: frames the proxy wrote on it, and the node's
+    latest report on it."""
+
+    __slots__ = ("writer", "written", "report")
+
+    def __init__(self, writer: asyncio.StreamWriter) -> None:
+        self.writer = writer
+        self.written = 0
+        self.report: dict[str, Any] | None = None
+
+    @property
+    def live(self) -> bool:
+        return not self.writer.is_closing()
+
+    def send(self, frame: dict[str, Any]) -> None:
+        write_frame(self.writer, frame)
+        self.written += 1
+
+    @property
+    def settled(self) -> bool:
+        """The node has handled every frame written to it and has nothing
+        of its own left to do: no unacknowledged send, no armed deadline."""
+        report = self.report
+        return (
+            report is not None
+            and report.get("handled", 0) >= self.written
+            and not report.get("pending")
+            and not report.get("armed")
+        )
+
+
 class NetFaultProxy:
     """Routes framed envelopes between node processes, injecting faults."""
 
@@ -103,18 +150,23 @@ class NetFaultProxy:
         self.reports: dict[str, dict[str, Any]] = {}
         self.dead: set[str] = set()  # permanently silenced (never restarted)
 
-        self._conns: dict[str, asyncio.StreamWriter] = {}
+        self._conns: dict[str, _Session] = {}
+        self._handlers: dict[asyncio.StreamWriter, asyncio.Task[Any]] = {}
         self._mailbox: dict[str, list[tuple[str, Action]]] = {}
         self._offered: dict[str, ProxiedEnvelope] = {}
-        self._await_got: dict[str, str] = {}  # key -> recipient it was forwarded to
+        self._unresolved: dict[str, int] = {}  # sender -> undelivered, unabandoned
+        self._await_got: dict[str, _Session] = {}  # key -> connection it went out on
+        self._rejoining: set[str] = set()  # killed; a restart is on its way
+        self._timers = 0  # outstanding _deliver_later tasks
         self._fifo_floor: dict[tuple[str, str], float] = {}
         self._obs_keys = itertools.count(1)
         self._tasks: set[asyncio.Task[None]] = set()
         self._server: asyncio.Server | None = None
         self._welcome = asyncio.Event()
-        self._connected = asyncio.Event()
+        self._changed = asyncio.Event()
+        self._failure: BaseException | None = None
+        self._closed = False
         self.epoch_wall: float | None = None
-        self.last_activity = time.monotonic()
         tracer = _active_tracer()
         self.obs: MessageObs | None = MessageObs(tracer) if tracer is not None else None
 
@@ -134,28 +186,75 @@ class NetFaultProxy:
         self.epoch_wall = time.time()
         self._welcome.set()
 
-    async def wait_connected(self, names: frozenset[str], timeout: float) -> bool:
-        """Wait until every party in *names* has said hello (or timeout)."""
-        give_up = time.monotonic() + timeout
-        while not names <= self._conns.keys():
-            if time.monotonic() >= give_up:
-                return False
-            await asyncio.sleep(0.02)
-        return True
+    def missing(self) -> list[str]:
+        """Expected parties with no live connection, sorted."""
+        return sorted(self.expected - self._conns.keys())
+
+    async def wait_connected(self, timeout: float) -> bool:
+        """Wait until every expected party has said hello (or *timeout*)."""
+        return await self.until(lambda: not self.missing(), timeout)
+
+    async def until(self, condition: Callable[[], bool], timeout: float) -> bool:
+        """Re-evaluate *condition* on every state change until it holds.
+
+        Returns ``False`` once *timeout* wall seconds pass without it; raises
+        whatever :meth:`fail` was given, the moment it is given.
+        """
+        loop = asyncio.get_running_loop()
+        give_up = loop.time() + timeout
+        alarm = loop.call_at(give_up, self._changed.set)  # one timer per wait
+        try:
+            while True:
+                if self._failure is not None:
+                    raise self._failure
+                if condition():
+                    return True
+                if loop.time() >= give_up:
+                    return False
+                self._changed.clear()
+                await self._changed.wait()
+        finally:
+            alarm.cancel()
+
+    def fail(self, error: BaseException) -> None:
+        """End the run: every current and later :meth:`until` raises *error*."""
+        if self._failure is None:
+            self._failure = error
+        self._changed.set()
+
+    def crashed(self, party: str, permanent: bool) -> None:
+        """The supervisor killed *party*.  A permanently silenced party leaves
+        the quiescence predicate; any other holds it open until its
+        replacement says hello."""
+        if permanent:
+            self.dead.add(party)
+        else:
+            self._rejoining.add(party)
+        self._changed.set()
+
+    async def shutdown(self, timeout: float) -> bool:
+        """Tell every node the run is over; wait until all have hung up."""
+        for session in self._conns.values():
+            if session.live:
+                session.send({"type": "shutdown"})
+        return await self.until(lambda: not self._conns, timeout)
 
     async def close(self) -> None:
-        for task in list(self._tasks):
-            task.cancel()
+        self._closed = True
+        self._welcome.set()  # release handlers still waiting for the epoch
         if self._server is not None:
             self._server.close()
+        for task in self._tasks:
+            task.cancel()
+        for writer in self._handlers:
+            writer.close()  # the handler reads EOF and returns
+        pending = [*self._tasks, *self._handlers.values()]
+        if pending:
+            await asyncio.wait(pending, timeout=_CLOSE_TIMEOUT)
+        if self._server is not None:
             await self._server.wait_closed()
         if self.obs is not None:
             self.obs.finish(self.now_sim())
-
-    def broadcast_shutdown(self) -> None:
-        for writer in self._conns.values():
-            if not writer.is_closing():
-                write_frame(writer, {"type": "shutdown"})
 
     # ------------------------------------------------------------------ time
 
@@ -164,44 +263,76 @@ class NetFaultProxy:
             return 0.0
         return (time.time() - self.epoch_wall) / self.time_scale
 
-    def touch(self) -> None:
-        self.last_activity = time.monotonic()
+    # ------------------------------------------------------------ quiescence
+
+    def quiescent(self) -> bool:
+        """Nothing can happen any more without a new external event.
+
+        O(parties): no delivery timer is outstanding, no restart is pending,
+        and every live party (not in :attr:`dead`) has no unresolved
+        envelope of its own, is connected, and has reported on its current
+        connection after handling every frame written there, with nothing
+        pending and no armed deadline.  A permanently dead sender can never
+        retry, so its undelivered mail is stranded, not pending.
+        """
+        if self._timers or self._rejoining:
+            return False
+        for party in self.expected - self.dead:
+            if self._unresolved.get(party):
+                return False
+            session = self._conns.get(party)
+            if session is None or not session.settled:
+                return False
+        return True
 
     # ------------------------------------------------------------ connection
 
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._handlers[writer] = task
+        try:
+            await self._serve(reader, writer)
+        finally:
+            del self._handlers[writer]
+            writer.close()
+            self._changed.set()
+
+    async def _serve(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
         hello = await read_frame(reader)
         if hello is None or hello.get("type") != "hello":
-            writer.close()
             return
         party = str(hello["party"])
-        self._conns[party] = writer
-        self.touch()
-        if self.expected <= self._conns.keys():
-            self._connected.set()
-        await self._welcome.wait()
-        write_frame(
-            writer,
-            {
-                "type": "welcome",
-                "epoch": self.epoch_wall,
-                "time_scale": self.time_scale,
-            },
-        )
-        # Flush mail parked while the party's process was down: these were
-        # already marked delivered (the host accepted them); the restarted
-        # process now gets to run its handler, as in Network._drain_mailbox.
-        for key, action in self._mailbox.pop(party, []):
-            self._forward(party, key, action)
+        session = _Session(writer)
+        self._conns[party] = session
+        self._rejoining.discard(party)
+        self._changed.set()
         try:
+            await self._welcome.wait()
+            if self._closed:
+                return
+            session.send(
+                {
+                    "type": "welcome",
+                    "epoch": self.epoch_wall,
+                    "time_scale": self.time_scale,
+                }
+            )
+            # Flush mail parked while the party's process was down: these
+            # were already marked delivered (the host accepted them); the
+            # restarted process now gets to run its handler, as in
+            # Network._drain_mailbox.
+            for key, action in self._mailbox.pop(party, []):
+                self._forward(party, key, action)
             await writer.drain()
             while True:
                 frame = await read_frame(reader)
                 if frame is None:
                     break
-                self.touch()
                 kind = frame.get("type")
                 if kind == "act":
                     self._on_offer(party, frame)
@@ -211,20 +342,26 @@ class NetFaultProxy:
                     self._on_abandon(str(frame["key"]))
                 elif kind == "report":
                     self.reports[party] = frame
+                    session.report = frame
+                self._changed.set()
                 await writer.drain()
         except ConnectionError:
             pass
         finally:
-            if self._conns.get(party) is writer:
+            if self._conns.get(party) is session:
                 del self._conns[party]
-            self._repark(party)
-            writer.close()
+            self._repark(session)
 
-    def _repark(self, party: str) -> None:
-        """The connection died: anything forwarded but never confirmed goes
-        back to the mailbox (a SIGKILL can strand frames in socket buffers).
+    def _live(self, party: str) -> _Session | None:
+        session = self._conns.get(party)
+        return session if session is not None and session.live else None
+
+    def _repark(self, session: _Session) -> None:
+        """The connection died: anything forwarded on it but never confirmed
+        goes back to its party (a SIGKILL can strand frames in socket
+        buffers) — to the mailbox, or to a connection that replaced it.
         """
-        stranded = [k for k, dst in self._await_got.items() if dst == party]
+        stranded = [k for k, via in self._await_got.items() if via is session]
         for key in stranded:
             del self._await_got[key]
             env = self._offered[key]
@@ -233,7 +370,7 @@ class NetFaultProxy:
                 self.stats.deferred += 1
                 if self.obs is not None:
                     self.obs.defer(env.obs_key, self.now_sim())
-            self._mailbox.setdefault(party, []).append((key, env.action))
+            self._forward(env.dst, key, env.action)
 
     # --------------------------------------------------------------- gauntlet
 
@@ -263,6 +400,7 @@ class NetFaultProxy:
                 obs_key=next(self._obs_keys),
             )
             self._offered[key] = env
+            self._unresolved[env.src] = self._unresolved.get(env.src, 0) + 1
             self.stats.messages_sent += 1
             self.stats.by_sender[action.effective_sender] = (
                 self.stats.by_sender.get(action.effective_sender, 0) + 1
@@ -327,13 +465,20 @@ class NetFaultProxy:
 
     def _spawn(self, coro: Any) -> None:
         task = asyncio.ensure_future(coro)
+        self._timers += 1
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
 
     async def _deliver_later(self, env: ProxiedEnvelope, delay_wall: float) -> None:
-        if delay_wall > 0:
-            await asyncio.sleep(delay_wall)
-        self._deliver(env)
+        try:
+            if delay_wall > 0:
+                await asyncio.sleep(delay_wall)
+            self._deliver(env)
+        finally:
+            # Counted here, not by the done callback, which runs a loop
+            # iteration after any waiter this wake-up releases.
+            self._timers -= 1
+            self._changed.set()
 
     # --------------------------------------------------------------- delivery
 
@@ -345,15 +490,17 @@ class NetFaultProxy:
             env.dst in self.dead
             or (self.plan is not None and self.plan.is_crashed(env.dst, now))
         )
-        conn = self._conns.get(env.dst)
-        if env.delivered:
+        session = self._live(env.dst)
+        if env.delivered or env.key in self._await_got:
+            # A later copy: the first is delivered, or on its way to the
+            # recipient awaiting its ``got``.
             self.stats.duplicate_deliveries += 1
             if self.obs is not None:
                 self.obs.duplicate_delivery(env.obs_key, now)
-            if not crashed and conn is not None:
+            if not crashed and session is not None:
                 self._forward(env.dst, env.key, env.action)  # node dedups
             return
-        if crashed or conn is None:
+        if crashed or session is None:
             # The host accepted the asset; the process is down.  Park the
             # handler call until restart (never, for permanent silence).
             self._mark_delivered(env)
@@ -362,17 +509,15 @@ class NetFaultProxy:
                 self.obs.defer(env.obs_key, now)
             self._mailbox.setdefault(env.dst, []).append((env.key, env.action))
             return
-        self._forward(env.dst, env.key, env.action)
-        self._await_got[env.key] = env.dst
+        session.send(_act_frame(env.key, env.action))
+        self._await_got[env.key] = session
 
     def _forward(self, party: str, key: str, action: Action) -> None:
-        writer = self._conns.get(party)
-        if writer is None or writer.is_closing():
+        session = self._live(party)
+        if session is None:
             self._mailbox.setdefault(party, []).append((key, action))
             return
-        write_frame(
-            writer, {"type": "act", "key": key, "action": action_to_json(action)}
-        )
+        session.send(_act_frame(key, action))
 
     def _on_got(self, key: str) -> None:
         self._await_got.pop(key, None)
@@ -381,8 +526,14 @@ class NetFaultProxy:
             return
         self._mark_delivered(env)
 
+    def _resolve(self, env: ProxiedEnvelope) -> None:
+        """Bookkeeping for an envelope about to be delivered or abandoned."""
+        if not env.delivered and not env.abandoned:
+            self._unresolved[env.src] -= 1
+
     def _mark_delivered(self, env: ProxiedEnvelope) -> None:
         now = self.now_sim()
+        self._resolve(env)
         env.delivered = True
         env.delivered_at = now
         self.stats.messages_delivered += 1
@@ -392,47 +543,30 @@ class NetFaultProxy:
             DeliveryRecord(len(self.delivery_log), now, env.key, env.action)
         )
         self._ack(env)
-        self.touch()
 
     def _ack(self, env: ProxiedEnvelope) -> None:
-        writer = self._conns.get(env.src)
-        if writer is not None and not writer.is_closing():
-            write_frame(writer, {"type": "ack", "key": env.key})
+        session = self._live(env.src)
+        if session is not None:
+            session.send({"type": "ack", "key": env.key})
 
     def _on_abandon(self, key: str) -> None:
         env = self._offered.get(key)
         if env is None or env.delivered or env.abandoned:
             return
+        self._resolve(env)
         env.abandoned = True
         self.stats.abandoned += 1
         if self.obs is not None:
             self.obs.abandon(env.obs_key, self.now_sim())
 
-    # ------------------------------------------------------------- quiescence
-
-    def in_flight_keys(self, ignoring: frozenset[str] = frozenset()) -> list[str]:
-        """Undelivered, unabandoned envelope keys (senders in *ignoring*
-        excluded — a permanently dead sender can never retry, so its
-        messages are stranded, not pending)."""
-        return [
-            key
-            for key, env in self._offered.items()
-            if not env.delivered and not env.abandoned and env.src not in ignoring
-        ]
-
-    def armed_trusted(self) -> list[str]:
-        """Trusted parties whose latest report shows an armed deadline."""
-        return [
-            name
-            for name, report in self.reports.items()
-            if report.get("trusted") and report.get("armed")
-        ]
+    # ---------------------------------------------------------------- results
 
     def resolve_stranded(self) -> int:
         """Abandon every still-undelivered envelope (quiescence backstop)."""
         stranded = 0
         for env in self._offered.values():
             if not env.delivered and not env.abandoned:
+                self._resolve(env)
                 env.abandoned = True
                 self.stats.abandoned += 1
                 stranded += 1
@@ -442,3 +576,7 @@ class NetFaultProxy:
 
     def delivered_actions(self) -> list[Action]:
         return [record.action for record in self.delivery_log]
+
+
+def _act_frame(key: str, action: Action) -> dict[str, Any]:
+    return {"type": "act", "key": key, "action": action_to_json(action)}

@@ -5,7 +5,8 @@
 spawns one ``repro client`` subprocess per party (principals *and*
 trusted components), enacts the :class:`~repro.sim.faults.FaultPlan`'s
 :class:`~repro.sim.faults.PartyFault` windows with **real SIGKILLs** and
-respawns, waits for quiescence, and assembles the very same
+respawns, awaits the proxy's exact quiescence predicate
+(:meth:`NetFaultProxy.quiescent`), and assembles the very same
 :class:`~repro.sim.runtime.SimulationResult` /
 :class:`~repro.sim.safety.SafetyReport` artifacts the simulator emits.
 
@@ -29,7 +30,8 @@ localhost TCP instead of a subprocess — same codec, WAL, proxy and
 gauntlet, minus process isolation.  Crashes become task cancellation plus
 a WAL-replaying respawn, which keeps the crash-recovery path exercisable
 in fast unit tests; the ``-m net`` suite uses real processes and real
-SIGKILLs.
+SIGKILLs.  A node task that raises ends the run at once with a
+:class:`~repro.errors.NetRuntimeError` chained from the node's error.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ class NetRunConfig:
     deadline: float | None = 60.0
     working_capital_cents: int = 0
     max_sim_time: float = 400.0  # hard cap; exceeded => non-quiescent
-    quiet_period: float = 5.0  # silence needed to call the run done
     ready_timeout: float = 20.0  # wall seconds to wait for initial hellos
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral
@@ -94,21 +95,31 @@ class NetRunResult:
     outcome: str = "quiescent"  # or "timeout"
 
 
+#: Wall seconds to wait for every node to hang up after the shutdown frame.
+_SHUTDOWN_TIMEOUT = 5.0
+
+
 class _NodeHandle:
     """One party's live process (or in-process task) and its respawn recipe."""
 
-    def __init__(self, name: str, cfg: NodeConfig, run_dir: str, mode: str) -> None:
+    def __init__(
+        self, name: str, cfg: NodeConfig, run_dir: str, mode: str, proxy: NetFaultProxy
+    ) -> None:
         self.name = name
         self.cfg = cfg
         self.run_dir = run_dir
         self.mode = mode
+        self.proxy = proxy
         self.proc: subprocess.Popen[bytes] | None = None
         self.task: asyncio.Task[int] | None = None
+        self.tasks: list[asyncio.Task[int]] = []  # every incarnation, for teardown
         self.pids: list[int] = []
 
     def spawn(self) -> None:
         if self.mode == "task":
             self.task = asyncio.ensure_future(run_node(self.cfg))
+            self.task.add_done_callback(self._exited)
+            self.tasks.append(self.task)
             return
         src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         env = dict(os.environ)
@@ -145,6 +156,25 @@ class _NodeHandle:
             )
         self.pids.append(self.proc.pid)
 
+    def _exited(self, task: asyncio.Task[int]) -> None:
+        """Retrieve a finished node task's result; a raise ends the run."""
+        if task.cancelled():
+            return
+        error = task.exception()
+        if error is not None:
+            failure = NetRuntimeError(f"node {self.name} failed: {error}")
+            failure.__cause__ = error
+            self.proxy.fail(failure)
+
+    def status(self) -> str:
+        """Where a node that has not connected stands, for error messages."""
+        if self.mode == "task":
+            return "running" if self.task is not None and not self.task.done() else "ended"
+        if self.proc is None:
+            return "not spawned"
+        code = self.proc.poll()
+        return "running" if code is None else f"exited with status {code}"
+
     def kill(self) -> None:
         """A real crash: SIGKILL for processes, cancellation for tasks."""
         if self.mode == "task":
@@ -157,10 +187,12 @@ class _NodeHandle:
             self.proc.wait()
         self.proc = None
 
-    def reap(self) -> None:
-        if self.task is not None:
-            self.task.cancel()
-            self.task = None
+    async def reap(self) -> None:
+        """Stop whatever still runs; every task's result is retrieved."""
+        for task in self.tasks:
+            task.cancel()  # no-op on a task that already finished
+        if self.tasks:
+            await asyncio.wait(self.tasks, timeout=_SHUTDOWN_TIMEOUT)
         if self.proc is not None:
             if self.proc.poll() is None:
                 self.proc.terminate()
@@ -209,41 +241,33 @@ async def _run(
             working_capital_cents=config.working_capital_cents,
             withhold=adversaries.get(name),
         )
-        handles[name] = _NodeHandle(name, cfg, run_dir, config.spawn)
+        handles[name] = _NodeHandle(name, cfg, run_dir, config.spawn, proxy)
 
     kills = 0
     restarts = 0
-    pending_restarts = 0
     fault_tasks: list[asyncio.Task[None]] = []
 
     async def _enact(fault_party: str, crash_at: float, restart_at: float | None) -> None:
-        nonlocal kills, restarts, pending_restarts
+        nonlocal kills, restarts
         assert proxy.epoch_wall is not None
         await asyncio.sleep(max(0.0, proxy.epoch_wall + crash_at * scale - time.time()))
         handles[fault_party].kill()
         kills += 1
+        proxy.crashed(fault_party, permanent=restart_at is None)
         if restart_at is None:
-            proxy.dead.add(fault_party)
             return
-        pending_restarts += 1
-        try:
-            await asyncio.sleep(
-                max(0.0, proxy.epoch_wall + restart_at * scale - time.time())
-            )
-            handles[fault_party].spawn()
-            restarts += 1
-        finally:
-            pending_restarts -= 1
+        await asyncio.sleep(max(0.0, proxy.epoch_wall + restart_at * scale - time.time()))
+        handles[fault_party].spawn()
+        restarts += 1
 
     outcome = "quiescent"
     try:
         for handle in handles.values():
             handle.spawn()
-        ready = await proxy.wait_connected(
-            frozenset(everyone), timeout=config.ready_timeout
-        )
-        if not ready:
-            missing = sorted(frozenset(everyone) - proxy._conns.keys())
+        if not await proxy.wait_connected(timeout=config.ready_timeout):
+            missing = [
+                f"{name} ({handles[name].status()})" for name in proxy.missing()
+            ]
             raise NetRuntimeError(
                 f"nodes never connected within {config.ready_timeout}s: {missing}"
             )
@@ -257,39 +281,23 @@ async def _run(
                     )
                 )
 
-        # Quiescence: no pending restarts, nothing in flight (stranded mail
-        # of the permanently dead excluded), no armed trusted deadline, and
-        # a quiet period of wall silence — with a hard sim-time cap.
-        quiet_wall = max(config.quiet_period * scale, 0.25)
-        while True:
-            await asyncio.sleep(min(0.05, quiet_wall / 4))
-            if proxy.now_sim() > config.max_sim_time:
-                outcome = "timeout"
-                break
-            if pending_restarts:
-                continue
-            if proxy.in_flight_keys(ignoring=frozenset(proxy.dead)):
-                continue
-            live_trusted = [t for t in trusted if t not in proxy.dead]
-            if any(t not in proxy.reports for t in live_trusted):
-                continue
-            if proxy.armed_trusted():
-                continue
-            if time.monotonic() - proxy.last_activity < quiet_wall:
-                continue
-            break
-
-        proxy.broadcast_shutdown()
-        await asyncio.sleep(0.1)
+        # Quiescence is the proxy's exact predicate, re-evaluated on every
+        # state change, under a hard sim-time cap.
+        cap_wall = max(0.0, config.max_sim_time - proxy.now_sim()) * scale
+        if not await proxy.until(proxy.quiescent, timeout=cap_wall):
+            outcome = "timeout"
+        duration = proxy.now_sim()
+        await proxy.shutdown(timeout=_SHUTDOWN_TIMEOUT)
     finally:
         for task in fault_tasks:
             task.cancel()
+        if fault_tasks:
+            await asyncio.wait(fault_tasks)
         for handle in handles.values():
-            handle.reap()
+            await handle.reap()
         await proxy.close()
 
     stranded = proxy.resolve_stranded()
-    duration = proxy.now_sim()
 
     # ------------------------------------------------------------- assembly
     ledger = bootstrap.build_initial_ledger(

@@ -20,7 +20,8 @@ act        both      ``key``, ``action``, ``attempt`` (offer / delivery)
 got        node → px ``key`` — the node durably processed this delivery
 ack        px → node ``key`` — delivered; stop retransmitting
 abandon    node → px ``key`` — retries exhausted; custody returned
-report     node → px node status (phase, armed, balance, docs, …)
+report     node → px after every handled frame: ``handled`` (proxy frames
+                     handled on this connection), phase, armed, pending, …
 shutdown   px → node the run is over; close cleanly
 ========== ========= ====================================================
 

@@ -17,7 +17,7 @@ from repro.workloads import example1, simple_purchase
 
 pytestmark = pytest.mark.net
 
-CONFIG = NetRunConfig(time_scale=0.02, deadline=60.0, quiet_period=4.0, spawn="process")
+CONFIG = NetRunConfig(time_scale=0.02, deadline=60.0, spawn="process")
 
 
 def test_sigkill_mid_protocol_recovers_to_oracle(net_run_dir):

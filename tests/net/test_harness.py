@@ -7,10 +7,10 @@ from __future__ import annotations
 
 import asyncio
 import os
-import time
 
 import pytest
 
+from repro.errors import NetRuntimeError
 from repro.net import bootstrap
 from repro.net.proxy import NetFaultProxy
 from repro.net.supervisor import NetRunConfig, run_networked_exchange
@@ -29,7 +29,7 @@ def test_supervised_process_run_matches_simulator(net_run_dir):
     run = run_networked_exchange(
         problem,
         net_run_dir,
-        NetRunConfig(time_scale=TIME_SCALE, deadline=60.0, quiet_period=4.0, spawn="process"),
+        NetRunConfig(time_scale=TIME_SCALE, deadline=60.0, spawn="process"),
     )
     result = run.result
     assert run.outcome == "quiescent" and result.quiescent
@@ -43,6 +43,19 @@ def test_supervised_process_run_matches_simulator(net_run_dir):
         assert os.path.getsize(os.path.join(net_run_dir, "wal", f"{name}.wal")) > 0
 
 
+def test_process_ready_timeout_lists_exit_status(net_run_dir):
+    # A WAL the Customer cannot replay: its process exits before saying hello.
+    wal_dir = os.path.join(net_run_dir, "wal")
+    os.makedirs(wal_dir)
+    with open(os.path.join(wal_dir, "Customer.wal"), "wb") as fh:
+        fh.write(b'{"balance":0,"docs":[],"rec":"endow"}\nnot json\n{"key":"k","rec":"ack"}\n')
+    config = NetRunConfig(
+        time_scale=TIME_SCALE, deadline=60.0, spawn="process", ready_timeout=10.0
+    )
+    with pytest.raises(NetRuntimeError, match=r"\['Customer \(exited with status \d+\)'\]"):
+        run_networked_exchange(simple_purchase(), net_run_dir, config)
+
+
 def _setup(tmp_path, problem):
     protocol = bootstrap.derive_protocol(problem, 60.0)
     spec_path = tmp_path / "problem.spec"
@@ -53,20 +66,10 @@ def _setup(tmp_path, problem):
     return str(spec_path), names
 
 
-async def _await_quiescence(proxy, names, timeout=60.0):
-    give_up = time.monotonic() + timeout
-    while True:
-        await asyncio.sleep(0.05)
-        assert time.monotonic() < give_up, "exchange never quiesced"
-        if proxy.in_flight_keys():
-            continue
-        if any(name not in proxy.reports for name in names):
-            continue
-        if proxy.armed_trusted():
-            continue
-        if time.monotonic() - proxy.last_activity < 0.3:
-            continue
-        return
+async def _finish(proxy):
+    """The supervisor's ending, on the proxy's own predicate and event."""
+    assert await proxy.until(proxy.quiescent, timeout=60.0), "exchange never quiesced"
+    assert await proxy.shutdown(timeout=10.0), "nodes never hung up"
 
 
 def test_externally_spawned_clients_complete_exchange(client_spawner, tmp_path):
@@ -83,11 +86,9 @@ def test_externally_spawned_clients_complete_exchange(client_spawner, tmp_path):
                 client_spawner.spawn(spec_path, name, port, wals[name], deadline=60.0)
             for name in names:  # readiness: first WAL record is durable
                 await asyncio.to_thread(client_spawner.wait_ready, wals[name])
-            assert await proxy.wait_connected(frozenset(names), timeout=20.0)
+            assert await proxy.wait_connected(timeout=20.0)
             proxy.open_for_business()
-            await _await_quiescence(proxy, names)
-            proxy.broadcast_shutdown()
-            await asyncio.sleep(0.1)
+            await _finish(proxy)
         finally:
             await proxy.close()
         return proxy
@@ -120,10 +121,10 @@ def test_manual_sigkill_and_respawn_recovers(client_spawner, tmp_path):
                 procs[name] = client_spawner.spawn(
                     spec_path, name, port, wals[name], deadline=60.0
                 )
-            assert await proxy.wait_connected(frozenset(names), timeout=20.0)
+            assert await proxy.wait_connected(timeout=20.0)
             proxy.open_for_business()
-            while not proxy.delivery_log:  # let the exchange actually start
-                await asyncio.sleep(0.02)
+            # Let the exchange actually start.
+            assert await proxy.until(lambda: bool(proxy.delivery_log), timeout=20.0)
             victim = procs["Trusted"]
             victim.kill()  # SIGKILL: no atexit, no flushing, no goodbyes
             await asyncio.to_thread(victim.wait)
@@ -131,9 +132,7 @@ def test_manual_sigkill_and_respawn_recovers(client_spawner, tmp_path):
             procs["Trusted"] = client_spawner.spawn(
                 spec_path, "Trusted", port, wals["Trusted"], deadline=60.0
             )
-            await _await_quiescence(proxy, names)
-            proxy.broadcast_shutdown()
-            await asyncio.sleep(0.1)
+            await _finish(proxy)
         finally:
             await proxy.close()
         return proxy

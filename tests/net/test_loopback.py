@@ -16,7 +16,7 @@ from repro.sim.faults import FaultPlan, PartyFault
 from repro.sim.runtime import simulate
 from repro.workloads import example1, simple_purchase
 
-FAST = dict(time_scale=0.005, deadline=60.0, quiet_period=4.0, spawn="task")
+FAST = dict(time_scale=0.005, deadline=60.0, spawn="task")
 
 
 def test_fault_free_run_matches_simulator(net_run_dir):

@@ -27,7 +27,7 @@ def test_round_trip(tmp_path):
 def test_missing_and_empty_files_replay_empty(tmp_path):
     assert replay(str(tmp_path / "never-written.wal")) == []
     empty = tmp_path / "empty.wal"
-    empty.touch()
+    empty.write_bytes(b"")
     assert replay(str(empty)) == []
 
 
