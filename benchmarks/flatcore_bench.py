@@ -1,32 +1,27 @@
-"""Measure the compiled flat core and write ``BENCH_flatcore.json``.
+"""Measure the compiled reduction and write ``BENCH_flatcore.json``.
 
 Standalone (no pytest-benchmark) so CI's bench-smoke job and a developer's
 shell run the exact same thing::
 
     PYTHONPATH=src python benchmarks/flatcore_bench.py \
-        --sizes 64,256 --assert-parity --out BENCH_flatcore.json
+        --sizes 256,1024,16384 --out BENCH_flatcore.json
 
 Per size ``n`` it builds ``resale_chain(n)``, then times — median of
 ``--repeat`` runs each —
 
-* the indexed engine's full ``reduce_graph`` (trace built);
-* ``compile_graph`` (one-off cost, amortized over reuse);
-* the flat free-order verdict loop (``check_feasibility_flat``, no trace);
-* the flat parity engine + decompiler (``reduce_graph_compiled``, full
-  trace).
+* ``compile_graph`` (the one-off flattening every reduction starts with);
+* the free-order verdict loop over the compiled graph
+  (``check_feasibility_flat``, no trace);
+* the trace path, ``reduce_graph`` (compile + run + decompile), split into
+  those three phases as well.
 
-It also measures batch throughput (problems/second) over ``--batch``
-random problems, indexed one-at-a-time vs the packed flat arena.  All
-timing lives here because wall-clock reads are banned from the linted core
-(DET001); the payload is assembled by the DET002-linted builders in
-:mod:`repro.core.flatcore.report`.
-
-``--assert-parity`` makes the script exit non-zero unless the flat *trace*
-path is at least at wall-clock parity with the indexed engine at every
-measured size (the verdict loop is far faster still) — that is the CI
-regression bar.  ``--assert-min-speedup X`` additionally requires the
-verdict loop to beat the indexed engine by a factor of X at the largest
-measured size.
+It also measures verdict throughput (problems/second) of
+``check_feasibility_flat`` over ``--batch`` random 12-principal problems.
+All timing lives here because wall-clock reads are banned from the linted
+core (DET001); the payload is assembled by the DET002-linted
+:func:`repro.core.flatcore.report.bench_payload`.  End-to-end numbers for
+the same code path live in ``perfbench/`` (its ``paper``, ``chain`` and
+``chaos`` workloads).
 """
 
 from __future__ import annotations
@@ -40,15 +35,9 @@ import time
 from datetime import date
 
 from repro.analysis.batch import batch_specs, effective_cpu_count
-from repro.core.flatcore import (
-    check_feasibility_flat,
-    check_feasibility_flat_batch,
-    compile_graph,
-    reduce_graph_compiled,
-)
+from repro.core.flatcore import check_feasibility_flat, compile_graph
 from repro.core.flatcore.report import bench_payload
-from repro.core.flatcore.runtime import decompile, run_reduction
-from repro.core.reduction import reduce_graph
+from repro.core.reduction import decompile, reduce_graph, run_reduction
 from repro.obs import PhaseTimer
 from repro.workloads import RandomProblemConfig, resale_chain
 
@@ -62,65 +51,43 @@ def median_seconds(fn, repeat: int) -> float:
     return statistics.median(samples)
 
 
-def bench_sizes(sizes: list[int], repeat: int):
-    graph_sizes: dict[int, int] = {}
-    indexed: dict[int, float] = {}
-    compile_s: dict[int, float] = {}
-    verdict: dict[int, float] = {}
-    trace: dict[int, float] = {}
-    for n in sizes:
-        problem = resale_chain(n, retail=float(max(1000, 2 * n)))
-        sg = problem.sequencing_graph()
-        graph_sizes[n] = len(sg.edges)
-        compiled = compile_graph(sg)
-        indexed[n] = median_seconds(lambda: reduce_graph(sg), repeat)
-        compile_s[n] = median_seconds(lambda: compile_graph(sg), repeat)
-        verdict[n] = median_seconds(lambda: check_feasibility_flat(compiled), repeat)
-        trace[n] = median_seconds(lambda: reduce_graph_compiled(compiled), repeat)
-        # Sanity: both engines certify the chain feasible.
-        assert reduce_graph(sg).feasible
-        assert check_feasibility_flat(compiled).feasible
-        print(
-            f"n={n:>6} E={graph_sizes[n]:>6} indexed={indexed[n] * 1e3:9.2f}ms "
-            f"compile={compile_s[n] * 1e3:8.2f}ms "
-            f"verdict={verdict[n] * 1e3:8.2f}ms trace={trace[n] * 1e3:9.2f}ms "
-            f"verdict_x={indexed[n] / verdict[n]:6.1f} "
-            f"trace_x={indexed[n] / trace[n]:5.1f}",
-            file=sys.stderr,
-        )
-    return graph_sizes, indexed, compile_s, verdict, trace
+def bench_size(n: int, repeat: int) -> tuple[int, float, float, float, dict[str, float]]:
+    """Edge count, compile / verdict / trace medians, and the trace path's
+    compile/run/decompile phases for ``resale_chain(n)``.
 
-
-def bench_phases(sizes: list[int], repeat: int) -> dict[int, dict[str, float]]:
-    """Split the flat trace path into compile/run/decompile phases.
-
-    Uses the sanctioned :class:`~repro.obs.clock.PhaseTimer` (the phases
-    accumulate over *repeat* runs; reported values are mean seconds per run)
-    so the artifact shows where a regression lands, not just that one did.
+    Phases use the sanctioned :class:`~repro.obs.clock.PhaseTimer` (mean
+    seconds per run over *repeat* runs) so the artifact shows where a
+    regression lands, not just that one did.  One graph is alive at a time:
+    a large live graph makes every collector pass slower and would inflate
+    the smaller sizes' numbers.
     """
-    out: dict[int, dict[str, float]] = {}
-    for n in sizes:
-        problem = resale_chain(n, retail=float(max(1000, 2 * n)))
-        sg = problem.sequencing_graph()
-        phases = PhaseTimer()
-        for _ in range(repeat):
-            with phases.phase("compile"):
-                compiled = compile_graph(sg)
-            with phases.phase("run"):
-                run = run_reduction(compiled)
-            with phases.phase("decompile"):
-                decompile(compiled, run)
-        out[n] = {
-            name: seconds / repeat for name, seconds in phases.as_dict().items()
-        }
-        parts = "  ".join(
-            f"{name}={seconds * 1e3:8.2f}ms" for name, seconds in out[n].items()
-        )
-        print(f"n={n:>6} phases: {parts}", file=sys.stderr)
-    return out
+    sg = resale_chain(n, retail=float(max(1000, 2 * n))).sequencing_graph()
+    compiled = compile_graph(sg)
+    compile_s = median_seconds(lambda: compile_graph(sg), repeat)
+    verdict = median_seconds(lambda: check_feasibility_flat(compiled), repeat)
+    trace = median_seconds(lambda: reduce_graph(sg), repeat)
+    # Sanity: both paths certify the chain feasible.
+    assert reduce_graph(sg).feasible
+    assert check_feasibility_flat(compiled).feasible
+    phases = PhaseTimer()
+    for _ in range(repeat):
+        with phases.phase("compile"):
+            compiled = compile_graph(sg)
+        with phases.phase("run"):
+            run = run_reduction(compiled)
+        with phases.phase("decompile"):
+            decompile(compiled, run)
+    phase_s = {name: seconds / repeat for name, seconds in phases.as_dict().items()}
+    parts = "  ".join(f"{name}={sec * 1e3:8.2f}ms" for name, sec in phase_s.items())
+    print(
+        f"n={n:>6} E={len(sg.edges):>6} compile={compile_s * 1e3:8.2f}ms "
+        f"verdict={verdict * 1e3:8.2f}ms trace={trace * 1e3:9.2f}ms  {parts}",
+        file=sys.stderr,
+    )
+    return len(sg.edges), compile_s, verdict, trace, phase_s
 
 
-def bench_batch(problems: int, repeat: int) -> tuple[float, float]:
+def bench_batch(problems: int, repeat: int) -> float:
     specs = batch_specs(
         problems,
         RandomProblemConfig(
@@ -130,16 +97,11 @@ def bench_batch(problems: int, repeat: int) -> tuple[float, float]:
     )
     graphs = [spec.build().sequencing_graph() for spec in specs]
 
-    def indexed_pass():
+    def verdict_pass():
         for g in graphs:
-            reduce_graph(g)
+            check_feasibility_flat(g)
 
-    def flat_pass():
-        check_feasibility_flat_batch(graphs)
-
-    indexed_s = median_seconds(indexed_pass, repeat)
-    flat_s = median_seconds(flat_pass, repeat)
-    return problems / indexed_s, problems / flat_s
+    return problems / median_seconds(verdict_pass, repeat)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -152,28 +114,25 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--repeat", type=int, default=5, help="runs per median")
     parser.add_argument("--batch", type=int, default=200, help="batch problem count")
     parser.add_argument("--out", metavar="PATH", help="write the JSON payload here")
-    parser.add_argument(
-        "--assert-parity",
-        action="store_true",
-        help="fail unless the flat trace path is at least as fast as the "
-        "indexed engine at every size",
-    )
-    parser.add_argument(
-        "--assert-min-speedup",
-        type=float,
-        metavar="X",
-        help="fail unless the verdict loop beats the indexed engine X-fold "
-        "at the largest size",
-    )
     args = parser.parse_args(argv)
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
 
-    graph_sizes, indexed, compile_s, verdict, trace = bench_sizes(sizes, args.repeat)
-    phase_seconds = bench_phases(sizes, args.repeat)
-    indexed_pps, flat_pps = bench_batch(args.batch, max(1, args.repeat // 2))
+    graph_sizes: dict[int, int] = {}
+    compile_s: dict[int, float] = {}
+    verdict: dict[int, float] = {}
+    trace: dict[int, float] = {}
+    phase_seconds: dict[int, dict[str, float]] = {}
+    for n in sizes:
+        (
+            graph_sizes[n],
+            compile_s[n],
+            verdict[n],
+            trace[n],
+            phase_seconds[n],
+        ) = bench_size(n, args.repeat)
+    batch_pps = bench_batch(args.batch, args.repeat)
     print(
-        f"batch of {args.batch}: indexed {indexed_pps:,.0f} problems/s, "
-        f"flat arena {flat_pps:,.0f} problems/s",
+        f"batch of {args.batch}: verdict loop {batch_pps:,.0f} problems/s",
         file=sys.stderr,
     )
 
@@ -182,21 +141,20 @@ def main(argv: list[str] | None = None) -> int:
         f"CPython {platform.python_version()}",
         date=date.today().isoformat(),
         process_cpus=effective_cpu_count(),
+        repeat=args.repeat,
         graph_sizes=graph_sizes,
-        indexed_reduce_seconds=indexed,
         compile_seconds=compile_s,
-        flat_verdict_seconds=verdict,
-        flat_trace_seconds=trace,
+        verdict_seconds=verdict,
+        trace_seconds=trace,
         phase_seconds=phase_seconds,
         batch_problems=args.batch,
-        batch_indexed_problems_per_second=round(indexed_pps, 1),
-        batch_flat_problems_per_second=round(flat_pps, 1),
+        batch_problems_per_second=round(batch_pps, 1),
         notes={
             "workload": "resale_chain(n, retail=max(1000, 2n)); batch uses "
-            "200 random 12-principal problems",
-            "verdict_vs_trace": "the verdict loop skips trace construction "
-            "entirely; the trace path runs the parity engine + decompiler "
-            "and still beats the indexed engine",
+            f"{args.batch} random 12-principal problems, graphs prebuilt",
+            "verdict_vs_trace": "verdict_seconds runs the free-order loop on "
+            "a precompiled graph; trace_seconds is reduce_graph end to end "
+            "(compile + run + decompile)",
         },
     )
     if args.out:
@@ -207,31 +165,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         json.dump(payload, sys.stdout, indent=2)
         print()
-
-    failures = []
-    if args.assert_parity:
-        for n in sizes:
-            if trace[n] > indexed[n]:
-                failures.append(
-                    f"flat trace path slower than indexed at n={n}: "
-                    f"{trace[n]:.4f}s > {indexed[n]:.4f}s"
-                )
-        if flat_pps < indexed_pps:
-            failures.append(
-                f"flat arena throughput below indexed: {flat_pps:.0f} < "
-                f"{indexed_pps:.0f} problems/s"
-            )
-    if args.assert_min_speedup:
-        top = max(sizes)
-        ratio = indexed[top] / verdict[top]
-        if ratio < args.assert_min_speedup:
-            failures.append(
-                f"verdict speedup {ratio:.1f}x at n={top} is below the "
-                f"required {args.assert_min_speedup}x"
-            )
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Measure the observability layer's cost on the flat-core hot paths.
+"""Measure the observability layer's cost on the reduction hot paths.
 
 Three questions, answered on the 1024-broker ``resale_chain`` verdict bench
 (the acceptance bar for the tracing layer)::
@@ -7,7 +7,7 @@ Three questions, answered on the 1024-broker ``resale_chain`` verdict bench
 
 1. **Disabled overhead** — the public entry points
    (:func:`~repro.core.flatcore.check_feasibility_flat`,
-   :func:`~repro.core.flatcore.run_reduction`) capture the active tracer
+   :func:`~repro.core.reduction.run_reduction`) capture the active tracer
    once and branch to the uninstrumented implementation when none is
    installed.  Comparing the public wrapper against a direct call of the
    private implementation measures exactly that guard; ``--assert-overhead``
@@ -31,12 +31,9 @@ import statistics
 import sys
 import time
 
-from repro.core.flatcore import compile_graph, run_reduction
-from repro.core.flatcore.runtime import (
-    _check_feasibility_impl,
-    _run_reduction_impl,
-    check_feasibility_flat,
-)
+from repro.core.flatcore import compile_graph
+from repro.core.flatcore.runtime import _check_feasibility_impl, check_feasibility_flat
+from repro.core.reduction import _run_reduction_impl, run_reduction
 from repro.obs import metrics_scope, tracing
 from repro.workloads import resale_chain
 
@@ -130,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
         f"traced {metrics_verdict * 1e3:8.3f}ms"
     )
     print(
-        f"parity engine: raw {raw_reduce * 1e3:8.3f}ms  guarded "
+        f"trace loop:    raw {raw_reduce * 1e3:8.3f}ms  guarded "
         f"{guarded_reduce * 1e3:8.3f}ms  ({reduce_overhead:+.2f}%)  "
         f"metrics {metrics_reduce * 1e3:8.3f}ms  spans {spans_reduce * 1e3:8.3f}ms"
     )
@@ -141,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{args.assert_overhead}%"
             for label, overhead in (
                 ("verdict loop", verdict_overhead),
-                ("parity engine", reduce_overhead),
+                ("trace loop", reduce_overhead),
             )
             if overhead > args.assert_overhead
         ]

@@ -8,7 +8,7 @@ random topologies, asserting one verdict per graph.
 
 import random
 
-from repro.core.reduction import ReductionEngine, reduce_graph
+from repro.core.reduction import reduce_graph
 from repro.workloads import (
     RandomProblemConfig,
     example1,
@@ -21,9 +21,7 @@ from repro.workloads import (
 def _random_order_verdicts(graph, n_orders: int) -> set[bool]:
     verdicts = set()
     for seed in range(n_orders):
-        rng = random.Random(seed)
-        engine = ReductionEngine(graph)
-        trace = engine.run(chooser=lambda options: rng.choice(options))
+        trace = reduce_graph(graph, strategy="random", rng=random.Random(seed))
         verdicts.add(trace.feasible)
     return verdicts
 

@@ -8,7 +8,7 @@ numbers 1–6 give a legal elimination order ending with an empty graph.
 
 from conftest import paper_reduction_script
 
-from repro.core.reduction import replay
+from repro.core.reduction_reference import replay_reference
 from repro.core.sequencing import SequencingGraph
 from repro.workloads import example1
 
@@ -38,7 +38,7 @@ def test_bench_figure3_circled_elimination_order(benchmark):
     sg = PROBLEM.sequencing_graph()
     script = paper_reduction_script(sg)
 
-    trace = benchmark(replay, sg, script)
+    trace = benchmark(replay_reference, sg, script)
     assert trace.feasible
     assert len(trace.steps) == 6
     # Steps 1,3,5,6 are Rule #1; steps 2,4 are Rule #2 — as in §4.2.2.

@@ -8,7 +8,7 @@ broker→T1, T1→consumer, T1→broker.
 from conftest import PAPER_SECTION5_LISTING, paper_reduction_script
 
 from repro.core.execution import recover_execution
-from repro.core.reduction import replay
+from repro.core.reduction_reference import replay_reference
 from repro.workloads import example1
 
 PROBLEM = example1()
@@ -16,7 +16,7 @@ PROBLEM = example1()
 
 def _recover():
     sg = PROBLEM.sequencing_graph()
-    trace = replay(sg, paper_reduction_script(sg))
+    trace = replay_reference(sg, paper_reduction_script(sg))
     return recover_execution(trace)
 
 

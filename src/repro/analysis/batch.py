@@ -17,12 +17,11 @@ parallel.  This module provides the shared driver:
   :class:`~repro.core.problem.ExchangeProblem` graphs across the pool
   boundary for generated workloads.
 * :func:`check_feasibility_batch` — the batched §4.2.4 verdict:
-  accepts specs and/or ready problems, returns light
-  :class:`BatchVerdict` rows.  ``engine="flat"`` routes whole *blocks* of
-  problems through the compiled arena
-  (:func:`repro.core.flatcore.check_feasibility_flat_batch`) instead of
-  one indexed reduction per problem — same verdicts (the reduction system
-  is confluent; DESIGN.md §11), a fraction of the interpreter overhead.
+  accepts specs and/or ready problems and runs the free-order verdict loop
+  (:func:`repro.core.flatcore.check_feasibility_flat`) once per problem,
+  returning light :class:`BatchVerdict` rows.  No trace is built: the
+  studies aggregate counts only, and the counts are the same for every
+  reduction order (DESIGN.md §11).
 * :func:`batch_specs` — the spec-level twin of
   :func:`repro.workloads.random_graphs.random_problem_batch` (identical
   sub-seed derivation, so ``spec.build()`` reproduces the same problems).
@@ -39,9 +38,8 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 import random
 
-from repro.core.flatcore import ENGINES, check_feasibility_flat_batch
+from repro.core.flatcore import FlatVerdict, check_feasibility_flat
 from repro.core.problem import ExchangeProblem
-from repro.errors import ReproError
 from repro.obs.metrics import MetricsSnapshot, merge_snapshots
 from repro.obs.runtime import metrics_scope
 from repro.workloads.random_graphs import RandomProblemConfig, random_problem
@@ -51,9 +49,6 @@ R = TypeVar("R")
 
 #: Below this many items a pool costs more than it saves; run serially.
 SERIAL_THRESHOLD = 8
-
-#: Problems per arena when the flat engine batches a pool task.
-FLAT_BLOCK = 64
 
 
 def effective_cpu_count() -> int:
@@ -168,109 +163,34 @@ class ProblemSpec:
         return problem
 
 
-@dataclass(frozen=True)
-class BatchVerdict:
-    """One feasibility verdict, flattened for cheap transport off a worker.
-
-    Carries everything the studies aggregate (the full trace stays in the
-    worker — pickling whole sequencing graphs back would dominate runtime).
-    """
-
-    feasible: bool
-    steps: int
-    remaining: int
-    blockages: int
-
-    @classmethod
-    def of(
-        cls, problem: ExchangeProblem, strategy: str, enable_persona_clause: bool
-    ) -> "BatchVerdict":
-        verdict = problem.feasibility(
-            strategy=strategy, enable_persona_clause=enable_persona_clause
-        )
-        return cls(
-            feasible=verdict.feasible,
-            steps=len(verdict.trace.steps),
-            remaining=len(verdict.trace.remaining),
-            blockages=len(verdict.blockages),
-        )
+#: One feasibility verdict row: feasible, steps, remaining, blockages.
+#: Light enough to ship back from a worker (the trace is never built).
+BatchVerdict = FlatVerdict
 
 
 def _check_one(
-    item: "ProblemSpec | ExchangeProblem",
-    strategy: str = "fifo",
-    enable_persona_clause: bool = True,
+    item: "ProblemSpec | ExchangeProblem", enable_persona_clause: bool = True
 ) -> BatchVerdict:
-    """Worker: build (if a spec) and reduce one problem."""
+    """Worker: build (if a spec) and run the verdict loop on one problem."""
     problem = item.build() if isinstance(item, ProblemSpec) else item
-    return BatchVerdict.of(problem, strategy, enable_persona_clause)
-
-
-def _check_block_flat(
-    block: "tuple[ProblemSpec | ExchangeProblem, ...]",
-    enable_persona_clause: bool = True,
-) -> list[BatchVerdict]:
-    """Worker: compile one block of problems into an arena and reduce it.
-
-    One pool task now carries :data:`FLAT_BLOCK` problems instead of one, so
-    the flat engine's per-problem overhead is a slice of a shared scratch
-    copy rather than a full engine construction.
-    """
-    graphs = [
-        (item.build() if isinstance(item, ProblemSpec) else item).sequencing_graph()
-        for item in block
-    ]
-    return [
-        BatchVerdict(
-            feasible=v.feasible,
-            steps=v.steps,
-            remaining=v.remaining,
-            blockages=v.blockages,
-        )
-        for v in check_feasibility_flat_batch(
-            graphs, enable_persona_clause=enable_persona_clause
-        )
-    ]
+    return check_feasibility_flat(
+        problem.sequencing_graph(), enable_persona_clause=enable_persona_clause
+    )
 
 
 def check_feasibility_batch(
     items: "Sequence[ProblemSpec | ExchangeProblem]",
     *,
-    strategy: str = "fifo",
     enable_persona_clause: bool = True,
     processes: int | None = None,
     chunksize: int | None = None,
-    engine: str = "indexed",
 ) -> list[BatchVerdict]:
     """Feasibility verdicts for a batch, in input order.
 
     Mixing :class:`ProblemSpec` recipes (rebuilt worker-side) and ready
     :class:`ExchangeProblem` objects (pickled whole) is allowed.
-
-    ``engine="flat"`` reduces via the compiled arena.  The flat loop picks
-    its own removal order, but reductions are confluent (unique normal
-    form, DESIGN.md §11), so the verdict rows are identical to the indexed
-    engine's under *every* ``strategy`` — the flat-batch test suite and the
-    conformance fuzzer's flat arm both assert this.
     """
-    if engine not in ENGINES:
-        raise ReproError(
-            f"unknown engine {engine!r}: expected one of {', '.join(ENGINES)}"
-        )
-    if engine == "flat":
-        block_size = chunksize if chunksize is not None else FLAT_BLOCK
-        blocks = [
-            tuple(items[i : i + block_size])
-            for i in range(0, len(items), block_size)
-        ]
-        block_fn = partial(
-            _check_block_flat, enable_persona_clause=enable_persona_clause
-        )
-        nested = parallel_map(block_fn, blocks, processes=processes, chunksize=1)
-        return [verdict for block in nested for verdict in block]
-    fn = partial(
-        _check_one, strategy=strategy, enable_persona_clause=enable_persona_clause
-    )
+    fn = partial(_check_one, enable_persona_clause=enable_persona_clause)
     return parallel_map(fn, items, processes=processes, chunksize=chunksize)
 
 

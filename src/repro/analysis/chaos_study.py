@@ -36,8 +36,7 @@ import random
 
 from repro.analysis.batch import ProblemSpec, effective_cpu_count, instrumented_map
 from repro.baselines.direct import direct_exchange_under_faults
-from repro.core.flatcore import ENGINES, check_feasibility_flat
-from repro.errors import ReproError
+from repro.core.flatcore import check_feasibility_flat
 from repro.obs.metrics import MetricsSnapshot, snapshot_digest
 from repro.obs.runtime import tracing
 from repro.sim.faults import FaultConfig, random_fault_plan
@@ -56,11 +55,6 @@ class ChaosConfig:
     leaves the trusted components' reversal clocks far beyond the fault
     config's ``heal_at`` horizon: link faults delay honest deposits, they
     must not be able to masquerade as reneging.
-
-    ``engine`` picks the feasibility gate: ``"indexed"`` (the incremental
-    object engine) or ``"flat"`` (the compiled core).  The gate is a pure
-    boolean, and the engines agree on it by confluence, so the sweep's
-    verdicts are engine-independent — the flat path just answers faster.
     """
 
     scenarios: int = 500
@@ -73,7 +67,6 @@ class ChaosConfig:
     latency: float = 1.0
     max_time: float = 5000.0
     working_capital_cents: int = 0
-    engine: str = "indexed"
 
 
 @dataclass(frozen=True)
@@ -161,10 +154,8 @@ def _run_scenario(scenario: ChaosScenario) -> ChaosVerdict:
     """Worker: one problem × one fault plan → one flat verdict row."""
     cfg = scenario.config
     problem = ProblemSpec(config=cfg.problems, seed=scenario.problem_seed).build()
-    if cfg.engine == "flat":
-        feasible = check_feasibility_flat(problem.sequencing_graph()).feasible
-    else:
-        feasible = problem.feasibility().feasible
+    # The gate is a pure boolean, so the free-order verdict loop suffices.
+    feasible = check_feasibility_flat(problem.sequencing_graph()).feasible
     plan = random_fault_plan(
         principals=[p.name for p in problem.interaction.principals],
         trusted=[t.name for t in problem.interaction.trusted_components],
@@ -369,7 +360,6 @@ class ChaosReport:
         return {
             "scenarios": len(self.verdicts),
             "seed": self.config.seed,
-            "engine": self.config.engine,
             "process_cpus": effective_cpu_count(),
             "simulated": self.simulated,
             "violation_count": self.violation_count,
@@ -408,10 +398,6 @@ def chaos_study(
     chunksize: int | None = None,
 ) -> ChaosReport:
     """Run the sweep (serial or pooled — verdicts are identical either way)."""
-    if config.engine not in ENGINES:
-        raise ReproError(
-            f"unknown engine {config.engine!r}: expected one of {', '.join(ENGINES)}"
-        )
     verdicts, metrics = instrumented_map(
         _run_scenario,
         chaos_scenarios(config),

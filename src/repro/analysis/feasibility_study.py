@@ -20,12 +20,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
 
 from repro.analysis.batch import ProblemSpec, check_feasibility_batch, parallel_map
-from repro.core.flatcore import ENGINES, check_feasibility_flat
+from repro.core.flatcore import check_feasibility_flat
 from repro.core.problem import ExchangeProblem
-from repro.errors import ReproError
 from repro.workloads.random_graphs import RandomProblemConfig, random_problem
 
 #: How many candidate instances base discovery scans per requested sample
@@ -56,13 +54,8 @@ def priority_sweep(
     n_exchanges: int = 6,
     seed: int = 0,
     processes: int | None = 1,
-    engine: str = "indexed",
 ) -> list[PrioritySweepRow]:
-    """Feasible fraction vs priority density over random problems.
-
-    ``engine="flat"`` routes verdicts through the compiled arena
-    (:mod:`repro.core.flatcore`); counts are identical by confluence.
-    """
+    """Feasible fraction vs priority density over random problems."""
     probabilities = probabilities if probabilities is not None else [
         0.0,
         0.25,
@@ -81,7 +74,7 @@ def priority_sweep(
             ProblemSpec(config=config, seed=seed * 10_000 + index)
             for index in range(samples)
         ]
-        verdicts = check_feasibility_batch(specs, processes=processes, engine=engine)
+        verdicts = check_feasibility_batch(specs, processes=processes)
         feasible = sum(1 for v in verdicts if v.feasible)
         rows.append(PrioritySweepRow(probability, samples, feasible))
     return rows
@@ -114,15 +107,12 @@ class IncompletenessRow:
         return self.gap / self.samples if self.samples else 0.0
 
 
-def _gap_worker(spec: ProblemSpec, engine: str = "indexed") -> tuple[bool, bool]:
+def _gap_worker(spec: ProblemSpec) -> tuple[bool, bool]:
     """Worker: (reduction-feasible, Petri-coverable) for one instance."""
     from repro.petri.translate import exchange_completable
 
     problem = spec.build()
-    if engine == "flat":
-        feasible = check_feasibility_flat(problem.sequencing_graph()).feasible
-    else:
-        feasible = problem.feasibility().feasible
+    feasible = check_feasibility_flat(problem.sequencing_graph()).feasible
     return feasible, exchange_completable(problem).coverable
 
 
@@ -133,13 +123,8 @@ def incompleteness_gap(
     priority_probability: float = 0.7,
     seed: int = 0,
     processes: int | None = 1,
-    engine: str = "indexed",
 ) -> IncompletenessRow:
     """Measure the reduction test's conservatism on random topologies."""
-    if engine not in ENGINES:
-        raise ReproError(
-            f"unknown engine {engine!r}: expected one of {', '.join(ENGINES)}"
-        )
     config = RandomProblemConfig(
         n_principals=n_principals,
         n_exchanges=n_exchanges,
@@ -149,9 +134,7 @@ def incompleteness_gap(
         ProblemSpec(config=config, seed=seed * 10_000 + index)
         for index in range(samples)
     ]
-    results = parallel_map(
-        partial(_gap_worker, engine=engine), specs, processes=processes
-    )
+    results = parallel_map(_gap_worker, specs, processes=processes)
     reduction_feasible = sum(1 for feasible, _ in results if feasible)
     petri_coverable = sum(1 for _, coverable in results if coverable)
     unsound = sum(1 for feasible, coverable in results if feasible and not coverable)
@@ -211,7 +194,6 @@ def trust_sweep(
     priority_probability: float = 0.8,
     seed: int = 0,
     processes: int | None = 1,
-    engine: str = "indexed",
 ) -> list[TrustSweepRow]:
     """How many infeasible instances does random direct trust unlock?
 
@@ -236,7 +218,7 @@ def trust_sweep(
             ProblemSpec(config=config, seed=seed * 10_000 + index + k)
             for k in range(block)
         ]
-        verdicts = check_feasibility_batch(specs, processes=processes, engine=engine)
+        verdicts = check_feasibility_batch(specs, processes=processes)
         for spec, verdict in zip(specs, verdicts):
             if not verdict.feasible and len(base_seeds) < samples:
                 base_seeds.append(int(spec.seed))
@@ -255,9 +237,7 @@ def trust_sweep(
                     trust_edges=_trust_edge_names(base, count, rng),
                 )
             )
-        verdicts = check_feasibility_batch(
-            variant_specs, processes=processes, engine=engine
-        )
+        verdicts = check_feasibility_batch(variant_specs, processes=processes)
         unlocked = sum(1 for v in verdicts if v.feasible)
         rows.append(TrustSweepRow(count, len(bases), unlocked))
     return rows

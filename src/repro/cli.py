@@ -12,14 +12,11 @@ Subcommands cover the full pipeline on a spec file or a built-in example:
 * ``cost``       — the §8 message-cost comparison;
 * ``distributed``— the §9 distributed reduction (local decisions);
 * ``petri``      — the §7.4 translation and its coverability verdict;
-* ``sweep``      — random-topology studies (priority / trust / gap); takes
-  ``--engine {indexed,flat}`` to route verdicts through the compiled
-  flat-array core;
-* ``chaos``      — seeded fault-injection sweep of the safety guarantee
-  (also takes ``--engine``);
+* ``sweep``      — random-topology studies (priority / trust / gap);
+* ``chaos``      — seeded fault-injection sweep of the safety guarantee;
 * ``fuzz``       — differential + metamorphic conformance fuzzing of the
-  whole oracle stack (reduction / reference / flat core / Petri /
-  simulator / spec);
+  whole oracle stack (reduction / reference / free-order verdict loop /
+  Petri / simulator / spec);
 * ``lint``       — determinism/safety static analysis: AST rule passes over
   Python source plus the non-fatal warning tier over ``.exchange`` specs
   (exit 0 clean, 1 findings, 2 usage error);
@@ -27,9 +24,9 @@ Subcommands cover the full pipeline on a spec file or a built-in example:
   deterministic tracer and print the span tree (or ``--flame`` cumulative
   view, or ``--json`` JSONL records); the printed span digest is
   byte-identical across replays of the same input;
-* ``profile``    — engine-vs-engine hot-rule table (indexed vs compiled
-  flat core) over a seeded random workload, wall time via the sanctioned
-  timer API;
+* ``profile``    — hot-rule table for the trace path plus the free-order
+  verdict loop's time over a seeded random workload, wall time via the
+  sanctioned timer API;
 * ``examples``   — list the built-in fixtures.
 
 ``sweep``, ``chaos``, and ``fuzz`` additionally take ``--trace-out PATH``
@@ -52,7 +49,6 @@ from typing import Callable
 
 from repro.analysis.batch import effective_cpu_count
 from repro.analysis.cost import chain_cost_sweep, format_chain_table, static_cost
-from repro.core.flatcore import ENGINES
 from repro.core.indemnity import minimal_indemnity_plan, splittable_conjunctions
 from repro.core.problem import ExchangeProblem
 from repro.core.protocol import synthesize_protocol
@@ -109,19 +105,6 @@ def _add_trace_out_arg(parser: argparse.ArgumentParser) -> None:
         "--trace-out",
         metavar="PATH",
         help="write the run's merged observability metrics as JSONL",
-    )
-
-
-def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
-    # argparse's ``choices`` rejects unknown engine names with exit code 2
-    # and a usage message — the same contract the library layer enforces
-    # with ReproError for programmatic callers.
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="indexed",
-        help="reduction engine: the indexed incremental engine, or the "
-        "compiled flat-array core (default: indexed)",
     )
 
 
@@ -289,25 +272,19 @@ def _run_sweep(args: argparse.Namespace) -> int:
     )
 
     if args.study == "priority":
-        for row in priority_sweep(
-            samples=args.samples, processes=args.jobs, engine=args.engine
-        ):
+        for row in priority_sweep(samples=args.samples, processes=args.jobs):
             print(
                 f"priority={row.priority_probability:4.2f}  feasible "
                 f"{row.feasible}/{row.samples} ({row.feasible_fraction:.0%})"
             )
     elif args.study == "trust":
-        for row in trust_sweep(
-            samples=args.samples, processes=args.jobs, engine=args.engine
-        ):
+        for row in trust_sweep(samples=args.samples, processes=args.jobs):
             print(
                 f"+{row.trust_edges_added} trust edges  unlocked "
                 f"{row.unlocked}/{row.samples} ({row.unlocked_fraction:.0%})"
             )
     else:
-        row = incompleteness_gap(
-            samples=args.samples, processes=args.jobs, engine=args.engine
-        )
+        row = incompleteness_gap(samples=args.samples, processes=args.jobs)
         print(
             f"samples={row.samples}  reduction-feasible={row.reduction_feasible}  "
             f"petri-coverable={row.petri_coverable}  gap={row.gap} "
@@ -335,7 +312,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         seed=args.seed,
         faults=faults,
         deadline=args.deadline,
-        engine=args.engine,
     )
     jobs = args.jobs if args.jobs > 0 else None  # 0 = all cores
     report = chaos_study(config, processes=jobs)
@@ -372,7 +348,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         cases=args.cases,
         seed=args.seed,
         simulate=not args.no_sim,
-        flat_arm=not args.no_flat_arm,
     )
     jobs = args.jobs if args.jobs > 0 else None  # 0 = all cores
     report = run_fuzz(config, processes=jobs)
@@ -457,8 +432,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     with tracing() as tracer:
         trace = reduce_graph(problem.sequencing_graph())
-        compiled = flatcore.compile_graph(problem.sequencing_graph())
-        flatcore.check_feasibility_flat(compiled)
+        flatcore.check_feasibility_flat(problem.sequencing_graph())
         if trace.feasible and not args.no_sim:
             simulate(problem)
 
@@ -489,26 +463,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         _random_profile_problem(rng.randrange(2**31)) for _ in range(args.samples)
     ]
 
-    tables: dict[str, dict[str, object]] = {}
-    for engine in ("indexed", "flat"):
-        timer = WallTimer()
-        with metrics_scope() as tracer, timer:
-            for problem in problems:
-                graph = problem.sequencing_graph()
-                if engine == "indexed":
-                    reduce_graph(graph)
-                else:
-                    flatcore.reduce_graph_compiled(flatcore.compile_graph(graph))
-        stats = tracer.metrics.to_dict()
-        stats["wall_seconds"] = timer.seconds
-        tables[engine] = stats
+    timer = WallTimer()
+    with metrics_scope() as tracer, timer:
+        for problem in problems:
+            reduce_graph(problem.sequencing_graph())
+    stats = tracer.metrics.to_dict()
 
-    # The flat core's free-order verdict loop has no indexed twin; time it
-    # on its own line rather than folding it into the comparison table.
     verdict_timer = WallTimer()
     with metrics_scope() as tracer, verdict_timer:
         for problem in problems:
-            flatcore.check_feasibility_flat(flatcore.compile_graph(problem.sequencing_graph()))
+            flatcore.check_feasibility_flat(problem.sequencing_graph())
     free_order_steps = tracer.metrics.to_dict().get("reduction.free_order_steps", 0)
 
     print(
@@ -516,20 +480,20 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         f"(cpus: {effective_cpu_count()})"
     )
     rows = [
-        ("wall seconds", lambda s: f"{s['wall_seconds']:.3f}"),
-        ("firings rule1", lambda s: f"{s.get('reduction.firings.rule1', 0)}"),
-        ("firings rule2", lambda s: f"{s.get('reduction.firings.rule2', 0)}"),
-        ("persona waivers", lambda s: f"{s.get('reduction.persona_waivers', 0)}"),
+        ("wall seconds", f"{timer.seconds:.3f}"),
+        ("firings rule1", f"{stats.get('reduction.firings.rule1', 0)}"),
+        ("firings rule2", f"{stats.get('reduction.firings.rule2', 0)}"),
+        ("persona waivers", f"{stats.get('reduction.persona_waivers', 0)}"),
         (
             "verdict pass/fail",
-            lambda s: f"{s.get('verdict.pass', 0)}/{s.get('verdict.fail', 0)}",
+            f"{stats.get('verdict.pass', 0)}/{stats.get('verdict.fail', 0)}",
         ),
     ]
-    print(f"{'metric':<20} {'indexed':>12} {'flat':>12}")
-    for label, fmt in rows:
-        print(f"{label:<20} {fmt(tables['indexed']):>12} {fmt(tables['flat']):>12}")
+    print(f"{'metric':<20} {'trace':>12}")
+    for label, value in rows:
+        print(f"{label:<20} {value:>12}")
     print(
-        f"flat free-order verdict loop: {verdict_timer.seconds:.3f}s, "
+        f"free-order verdict loop: {verdict_timer.seconds:.3f}s, "
         f"{free_order_steps} step(s)"
     )
     return 0
@@ -708,7 +672,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="fan the study over N worker processes (0 = all cores)",
     )
-    _add_engine_arg(p)
     _add_trace_out_arg(p)
     p.set_defaults(handler=_cmd_sweep)
 
@@ -738,7 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fan scenarios over N worker processes (0 = all cores)",
     )
     p.add_argument("--report", metavar="PATH", help="write the full JSON report here")
-    _add_engine_arg(p)
     _add_trace_out_arg(p)
     p.set_defaults(handler=_cmd_chaos)
 
@@ -766,11 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default="fuzz_corpus",
         help="where shrunk counterexamples are written (on failure only)",
-    )
-    p.add_argument(
-        "--no-flat-arm",
-        action="store_true",
-        help="skip the compiled flat-core differential arm",
     )
     p.add_argument("--report", metavar="PATH", help="write the JSON report here")
     _add_trace_out_arg(p)
@@ -837,7 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "profile",
-        help="engine-vs-engine hot-rule table over a seeded random workload",
+        help="hot-rule table and verdict-loop time over a seeded random workload",
     )
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)

@@ -4,7 +4,7 @@ The paper's central claims are *equivalences*: the §4.2 reduction is
 confluent, the §4.2.4 feasibility test agrees with the safe-execution
 semantics of §5, and §6 indemnities only ever enlarge the feasible set.
 The repository holds four independent realizations of those semantics —
-the incremental indexed reduction engine, the naive reference oracle, the
+the compiled reduction engine, the naive reference oracle, the
 Petri-net coverability translation, and the discrete-event simulator with
 its safety monitor.  This package systematically cross-checks them:
 

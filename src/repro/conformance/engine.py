@@ -53,7 +53,6 @@ class FuzzConfig:
     simulate: bool = True
     max_principals: int = 10
     max_exchanges: int = 7
-    flat_arm: bool = True
     #: run the flow-sensitive lint rules over repro/net before fuzzing.
     preflight: bool = True
 
@@ -99,7 +98,6 @@ class CaseSpec:
     simulate: bool = True
     max_principals: int = 10
     max_exchanges: int = 7
-    flat_arm: bool = True
 
 
 @dataclass(frozen=True)
@@ -156,7 +154,6 @@ def check_problem(
     problem: ExchangeProblem,
     seed: int = 0,
     run_simulation: bool = True,
-    flat_arm: bool = True,
 ) -> CrossCheckResult:
     """The full per-problem conformance suite (front end + oracles + MRs)."""
     discrepancies: list[Discrepancy] = []
@@ -192,9 +189,7 @@ def check_problem(
         else:
             subject = reloaded
 
-    result = cross_check(
-        subject, seed=seed, run_simulation=run_simulation, flat_arm=flat_arm
-    )
+    result = cross_check(subject, seed=seed, run_simulation=run_simulation)
     discrepancies.extend(result.discrepancies)
     discrepancies.extend(metamorphic_suite(subject, seed=seed))
     return CrossCheckResult(
@@ -205,12 +200,7 @@ def check_problem(
 def run_case(spec: CaseSpec) -> CaseResult:
     """Worker: one fully self-contained fuzz case."""
     problem = generate_case_problem(spec)
-    result = check_problem(
-        problem,
-        seed=spec.seed,
-        run_simulation=spec.simulate,
-        flat_arm=spec.flat_arm,
-    )
+    result = check_problem(problem, seed=spec.seed, run_simulation=spec.simulate)
     return CaseResult(
         index=spec.index,
         seed=spec.seed,
@@ -231,7 +221,6 @@ def case_specs(config: FuzzConfig) -> list[CaseSpec]:
             simulate=config.simulate,
             max_principals=config.max_principals,
             max_exchanges=config.max_exchanges,
-            flat_arm=config.flat_arm,
         )
         for i in range(config.cases)
     ]
@@ -301,7 +290,6 @@ class FuzzReport:
         return {
             "cases": len(self.results),
             "seed": self.config.seed,
-            "flat_arm": self.config.flat_arm,
             "process_cpus": effective_cpu_count(),
             "feasible": self.feasible_count,
             "petri_gap": self.gap_count,

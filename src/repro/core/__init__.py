@@ -7,8 +7,8 @@ Layered bottom-up:
 * interaction — interaction graphs (§3);
 * sequencing — sequencing graphs (§4.1);
 * reduction / feasibility — Rules #1/#2 and the §4.2.4 test;
-* flatcore — the compiled flat-array reduction core (compile → run →
-  decompile) and the packed batch arena;
+* flatcore — the compiled integer form of a sequencing graph and the
+  free-order verdict loop;
 * execution — §5 execution-sequence recovery;
 * indemnity — §6 escrow planning;
 * protocol — per-party role synthesis for the simulator;
@@ -26,15 +26,10 @@ from repro.core.execution import (
 )
 from repro.core.feasibility import FeasibilityVerdict, Verdict, check_feasibility
 from repro.core.flatcore import (
-    ENGINES,
     CompiledGraph,
     FlatVerdict,
-    GraphArena,
     check_feasibility_flat,
-    check_feasibility_flat_batch,
     compile_graph,
-    reduce_graph_compiled,
-    reduce_graph_flat,
 )
 from repro.core.indemnity import (
     IndemnityOffer,
@@ -72,12 +67,10 @@ from repro.core.parties import Party, Role, broker, consumer, producer, trusted
 from repro.core.problem import ExchangeProblem
 from repro.core.reduction import (
     Blockage,
-    ReductionEngine,
     ReductionStep,
     ReductionTrace,
     Rule,
     reduce_graph,
-    replay,
 )
 from repro.core.sequencing import (
     CommitmentNode,
@@ -107,15 +100,10 @@ __all__ = [
     "FeasibilityVerdict",
     "Verdict",
     "check_feasibility",
-    "ENGINES",
     "CompiledGraph",
     "FlatVerdict",
-    "GraphArena",
     "check_feasibility_flat",
-    "check_feasibility_flat_batch",
     "compile_graph",
-    "reduce_graph_compiled",
-    "reduce_graph_flat",
     "IndemnityOffer",
     "IndemnityPlan",
     "apply_plan",
@@ -157,12 +145,10 @@ __all__ = [
     "trusted",
     "ExchangeProblem",
     "Blockage",
-    "ReductionEngine",
     "ReductionStep",
     "ReductionTrace",
     "Rule",
     "reduce_graph",
-    "replay",
     "CommitmentNode",
     "ConjunctionNode",
     "EdgeColor",

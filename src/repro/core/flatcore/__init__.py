@@ -1,24 +1,15 @@
-"""Compiled flat-array reduction core: compile → run → decompile.
-
-The indexed :class:`~repro.core.reduction.ReductionEngine` already made the
-§4.2 reduction incremental, but every step still walks frozen-dataclass
-nodes, hashes :class:`~repro.core.sequencing.SGEdge` objects, and allocates
-Python structures in the hot loop.  This package removes the object layer
-entirely for the hot path:
+"""The compiled form of a sequencing graph, and the free-order verdict loop.
 
 * :mod:`repro.core.flatcore.compiler` — a one-time pass flattening a
-  :class:`~repro.core.sequencing.SequencingGraph` into CSR-style integer
-  arrays (``array('i')``/``bytearray`` only — no third-party dependency);
-* :mod:`repro.core.flatcore.runtime` — two loops over those arrays: a
-  **parity engine** (:func:`reduce_graph_flat`) that reproduces the indexed
-  engine *step for step* and decompiles back into a full
-  :class:`~repro.core.reduction.ReductionTrace`, and a **free-order verdict
-  loop** (:func:`check_feasibility_flat`) that answers only
-  feasible/steps/remaining/blockages with zero object allocation per edge;
-* :mod:`repro.core.flatcore.arena` — N problems packed into one arena so a
-  Monte-Carlo batch pays the interpreter's per-run set-up cost once
-  (:func:`check_feasibility_flat_batch`);
-* :mod:`repro.core.flatcore.report` — pure payload builders for the
+  :class:`~repro.core.sequencing.SequencingGraph` into dense integer lists
+  (edge → node ids, color and persona masks, live-edge counters, id sums);
+  :func:`repro.core.reduction.reduce_graph` runs its step-recording loop
+  over this form and decompiles the result into a full trace;
+* :mod:`repro.core.flatcore.runtime` — :func:`check_feasibility_flat`, the
+  **free-order verdict loop**: feasible/steps/remaining/blockages with no
+  trace and no object allocation per edge, for callers that need only the
+  verdict;
+* :mod:`repro.core.flatcore.report` — the pure payload function for the
   ``BENCH_flatcore.json`` artifact (timing itself lives in ``benchmarks/``,
   outside the determinism-linted core).
 
@@ -26,36 +17,18 @@ The free-order loop is safe because the reduction system has a **unique
 normal form** (DESIGN.md §11): eligibility of an edge is anti-monotone in
 the remaining-edge set, so every maximal reduction sequence strands exactly
 the same residual set — the verdict, step count, remaining count, and
-blockage diagnosis are all order-independent.  The parity engine plus the
-conformance engine's flat differential arm certify the claim empirically on
-every fuzz run.
+blockage diagnosis are all order-independent.  The conformance fuzzer checks
+the loop's counts against the ``fifo`` trace on every case.
 """
 
-from repro.core.flatcore.arena import GraphArena, check_feasibility_flat_batch
 from repro.core.flatcore.compiler import CompiledGraph, compile_graph
-from repro.core.flatcore.report import bench_payload, speedup_table
-from repro.core.flatcore.runtime import (
-    ENGINES,
-    FlatRun,
-    FlatVerdict,
-    check_feasibility_flat,
-    reduce_graph_compiled,
-    reduce_graph_flat,
-    run_reduction,
-)
+from repro.core.flatcore.report import bench_payload
+from repro.core.flatcore.runtime import FlatVerdict, check_feasibility_flat
 
 __all__ = [
-    "ENGINES",
     "CompiledGraph",
-    "FlatRun",
     "FlatVerdict",
-    "GraphArena",
     "bench_payload",
     "check_feasibility_flat",
-    "check_feasibility_flat_batch",
     "compile_graph",
-    "reduce_graph_compiled",
-    "reduce_graph_flat",
-    "run_reduction",
-    "speedup_table",
 ]

@@ -1,40 +1,39 @@
-"""Flatten a :class:`SequencingGraph` into CSR-style integer arrays.
+"""Flatten a :class:`SequencingGraph` into dense integer lists.
 
 The compiled form is the whole trick: once commitments, conjunctions, and
 edges are dense integer ids, the §4.2 reduction rules become comparisons on
-``array('i')`` counters instead of hash lookups on frozen dataclasses.  The
-compiler runs once per graph (O(V + E)); both runtime loops and the packed
-batch arena consume its output.
+list counters instead of hash lookups on frozen dataclasses.  The compiler
+runs once per graph (O(V + E)); the step-recording loop in
+:mod:`repro.core.reduction` and the free-order verdict loop in
+:mod:`repro.core.flatcore.runtime` both consume its output.
 
-Layout (all stdlib containers — no numpy in core):
+Layout (plain ``list``/``bytearray`` — small graphs dominate the workload,
+and list indexing and copying beat ``array`` there):
 
-* ``edge_commitment`` / ``edge_conjunction`` — ``array('i')`` of length E
-  mapping edge id → node id, in ``graph.edges`` order (so edge id *i* is
-  exactly ``graph.edges[i]``, which keeps decompilation a tuple lookup).
+* ``edge_commitment`` / ``edge_conjunction`` — edge id → node id, in
+  ``graph.edges`` order (so edge id *i* is exactly ``graph.edges[i]``,
+  which keeps decompilation a tuple lookup).
 * ``edge_red`` — ``bytearray`` color mask (1 = red / priority obligation).
 * ``persona`` — ``bytearray`` over commitments (1 = §4.2.3 persona, i.e.
   the trusted-principal waiver *may* apply at that commitment node).
-* ``c_off``/``c_adj`` and ``j_off``/``j_adj`` — CSR adjacency: the edges
-  incident to commitment ``c`` are ``c_adj[c_off[c]:c_off[c + 1]]``, in
-  ``graph.edges`` order (the same order the indexed engine's adjacency
-  tuples use, which matters for step-for-step blockage parity).
+* ``j_off``/``j_adj`` — CSR adjacency of conjunctions: the edges incident
+  to conjunction ``j`` are ``j_adj[j_off[j]:j_off[j + 1]]``, in
+  ``graph.edges`` order (the order blockage diagnoses list red edges in).
+  Commitments need no rows: their survivors are found by id sum.
 * ``cc0``/``jc0``/``rj0`` — initial live-edge counts per commitment, per
   conjunction, and initial *red* live-edge counts per conjunction.  An
   edge's blocking-red count is ``rj[j] - red[e]`` (parallel edges are
   rejected by ``SequencingGraph``, so an edge sees at most one red of its
   own at its conjunction — itself).
-* ``csum0``/``jsum0``/``jrsum0`` — sums of live edge *ids* per node
-  (``array('q')``: id sums exceed 32 bits at 16k-broker scale).  When a
-  counter drops to 1 the surviving edge id is exactly the sum, so fringe
+* ``csum0``/``jsum0``/``jrsum0`` — sums of live edge *ids* per node.  When
+  a counter drops to 1 the surviving edge id is exactly the sum, so fringe
   survivors are found in O(1) without scanning adjacency rows.
 * ``seeds_on``/``seeds_off`` — edge ids initially eligible under Rule 1 or
-  Rule 2, with the persona clause enabled/disabled, in edge-id order (the
-  same order the indexed engine seeds its worklist).
+  Rule 2, with the persona clause enabled/disabled, in edge-id order.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
 from repro.core.sequencing import SequencingGraph
@@ -49,114 +48,96 @@ class CompiledGraph:
     n_edges: int
     n_commitments: int
     n_conjunctions: int
-    edge_commitment: array[int]
-    edge_conjunction: array[int]
+    edge_commitment: list[int]
+    edge_conjunction: list[int]
     edge_red: bytearray
     persona: bytearray
-    c_off: array[int]
-    c_adj: array[int]
-    j_off: array[int]
-    j_adj: array[int]
-    cc0: array[int]
-    jc0: array[int]
-    rj0: array[int]
-    csum0: array[int]
-    jsum0: array[int]
-    jrsum0: array[int]
-    seeds_on: array[int]
-    seeds_off: array[int]
-
-
-def _csr(rows: list[list[int]]) -> tuple[array[int], array[int]]:
-    offsets = array("i", [0])
-    adjacency: array[int] = array("i")
-    total = 0
-    for row in rows:
-        total += len(row)
-        offsets.append(total)
-        adjacency.extend(row)
-    return offsets, adjacency
+    j_off: list[int]
+    j_adj: list[int]
+    cc0: list[int]
+    jc0: list[int]
+    rj0: list[int]
+    csum0: list[int]
+    jsum0: list[int]
+    jrsum0: list[int]
+    seeds_on: list[int]
+    seeds_off: list[int]
 
 
 def compile_graph(graph: SequencingGraph) -> CompiledGraph:
     """Flatten ``graph`` into the dense integer form described above."""
     edges = graph.edges
-    commitments = graph.commitments
-    conjunctions = graph.conjunctions
     n_e = len(edges)
-    n_c = len(commitments)
-    n_j = len(conjunctions)
+    n_c = len(graph.commitments)
+    n_j = len(graph.conjunctions)
 
-    cidx = {node: i for i, node in enumerate(commitments)}
-    jidx = {node: i for i, node in enumerate(conjunctions)}
+    cidx = {node: i for i, node in enumerate(graph.commitments)}
+    jidx = {node: i for i, node in enumerate(graph.conjunctions)}
 
-    ec_list = [0] * n_e
-    ej_list = [0] * n_e
+    ec = [0] * n_e
+    ej = [0] * n_e
     red = bytearray(n_e)
-    c_rows: list[list[int]] = [[] for _ in range(n_c)]
+    cc0 = [0] * n_c
+    csum0 = [0] * n_c
+    jc0 = [0] * n_j
+    jsum0 = [0] * n_j
+    rj0 = [0] * n_j
+    jrsum0 = [0] * n_j
     j_rows: list[list[int]] = [[] for _ in range(n_j)]
     for i, edge in enumerate(edges):
-        ci = cidx[edge.commitment]
-        ji = jidx[edge.conjunction]
-        ec_list[i] = ci
-        ej_list[i] = ji
-        c_rows[ci].append(i)
-        j_rows[ji].append(i)
+        c = cidx[edge.commitment]
+        j = jidx[edge.conjunction]
+        ec[i] = c
+        ej[i] = j
+        cc0[c] += 1
+        csum0[c] += i
+        jc0[j] += 1
+        jsum0[j] += i
+        j_rows[j].append(i)
         if edge.is_red:
             red[i] = 1
+            rj0[j] += 1
+            jrsum0[j] += i
 
     persona = bytearray(n_c)
     for node in graph.personas:
         persona[cidx[node]] = 1
 
-    cc0 = [len(row) for row in c_rows]
-    jc0 = [len(row) for row in j_rows]
-    rj0 = [0] * n_j
-    jrsum0 = [0] * n_j
-    for i in range(n_e):
-        if red[i]:
-            j = ej_list[i]
-            rj0[j] += 1
-            jrsum0[j] += i
-    csum0 = [sum(row) for row in c_rows]
-    jsum0 = [sum(row) for row in j_rows]
-
     seeds_on: list[int] = []
     seeds_off: list[int] = []
     for i in range(n_e):
-        c = ec_list[i]
-        j = ej_list[i]
+        c = ec[i]
+        j = ej[i]
         fringe = cc0[c] == 1
-        unblocked = rj0[j] - red[i] == 0
-        rule2 = jc0[j] == 1
-        if rule2 or (fringe and unblocked):
+        if jc0[j] == 1 or (fringe and rj0[j] == red[i]):
             seeds_on.append(i)
             seeds_off.append(i)
         elif fringe and persona[c]:
             seeds_on.append(i)
 
-    c_off, c_adj = _csr(c_rows)
-    j_off, j_adj = _csr(j_rows)
+    j_off = [0]
+    j_adj: list[int] = []
+    for row in j_rows:
+        j_adj.extend(row)
+        j_off.append(len(j_adj))
 
     return CompiledGraph(
         graph=graph,
         n_edges=n_e,
         n_commitments=n_c,
         n_conjunctions=n_j,
-        edge_commitment=array("i", ec_list),
-        edge_conjunction=array("i", ej_list),
+        edge_commitment=ec,
+        edge_conjunction=ej,
         edge_red=red,
         persona=persona,
-        c_off=c_off,
-        c_adj=c_adj,
         j_off=j_off,
         j_adj=j_adj,
-        cc0=array("i", cc0),
-        jc0=array("i", jc0),
-        rj0=array("i", rj0),
-        csum0=array("q", csum0),
-        jsum0=array("q", jsum0),
-        jrsum0=array("q", jrsum0),
-        seeds_on=array("i", seeds_on),
-        seeds_off=array("i", seeds_off),
+        cc0=cc0,
+        jc0=jc0,
+        rj0=rj0,
+        csum0=csum0,
+        jsum0=jsum0,
+        jrsum0=jrsum0,
+        seeds_on=seeds_on,
+        seeds_off=seeds_off,
     )

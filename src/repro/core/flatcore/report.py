@@ -1,10 +1,10 @@
-"""Payload builders for the ``BENCH_flatcore.json`` artifact.
+"""Assembles the ``BENCH_flatcore.json`` payload.
 
 Timing itself happens in ``benchmarks/flatcore_bench.py`` — wall-clock
 reads are banned from the determinism-linted core (DET001) — so the bench
-script measures and these functions only *assemble*.  They are serialization
-sinks by name (``*_payload``), which puts them under DET002's
-unordered-iteration lint: everything they emit must be deterministically
+script measures and this function only *assembles*.  It is a serialization
+sink by name (``*_payload``), which puts it under DET002's
+unordered-iteration lint: everything it emits must be deterministically
 ordered.
 """
 
@@ -13,47 +13,29 @@ from __future__ import annotations
 from typing import Mapping
 
 
-def speedup_table(
-    indexed_seconds: Mapping[int, float], flat_seconds: Mapping[int, float]
-) -> dict[str, float]:
-    """Per-size ``indexed / flat`` wall-clock ratios, keyed by broker count.
-
-    Only sizes measured under *both* engines appear (the 16k point is
-    flat-only: the indexed engine is benchmarked there once, separately, or
-    not at all).  Keys are strings so the table round-trips through JSON
-    unchanged.
-    """
-    table: dict[str, float] = {}
-    for size in sorted(indexed_seconds):
-        if size in flat_seconds and flat_seconds[size] > 0:
-            table[str(size)] = round(indexed_seconds[size] / flat_seconds[size], 2)
-    return table
-
-
 def bench_payload(
     *,
     machine: str,
     date: str,
     process_cpus: int,
+    repeat: int,
     graph_sizes: Mapping[int, int],
-    indexed_reduce_seconds: Mapping[int, float],
     compile_seconds: Mapping[int, float],
-    flat_verdict_seconds: Mapping[int, float],
-    flat_trace_seconds: Mapping[int, float],
-    phase_seconds: Mapping[int, Mapping[str, float]] | None = None,
+    verdict_seconds: Mapping[int, float],
+    trace_seconds: Mapping[int, float],
+    phase_seconds: Mapping[int, Mapping[str, float]],
     batch_problems: int,
-    batch_indexed_problems_per_second: float,
-    batch_flat_problems_per_second: float,
+    batch_problems_per_second: float,
     notes: Mapping[str, str],
 ) -> dict[str, object]:
     """Assemble the BENCH_flatcore.json document from measured components.
 
     ``graph_sizes`` maps broker count → edge count; the per-size timing maps
-    are median wall-clock seconds for one reduction of that graph.  The
+    are median wall-clock seconds over ``repeat`` runs of that graph.  The
     caller supplies ``date`` and ``machine`` (no clock or platform reads
     here), and ``process_cpus`` so throughput numbers stay interpretable on
-    single-core hosts.  ``phase_seconds`` optionally breaks the flat trace
-    path into its compile/run/decompile phases (measured with
+    single-core hosts.  ``phase_seconds`` breaks the trace path into its
+    compile/run/decompile phases (measured with
     :class:`repro.obs.clock.PhaseTimer`, mean seconds per run).
     """
 
@@ -65,30 +47,21 @@ def bench_payload(
         "machine": machine,
         "date": date,
         "process_cpus": process_cpus,
+        "repeat": repeat,
         "graph_edges": {str(s): graph_sizes[s] for s in sorted(graph_sizes)},
-        "indexed_reduce_seconds": by_size(indexed_reduce_seconds),
         "compile_seconds": by_size(compile_seconds),
-        "flat_verdict_seconds": by_size(flat_verdict_seconds),
-        "flat_trace_seconds": by_size(flat_trace_seconds),
-        "verdict_speedup_over_indexed": speedup_table(
-            indexed_reduce_seconds, flat_verdict_seconds
-        ),
-        "trace_speedup_over_indexed": speedup_table(
-            indexed_reduce_seconds, flat_trace_seconds
-        ),
+        "verdict_seconds": by_size(verdict_seconds),
+        "trace_seconds": by_size(trace_seconds),
         "phase_seconds": {
             str(size): {
                 phase: phase_seconds[size][phase]
                 for phase in phase_seconds[size]
             }
             for size in sorted(phase_seconds)
-        }
-        if phase_seconds is not None
-        else {},
+        },
         "batch": {
             "problems": batch_problems,
-            "indexed_problems_per_second": batch_indexed_problems_per_second,
-            "flat_problems_per_second": batch_flat_problems_per_second,
+            "verdict_problems_per_second": batch_problems_per_second,
         },
         "notes": {key: notes[key] for key in sorted(notes)},
     }

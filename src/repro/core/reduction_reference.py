@@ -3,18 +3,23 @@
 This is the seed implementation of the §4.2 greedy reduction: every fringe
 test rescans the full remaining-edge set and :meth:`applicable` re-derives
 all legal steps from scratch each iteration, giving O(E³) behavior on large
-graphs.  It was replaced by the incremental indexed engine in
-:mod:`repro.core.reduction`, but is kept (unoptimized, and never imported by
-production code) as the **equivalence oracle**: the property suite in
-``tests/property/test_engine_equivalence.py`` drives both engines through
-identical strategies, personas, and ablations and asserts they agree on the
-verdict, the step sequence, the blockage diagnosis, and the commitment /
-conjunction disconnection orders.
+graphs.  Production code reduces with the compiled
+:func:`repro.core.reduction.reduce_graph`; this engine is kept unoptimized
+as the **equivalence oracle**: ``tests/property/test_flatcore_equivalence.py``
+and the conformance fuzzer drive both through identical strategies, personas,
+and ablations and require the same verdict, step sequence, blockage
+diagnosis, and commitment / conjunction disconnection orders.
+
+It is also the step-level API: :meth:`ReferenceReductionEngine.applicable`,
+:meth:`~ReferenceReductionEngine.apply`, a custom ``chooser`` for
+:meth:`~ReferenceReductionEngine.run`, and :func:`replay_reference` for
+scripted orders (the figure benchmarks replay the paper's circled
+elimination orders through it, asserting each step is legal).
 
 The only change from the seed is that remaining-edge enumeration iterates
 ``graph.edges`` (original graph order) rather than a Python ``set``, so
-``blocking_red_edges`` tuples are deterministic and comparable against the
-indexed engine's output.
+``blocking_red_edges`` tuples are deterministic and comparable against
+:func:`~repro.core.reduction.reduce_graph`'s output.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from repro.errors import ReductionError
 
 
 class ReferenceReductionEngine:
-    """Naive O(E³) engine: full rescans, no indices.  Oracle use only."""
+    """Naive O(E³) engine: full rescans, no indices.  Oracle and step API."""
 
     def __init__(self, graph: SequencingGraph, enable_persona_clause: bool = True) -> None:
         self.graph = graph
@@ -224,7 +229,12 @@ def reference_reduce(
 def replay_reference(
     graph: SequencingGraph, script: Iterable[tuple[Rule, SGEdge]]
 ) -> ReductionTrace:
-    """Replay a script through the oracle engine (mirrors :func:`repro.core.reduction.replay`)."""
+    """Replay an explicit sequence of ``(rule, edge)`` steps.
+
+    Raises :class:`ReductionError` on the first illegal step.  The steps
+    need not exhaust the graph; the returned trace reflects whatever
+    remains.
+    """
     engine = ReferenceReductionEngine(graph)
     for rule, edge in script:
         engine.apply(rule, edge)

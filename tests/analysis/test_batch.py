@@ -122,10 +122,20 @@ class TestCheckFeasibilityBatch:
 
     @pytest.mark.parametrize("strategy", ["fifo", "lifo", "random"])
     def test_pool_matches_serial_across_strategies(self, strategy):
+        # The batch runs the order-free verdict loop, so it takes no
+        # strategy; its rows must match every strategy's full trace.
         specs = batch_specs(40, RandomProblemConfig(), seed=5)
-        serial = check_feasibility_batch(specs, strategy=strategy, processes=1)
-        pooled = check_feasibility_batch(specs, strategy=strategy, processes=2)
+        serial = check_feasibility_batch(specs, processes=1)
+        pooled = check_feasibility_batch(specs, processes=2)
         assert pooled == serial
+        for spec, verdict in zip(specs, serial):
+            trace = spec.build().feasibility(strategy=strategy).trace
+            assert verdict == BatchVerdict(
+                feasible=trace.feasible,
+                steps=len(trace.steps),
+                remaining=len(trace.remaining),
+                blockages=len(trace.blockages),
+            )
 
     def test_thousand_problem_study_is_ordered_and_deterministic(self):
         # The pipeline's acceptance criterion: >= 1000 random problems

@@ -1,4 +1,10 @@
-"""The flat engine in the batch pipeline + the single-core pool warning."""
+"""The free-order verdict loop in the batch pipeline + the single-core pool warning.
+
+``check_feasibility_batch``, the chaos gate and the indemnity planner took an
+``engine=`` choice between equivalent reductions; the tests named after that
+choice now check that the keyword is rejected and that the one remaining
+path agrees with the reference oracle.
+"""
 
 import warnings
 
@@ -14,7 +20,7 @@ from repro.analysis.batch import (
 from repro.analysis.chaos_study import ChaosConfig, ChaosReport, chaos_study
 from repro.conformance.engine import FuzzConfig, run_fuzz
 from repro.core.indemnity import minimal_indemnity_plan
-from repro.errors import IndemnityError, ReproError
+from repro.core.reduction_reference import reference_reduce
 from repro.workloads import RandomProblemConfig, figure7
 
 
@@ -29,50 +35,55 @@ SPECS = batch_specs(
 )
 
 
-class TestFlatEngineBatch:
-    def test_flat_matches_indexed_serial(self):
-        indexed = check_feasibility_batch(SPECS, engine="indexed")
-        flat = check_feasibility_batch(SPECS, engine="flat")
-        assert flat == indexed
-        assert {v.feasible for v in flat} == {True, False}
+def _reference_counts(spec, persona=True):
+    trace = reference_reduce(
+        spec.build().sequencing_graph(), enable_persona_clause=persona
+    )
+    return trace.feasible, len(trace.steps), len(trace.remaining), len(trace.blockages)
 
+
+def _counts(verdict):
+    return verdict.feasible, verdict.steps, verdict.remaining, verdict.blockages
+
+
+class TestFlatEngineBatch:
     def test_flat_matches_indexed_pooled(self):
-        serial = check_feasibility_batch(SPECS, engine="flat")
-        pooled = check_feasibility_batch(SPECS, engine="flat", processes=2)
+        serial = check_feasibility_batch(SPECS)
+        pooled = check_feasibility_batch(SPECS, processes=2)
         assert pooled == serial
+        assert {v.feasible for v in serial} == {True, False}
 
     def test_flat_persona_ablation(self):
-        indexed = check_feasibility_batch(
-            SPECS[:20], engine="indexed", enable_persona_clause=False
-        )
-        flat = check_feasibility_batch(
-            SPECS[:20], engine="flat", enable_persona_clause=False
-        )
-        assert flat == indexed
+        verdicts = check_feasibility_batch(SPECS[:20], enable_persona_clause=False)
+        assert [_counts(v) for v in verdicts] == [
+            _reference_counts(spec, persona=False) for spec in SPECS[:20]
+        ]
 
     def test_flat_chunksize_is_block_size(self):
-        # Any block size must give identical verdicts — blocks only change
-        # how problems pack into arenas, never what comes out.
-        baseline = check_feasibility_batch(SPECS[:30], engine="flat")
+        # However many problems one pool task carries, the verdicts match.
+        baseline = check_feasibility_batch(SPECS[:30])
         for block in (1, 7, 64):
             assert (
-                check_feasibility_batch(SPECS[:30], engine="flat", chunksize=block)
+                check_feasibility_batch(SPECS[:30], processes=2, chunksize=block)
                 == baseline
             )
 
     def test_unknown_engine_raises(self):
-        with pytest.raises(ReproError, match="unknown engine 'bogus'"):
+        with pytest.raises(TypeError, match="engine"):
             check_feasibility_batch(SPECS[:2], engine="bogus")
 
     def test_indemnity_unknown_engine_raises(self):
-        with pytest.raises(IndemnityError, match="unknown engine"):
+        with pytest.raises(TypeError, match="engine"):
             minimal_indemnity_plan(figure7(), engine="warp")
 
     def test_indemnity_flat_engine_matches(self):
-        indexed = minimal_indemnity_plan(figure7())
-        flat = minimal_indemnity_plan(figure7(), engine="flat")
-        assert flat.total_cents == indexed.total_cents
-        assert flat.feasible == indexed.feasible
+        # Every re-test of the planner runs the compiled reduction; its final
+        # verdict trace must be the oracle's on the same split graph.
+        plan = minimal_indemnity_plan(figure7())
+        trace = plan.verdict.trace
+        reference = reference_reduce(trace.graph)
+        assert plan.feasible and reference.feasible
+        assert [s.edge for s in trace.steps] == [s.edge for s in reference.steps]
 
 
 class TestSingleCoreWarning:
@@ -104,33 +115,39 @@ class TestSingleCoreWarning:
 
 
 class TestCpuCountInArtifacts:
-    def test_chaos_report_records_engine_and_cpus(self):
+    def test_chaos_report_records_cpus(self):
         report = chaos_study(ChaosConfig(scenarios=10, seed=3))
         data = report.to_dict()
-        assert data["engine"] == "indexed"
+        assert "engine" not in data
         assert data["process_cpus"] == effective_cpu_count()
-
-    def test_chaos_flat_engine_matches_indexed(self):
-        indexed = chaos_study(ChaosConfig(scenarios=12, seed=3))
-        flat = chaos_study(ChaosConfig(scenarios=12, seed=3, engine="flat"))
-        assert flat.to_dict()["engine"] == "flat"
-        assert [v.to_dict() for v in flat.verdicts] == [
-            v.to_dict() for v in indexed.verdicts
-        ]
 
     def test_chaos_unknown_engine_raises(self):
-        with pytest.raises(ReproError, match="unknown engine"):
-            chaos_study(ChaosConfig(scenarios=2, engine="bogus"))
+        with pytest.raises(TypeError, match="engine"):
+            ChaosConfig(scenarios=2, engine="bogus")
 
     def test_fuzz_report_records_cpus_and_flat_arm(self):
+        # The flat arm always runs: every case records its verdict (and the
+        # run digest covers it); the report keeps no on/off toggle.
         report = run_fuzz(FuzzConfig(cases=4, simulate=False), processes=1)
+        for result in report.results:
+            assert result.summary()["verdicts"]["flat"] is result.verdicts.flat_feasible
         data = report.to_dict()
         assert data["process_cpus"] == effective_cpu_count()
-        assert data["flat_arm"] is True
+        assert sorted(data) == [
+            "cases",
+            "digest",
+            "discrepancies",
+            "feasible",
+            "metrics_digest",
+            "petri_gap",
+            "process_cpus",
+            "seed",
+            "simulated",
+        ]
 
 
-def test_chaos_report_roundtrips_with_engine(tmp_path):
-    report = chaos_study(ChaosConfig(scenarios=6, seed=9, engine="flat"))
+def test_chaos_report_roundtrips(tmp_path):
+    report = chaos_study(ChaosConfig(scenarios=6, seed=9))
     assert isinstance(report, ChaosReport)
     keys = set(report.to_dict())
-    assert {"engine", "process_cpus", "verdicts", "violation_count"} <= keys
+    assert {"process_cpus", "verdicts", "violation_count"} <= keys

@@ -1,16 +1,19 @@
-"""The conformance engine's third differential arm: the compiled flat core.
+"""The conformance checks on the compiled core.
 
-Mirrors ``test_self_check.py``'s philosophy — a clean stack must produce a
-populated, discrepancy-free flat verdict on every case, and a deliberately
-broken flat engine must be *caught*.  Everything runs with ``processes=1``:
-a monkeypatch does not cross the process-pool boundary.
+Two arms watch it: the compiled trace must match the reference engine step
+for step (``engine-divergence``), and the free-order verdict loop must land
+on the ``fifo`` trace's counts (``flat-divergence``).  Mirrors
+``test_self_check.py``'s philosophy — a clean stack must produce a
+discrepancy-free flat verdict on every case, and a deliberately broken
+compiled core must be *caught*.  Everything runs with ``processes=1``: a
+monkeypatch does not cross the process-pool boundary.
 """
 
 import pytest
 
 from repro.conformance.engine import FuzzConfig, check_problem, run_fuzz
 from repro.conformance.oracles import cross_check
-from repro.core import flatcore
+from repro.core import flatcore, reduction
 from repro.workloads import example1, example2, example2_source_trusts_broker
 
 
@@ -26,16 +29,6 @@ class TestCleanFlatArm:
                 result.verdicts.flat_feasible
                 == result.verdicts.reduction_feasible
             )
-
-    def test_flat_arm_off_leaves_verdict_none(self):
-        report = run_fuzz(
-            FuzzConfig(cases=6, seed=5, simulate=False, flat_arm=False),
-            processes=1,
-        )
-        assert report.discrepant == ()
-        for result in report.results:
-            assert result.verdicts.flat_feasible is None
-        assert report.to_dict()["flat_arm"] is False
 
     def test_cross_check_examples(self):
         for problem in (example1(), example2(), example2_source_trusts_broker()):
@@ -53,15 +46,15 @@ class TestCleanFlatArm:
 class TestPlantedFlatBug:
     @pytest.fixture
     def broken_flat_strategy(self, monkeypatch):
-        """Make the flat parity engine deaf to the requested strategy."""
-        real = flatcore.reduce_graph_compiled
+        """Make the compiled reduction loop deaf to the requested strategy."""
+        real = reduction.run_reduction
 
         def always_fifo(compiled, strategy="fifo", rng=None, enable_persona_clause=True):
             return real(
                 compiled, strategy="fifo", enable_persona_clause=enable_persona_clause
             )
 
-        monkeypatch.setattr(flatcore, "reduce_graph_compiled", always_fifo)
+        monkeypatch.setattr(reduction, "run_reduction", always_fifo)
 
     @pytest.fixture
     def broken_flat_verdict(self, monkeypatch):
@@ -86,9 +79,9 @@ class TestPlantedFlatBug:
         flagged = [
             r
             for r in report.discrepant
-            if any(d.kind == "flat-divergence" for d in r.discrepancies)
+            if any(d.kind == "engine-divergence" for d in r.discrepancies)
         ]
-        assert flagged, "a strategy-deaf flat engine must diverge on lifo/random"
+        assert flagged, "a strategy-deaf compiled core must diverge on lifo/random"
 
     def test_verdict_lie_is_detected(self, broken_flat_verdict):
         result = check_problem(example2(), run_simulation=False)

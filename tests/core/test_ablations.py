@@ -8,7 +8,7 @@ load-bearing, not incidental.
 import pytest
 
 from repro.core.execution import recover_execution
-from repro.core.reduction import ReductionEngine, reduce_graph
+from repro.core.reduction import reduce_graph
 from repro.errors import ModelError
 from repro.workloads import (
     example1,
@@ -21,20 +21,20 @@ class TestPersonaClauseAblation:
     def test_clause2_is_what_unlocks_variant1(self):
         # §4.2.3 variant 1 is feasible ONLY because of Rule #1 clause 2.
         graph = example2_source_trusts_broker().sequencing_graph()
-        with_clause = ReductionEngine(graph, enable_persona_clause=True).run()
-        without_clause = ReductionEngine(graph, enable_persona_clause=False).run()
+        with_clause = reduce_graph(graph, enable_persona_clause=True)
+        without_clause = reduce_graph(graph, enable_persona_clause=False)
         assert with_clause.feasible
         assert not without_clause.feasible
 
     def test_ablated_diagnosis_blames_the_persona_edge(self):
         graph = example2_source_trusts_broker().sequencing_graph()
-        trace = ReductionEngine(graph, enable_persona_clause=False).run()
+        trace = reduce_graph(graph, enable_persona_clause=False)
         blocked = {b.edge.commitment.label for b in trace.blockages}
         assert "Trusted2->Broker1" in blocked
 
     def test_clause_is_noop_without_personas(self):
         graph = example1().sequencing_graph()
-        assert ReductionEngine(graph, enable_persona_clause=False).run().feasible
+        assert reduce_graph(graph, enable_persona_clause=False).feasible
 
 
 class TestSchedulerAblation:

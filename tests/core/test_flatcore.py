@@ -1,21 +1,15 @@
-"""Unit tests for repro.core.flatcore (compile → run → decompile)."""
+"""Unit tests for the compiled form and the compile → run → decompile path."""
 
 import random
 
 import pytest
 
 from repro.conformance.oracles import trace_key
-from repro.core.flatcore import (
-    GraphArena,
-    check_feasibility_flat,
-    check_feasibility_flat_batch,
-    compile_graph,
-    reduce_graph_compiled,
-    reduce_graph_flat,
-)
-from repro.core.reduction import reduce_graph
+from repro.core.flatcore import check_feasibility_flat, compile_graph
+from repro.core.reduction import decompile, reduce_graph, run_reduction
+from repro.core.reduction_reference import reference_reduce
 from repro.errors import ReductionError
-from repro.workloads import example1, example2, oversale, resale_chain, star
+from repro.workloads import example1, example2, oversale, star
 
 
 class TestCompile:
@@ -28,16 +22,13 @@ class TestCompile:
 
     def test_csr_rows_partition_the_edges(self, ex1):
         compiled = compile_graph(ex1.sequencing_graph())
-        assert compiled.c_off[0] == 0 and compiled.j_off[0] == 0
-        assert compiled.c_off[-1] == compiled.n_edges
+        assert compiled.j_off[0] == 0
         assert compiled.j_off[-1] == compiled.n_edges
-        assert sorted(compiled.c_adj) == list(range(compiled.n_edges))
         assert sorted(compiled.j_adj) == list(range(compiled.n_edges))
-        # Each CSR row inverts the per-edge incidence columns.
+        # Commitments have no rows; their counts come from the incidence column.
         for c in range(compiled.n_commitments):
-            row = compiled.c_adj[compiled.c_off[c] : compiled.c_off[c + 1]]
-            assert all(compiled.edge_commitment[e] == c for e in row)
-            assert compiled.cc0[c] == len(row)
+            assert compiled.cc0[c] == compiled.edge_commitment.count(c)
+        # Each conjunction row inverts the per-edge incidence column.
         for j in range(compiled.n_conjunctions):
             row = compiled.j_adj[compiled.j_off[j] : compiled.j_off[j + 1]]
             assert all(compiled.edge_conjunction[e] == j for e in row)
@@ -47,7 +38,7 @@ class TestCompile:
         sg = ex1.sequencing_graph()
         compiled = compile_graph(sg)
         for c in range(compiled.n_commitments):
-            row = compiled.c_adj[compiled.c_off[c] : compiled.c_off[c + 1]]
+            row = [e for e in range(compiled.n_edges) if compiled.edge_commitment[e] == c]
             assert compiled.csum0[c] == sum(row)
         for j in range(compiled.n_conjunctions):
             row = compiled.j_adj[compiled.j_off[j] : compiled.j_off[j + 1]]
@@ -65,57 +56,58 @@ class TestCompile:
 
 
 class TestDecompile:
-    def test_trace_equals_indexed_on_example1(self, ex1):
+    def test_trace_equals_reference_on_example1(self, ex1):
         sg = ex1.sequencing_graph()
-        trace = reduce_graph_flat(sg)
-        assert trace_key(trace) == trace_key(reduce_graph(sg))
+        trace = reduce_graph(sg)
+        assert trace_key(trace) == trace_key(reference_reduce(sg))
         assert trace.graph is sg
         assert trace.feasible
 
     def test_infeasible_blockages_survive_decompilation(self, ex2):
         sg = ex2.sequencing_graph()
-        flat = reduce_graph_flat(sg)
-        indexed = reduce_graph(sg)
-        assert not flat.feasible
-        assert flat.remaining == indexed.remaining
-        assert flat.blockages == indexed.blockages
+        trace = reduce_graph(sg)
+        reference = reference_reduce(sg)
+        assert not trace.feasible
+        assert trace.remaining == reference.remaining
+        assert trace.blockages == reference.blockages
 
     def test_step_objects_reference_graph_nodes(self, ex1):
         sg = ex1.sequencing_graph()
         edges = set(sg.edges)
-        for step in reduce_graph_flat(sg).steps:
+        for step in reduce_graph(sg).steps:
             assert step.edge in edges
 
     def test_subgraph_after_edge_removal(self, ex1):
         sg = ex1.sequencing_graph()
         sub = sg.with_edges_removed(sg.edges[:2])
-        assert trace_key(reduce_graph_flat(sub)) == trace_key(reduce_graph(sub))
+        assert trace_key(reduce_graph(sub)) == trace_key(reference_reduce(sub))
 
 
 class TestStrategies:
-    def test_unknown_strategy_error_matches_indexed(self, ex1):
+    def test_unknown_strategy_error_matches_reference(self, ex1):
         sg = ex1.sequencing_graph()
-        with pytest.raises(ReductionError, match="unknown reduction strategy"):
-            reduce_graph_flat(sg, strategy="bogus")
+        for reduce in (reduce_graph, reference_reduce):
+            with pytest.raises(ReductionError, match="unknown reduction strategy"):
+                reduce(sg, strategy="bogus")
 
     def test_random_strategy_default_rng_is_seeded(self, ex1):
         sg = ex1.sequencing_graph()
-        assert trace_key(reduce_graph_flat(sg, strategy="random")) == trace_key(
-            reduce_graph(sg, strategy="random")
+        assert trace_key(reduce_graph(sg, strategy="random")) == trace_key(
+            reference_reduce(sg, strategy="random")
         )
 
     def test_compiled_graph_is_reusable(self, ex1):
         # One compile, many runs: scratch state must never leak between runs.
         compiled = compile_graph(ex1.sequencing_graph())
-        first = reduce_graph_compiled(compiled, strategy="lifo")
-        reduce_graph_compiled(compiled, strategy="random", rng=random.Random(4))
-        again = reduce_graph_compiled(compiled, strategy="lifo")
+        first = decompile(compiled, run_reduction(compiled, strategy="lifo"))
+        run_reduction(compiled, strategy="random", rng=random.Random(4))
+        again = decompile(compiled, run_reduction(compiled, strategy="lifo"))
         assert trace_key(first) == trace_key(again)
 
     def test_persona_toggle(self, ex2_variant1):
         sg = ex2_variant1.sequencing_graph()
-        assert reduce_graph_flat(sg, enable_persona_clause=True).feasible
-        assert not reduce_graph_flat(sg, enable_persona_clause=False).feasible
+        assert reduce_graph(sg, enable_persona_clause=True).feasible
+        assert not reduce_graph(sg, enable_persona_clause=False).feasible
 
 
 class TestFlatVerdict:
@@ -132,24 +124,3 @@ class TestFlatVerdict:
     def test_accepts_precompiled_graph(self, ex1):
         compiled = compile_graph(ex1.sequencing_graph())
         assert check_feasibility_flat(compiled).feasible
-
-
-class TestGraphArena:
-    def test_single_problem_arena(self, ex1):
-        graphs = [ex1.sequencing_graph()]
-        arena = GraphArena.from_graphs(graphs)
-        assert arena.n_problems == 1
-        assert arena.reduce_all() == [check_feasibility_flat(graphs[0])]
-
-    def test_mixed_batch_keeps_input_order(self):
-        problems = [example1(), example2(), resale_chain(4), star(3)]
-        graphs = [p.sequencing_graph() for p in problems]
-        verdicts = check_feasibility_flat_batch(graphs)
-        assert [v.feasible for v in verdicts] == [True, False, True, True]
-        assert verdicts == [check_feasibility_flat(g) for g in graphs]
-
-    def test_persona_clause_off_propagates(self, ex2_variant1):
-        graphs = [ex2_variant1.sequencing_graph()]
-        on = check_feasibility_flat_batch(graphs)
-        off = check_feasibility_flat_batch(graphs, enable_persona_clause=False)
-        assert on[0].feasible and not off[0].feasible

@@ -1,11 +1,16 @@
-"""Unit tests for repro.core.reduction (§4.2 rules, engine, traces)."""
+"""Unit tests for the §4.2 rules, reduction runs, and traces.
+
+Single-step rule checks and scripted replays go through the reference
+engine's step API; whole runs go through :func:`reduce_graph`.
+"""
 
 import random
 
 import pytest
 
 from repro.core.parties import trusted
-from repro.core.reduction import ReductionEngine, Rule, reduce_graph, replay
+from repro.core.reduction import Rule, reduce_graph
+from repro.core.reduction_reference import ReferenceReductionEngine, replay_reference
 from repro.errors import ReductionError
 from repro.workloads import example1
 
@@ -19,14 +24,14 @@ def _edge(sg, principal, trusted_name, conj_agent):
 class TestRule1:
     def test_fringe_commitment_removable(self, ex1):
         sg = ex1.sequencing_graph()
-        engine = ReductionEngine(sg)
+        engine = ReferenceReductionEngine(sg)
         edge = _edge(sg, "Producer", "Trusted2", "Trusted2")
         ok, persona = engine.rule1_applicable(edge)
         assert ok and not persona
 
     def test_non_fringe_commitment_blocked(self, ex1):
         sg = ex1.sequencing_graph()
-        engine = ReductionEngine(sg)
+        engine = ReferenceReductionEngine(sg)
         # Broker--Trusted1 commitment touches both ∧T1 and ∧B: not fringe.
         edge = _edge(sg, "Broker", "Trusted1", "Trusted1")
         ok, _ = engine.rule1_applicable(edge)
@@ -34,7 +39,7 @@ class TestRule1:
 
     def test_red_pre_emption_blocks_black_sibling(self, ex1):
         sg = ex1.sequencing_graph()
-        engine = ReductionEngine(sg)
+        engine = ReferenceReductionEngine(sg)
         # Make Broker--Trusted2 fringe by clearing its ∧T2 side first.
         engine.apply(Rule.COMMITMENT_FRINGE, _edge(sg, "Producer", "Trusted2", "Trusted2"))
         engine.apply(Rule.CONJUNCTION_FRINGE, _edge(sg, "Broker", "Trusted2", "Trusted2"))
@@ -47,7 +52,7 @@ class TestRule1:
         # §4.2.2: "the red edge may be removed by Rule #1" when it is the
         # only red edge at the conjunction.
         sg = ex1.sequencing_graph()
-        engine = ReductionEngine(sg)
+        engine = ReferenceReductionEngine(sg)
         engine.apply(Rule.COMMITMENT_FRINGE, _edge(sg, "Consumer", "Trusted1", "Trusted1"))
         engine.apply(Rule.CONJUNCTION_FRINGE, _edge(sg, "Broker", "Trusted1", "Trusted1"))
         red = _edge(sg, "Broker", "Trusted1", "Broker")
@@ -56,13 +61,13 @@ class TestRule1:
 
     def test_illegal_application_raises(self, ex1):
         sg = ex1.sequencing_graph()
-        engine = ReductionEngine(sg)
+        engine = ReferenceReductionEngine(sg)
         with pytest.raises(ReductionError, match="not a fringe"):
             engine.apply(Rule.COMMITMENT_FRINGE, _edge(sg, "Broker", "Trusted1", "Broker"))
 
     def test_persona_waives_preemption(self, ex2_variant1):
         sg = ex2_variant1.sequencing_graph()
-        engine = ReductionEngine(sg)
+        engine = ReferenceReductionEngine(sg)
         engine.apply(Rule.COMMITMENT_FRINGE, _edge(sg, "Source1", "Trusted2", "Trusted2"))
         engine.apply(Rule.CONJUNCTION_FRINGE, _edge(sg, "Broker1", "Trusted2", "Trusted2"))
         persona_edge = _edge(sg, "Broker1", "Trusted2", "Broker1")
@@ -75,14 +80,14 @@ class TestRule1:
 class TestRule2:
     def test_fringe_conjunction_removable(self, ex1):
         sg = ex1.sequencing_graph()
-        engine = ReductionEngine(sg)
+        engine = ReferenceReductionEngine(sg)
         engine.apply(Rule.COMMITMENT_FRINGE, _edge(sg, "Producer", "Trusted2", "Trusted2"))
         edge = _edge(sg, "Broker", "Trusted2", "Trusted2")
         assert engine.rule2_applicable(edge)
 
     def test_non_fringe_conjunction_blocked(self, ex1):
         sg = ex1.sequencing_graph()
-        engine = ReductionEngine(sg)
+        engine = ReferenceReductionEngine(sg)
         edge = _edge(sg, "Broker", "Trusted2", "Trusted2")
         assert not engine.rule2_applicable(edge)
         with pytest.raises(ReductionError, match="Rule #2"):
@@ -90,7 +95,7 @@ class TestRule2:
 
     def test_removing_removed_edge_raises(self, ex1):
         sg = ex1.sequencing_graph()
-        engine = ReductionEngine(sg)
+        engine = ReferenceReductionEngine(sg)
         edge = _edge(sg, "Producer", "Trusted2", "Trusted2")
         engine.apply(Rule.COMMITMENT_FRINGE, edge)
         with pytest.raises(ReductionError, match="already removed"):
@@ -139,14 +144,14 @@ class TestEngineRuns:
             reduce_graph(ex1.sequencing_graph(), strategy="bogus")
 
     def test_custom_chooser(self, ex1):
-        trace = ReductionEngine(ex1.sequencing_graph()).run(chooser=lambda opts: opts[0])
+        trace = ReferenceReductionEngine(ex1.sequencing_graph()).run(chooser=lambda opts: opts[0])
         assert trace.feasible
 
     def test_bad_chooser_rejected(self, ex1):
         sg = ex1.sequencing_graph()
         bad = (Rule.COMMITMENT_FRINGE, _edge(sg, "Broker", "Trusted1", "Broker"), False)
         with pytest.raises(ReductionError, match="chooser"):
-            ReductionEngine(sg).run(chooser=lambda opts: bad)
+            ReferenceReductionEngine(sg).run(chooser=lambda opts: bad)
 
     def test_step_for_edge(self, ex1):
         sg = ex1.sequencing_graph()
@@ -167,13 +172,13 @@ class TestEngineRuns:
 
     def test_apply_edge_picks_a_rule(self, ex1):
         sg = ex1.sequencing_graph()
-        engine = ReductionEngine(sg)
+        engine = ReferenceReductionEngine(sg)
         step = engine.apply_edge(_edge(sg, "Producer", "Trusted2", "Trusted2"))
         assert step.rule is Rule.COMMITMENT_FRINGE
 
     def test_apply_edge_rejects_blocked(self, ex1):
         sg = ex1.sequencing_graph()
-        engine = ReductionEngine(sg)
+        engine = ReferenceReductionEngine(sg)
         with pytest.raises(ReductionError, match="no reduction rule"):
             engine.apply_edge(_edge(sg, "Broker", "Trusted1", "Broker"))
 
@@ -189,26 +194,28 @@ class TestReplay:
             (Rule.COMMITMENT_FRINGE, _edge(sg, "Broker", "Trusted1", "Broker")),
             (Rule.COMMITMENT_FRINGE, _edge(sg, "Broker", "Trusted2", "Broker")),
         ]
-        trace = replay(sg, script)
+        trace = replay_reference(sg, script)
         assert trace.feasible
 
     def test_partial_replay_leaves_remainder(self, ex1):
         sg = ex1.sequencing_graph()
         script = [(Rule.COMMITMENT_FRINGE, _edge(sg, "Producer", "Trusted2", "Trusted2"))]
-        trace = replay(sg, script)
+        trace = replay_reference(sg, script)
         assert not trace.feasible
         assert len(trace.remaining) == 5
 
     def test_replay_illegal_step_raises(self, ex1):
         sg = ex1.sequencing_graph()
         with pytest.raises(ReductionError):
-            replay(sg, [(Rule.COMMITMENT_FRINGE, _edge(sg, "Broker", "Trusted2", "Broker"))])
+            replay_reference(
+                sg, [(Rule.COMMITMENT_FRINGE, _edge(sg, "Broker", "Trusted2", "Broker"))]
+            )
 
 
 class TestDisconnectionEvents:
     def test_disconnections_marked_on_steps(self, ex1):
         sg = ex1.sequencing_graph()
-        engine = ReductionEngine(sg)
+        engine = ReferenceReductionEngine(sg)
         step1 = engine.apply(
             Rule.COMMITMENT_FRINGE, _edge(sg, "Producer", "Trusted2", "Trusted2")
         )

@@ -1,14 +1,14 @@
-"""End-to-end observability: traced pipeline replays, engine parity, faults.
+"""End-to-end observability: traced pipeline replays, rule firings, faults.
 
 These tests exercise the instrumented production code paths (reduction,
-flat core, simulator, batch map) rather than the obs primitives directly —
+verdict loop, simulator, batch map) rather than the obs primitives directly —
 the determinism contract only matters if the wired-up stack honors it.
 """
 
 import warnings
 
 from repro.analysis.batch import instrumented_map
-from repro.core.flatcore import check_feasibility_flat, compile_graph, reduce_graph_compiled
+from repro.core.flatcore import check_feasibility_flat
 from repro.core.reduction import reduce_graph
 from repro.obs import active, metrics_scope, snapshot_digest, span_digest, tracing
 from repro.sim.faults import FaultPlan, LinkFault
@@ -20,8 +20,7 @@ def _traced_pipeline():
     problem = example1()
     with tracing() as tracer:
         trace = reduce_graph(problem.sequencing_graph())
-        compiled = compile_graph(problem.sequencing_graph())
-        check_feasibility_flat(compiled)
+        check_feasibility_flat(problem.sequencing_graph())
         if trace.feasible:
             simulate(problem)
     return tracer
@@ -44,25 +43,22 @@ class TestReplayStability:
     def test_pipeline_records_the_expected_span_families(self):
         tracer = _traced_pipeline()
         names = {span.name for span in tracer.spans}
-        assert {"reduce.indexed", "verdict.flat", "sim.run", "message"} <= names
+        assert {"reduce.flat", "verdict.flat", "sim.run", "message"} <= names
+        assert not any(name.startswith(("reduce.indexed", "reduce.batch")) for name in names)
         assert tracer.open_span_ids() == []
 
 
-class TestEngineParity:
-    def test_indexed_and_flat_fire_the_same_rules(self):
+class TestRuleFirings:
+    def test_firings_match_the_trace_steps(self):
         graph = resale_chain(4).sequencing_graph()
-        with metrics_scope() as indexed:
-            reduce_graph(graph)
-        with metrics_scope() as flat:
-            reduce_graph_compiled(compile_graph(graph))
-        keys = ("reduction.firings.rule1", "reduction.firings.rule2")
-        indexed_stats, flat_stats = indexed.metrics.to_dict(), flat.metrics.to_dict()
-        for key in keys:
-            assert indexed_stats[key] == flat_stats[key]
-        assert (
-            indexed_stats["reduction.worklist_depth"]["count"]
-            == flat_stats["reduction.worklist_depth"]["count"]
-        )
+        with metrics_scope() as tracer:
+            trace = reduce_graph(graph)
+        stats = tracer.metrics.to_dict()
+        for rule in (1, 2):
+            fired = sum(1 for step in trace.steps if step.rule == rule)
+            assert stats[f"reduction.firings.rule{rule}"] == fired
+        assert stats["reduction.worklist_depth"]["count"] == len(trace.steps)
+        assert not any(key.startswith("arena.") for key in stats)
 
 
 class TestFaultedSimulation:

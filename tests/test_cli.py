@@ -201,46 +201,31 @@ class TestExtensionCommands:
 
 
 class TestEngineFlag:
-    """``--engine`` on sweep/chaos: flat works, unknown names exit 2."""
+    """``--engine`` is gone from sweep/chaos: any use exits 2 with usage."""
+
+    def _assert_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "unrecognized arguments: --engine" in err
 
     def test_sweep_flat_engine(self, capsys):
-        assert main(["sweep", "priority", "--samples", "5", "--engine", "flat"]) == 0
-        assert "feasible" in capsys.readouterr().out
+        self._assert_rejected(
+            ["sweep", "priority", "--samples", "5", "--engine", "flat"], capsys
+        )
 
     def test_sweep_gap_flat_engine(self, capsys):
-        assert main(["sweep", "gap", "--samples", "8", "--engine", "flat"]) == 0
-        assert "unsound=0" in capsys.readouterr().out
-
-    def test_chaos_flat_engine_matches_indexed(self, tmp_path):
-        import json
-
-        indexed_path = str(tmp_path / "indexed.json")
-        flat_path = str(tmp_path / "flat.json")
-        assert main(["chaos", "-n", "10", "--report", indexed_path]) == 0
-        assert main(
-            ["chaos", "-n", "10", "--engine", "flat", "--report", flat_path]
-        ) == 0
-        indexed = json.loads(open(indexed_path, encoding="utf-8").read())
-        flat = json.loads(open(flat_path, encoding="utf-8").read())
-        assert flat["verdicts"] == indexed["verdicts"]
-        assert flat["engine"] == "flat"
-        assert flat["process_cpus"] >= 1
+        self._assert_rejected(["sweep", "gap", "--samples", "8", "--engine", "flat"], capsys)
 
     def test_sweep_unknown_engine_exits_two_with_usage(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "gap", "--samples", "2", "--engine", "bogus"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "usage:" in err
-        assert "invalid choice: 'bogus'" in err
+        self._assert_rejected(
+            ["sweep", "gap", "--samples", "2", "--engine", "bogus"], capsys
+        )
 
     def test_chaos_unknown_engine_exits_two_with_usage(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["chaos", "-n", "2", "--engine", "warp"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "usage:" in err
-        assert "invalid choice: 'warp'" in err
+        self._assert_rejected(["chaos", "-n", "2", "--engine", "warp"], capsys)
 
 
 class TestFuzzCommand:
@@ -254,24 +239,27 @@ class TestFuzzCommand:
         assert code == 0
         data = json.loads(open(report_path, encoding="utf-8").read())
         assert data["discrepancies"] == []
-        assert data["flat_arm"] is True
         assert data["process_cpus"] >= 1
 
-    def test_fuzz_no_flat_arm_flag(self, tmp_path):
-        import json
-
-        report_path = str(tmp_path / "fuzz.json")
-        code = main(
-            ["fuzz", "-n", "4", "--no-sim", "--no-flat-arm", "--report", report_path]
-        )
-        assert code == 0
-        data = json.loads(open(report_path, encoding="utf-8").read())
-        assert data["flat_arm"] is False
+    def test_fuzz_no_flat_arm_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "-n", "4", "--no-sim", "--no-flat-arm"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-flat-arm" in capsys.readouterr().err
 
     def test_petri_dot(self, capsys):
         assert main(["petri", "--example", "example1", "--dot"]) == 0
         out = capsys.readouterr().out
         assert out.startswith('digraph "example1"')
+
+
+class TestProfile:
+    def test_one_trace_column_and_the_verdict_line(self, capsys):
+        assert main(["profile", "--samples", "5", "--seed", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(line for line in lines if line.startswith("metric"))
+        assert header.split() == ["metric", "trace"]
+        assert lines[-1].startswith("free-order verdict loop:")
 
 
 class TestLint:
