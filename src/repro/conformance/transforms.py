@@ -48,18 +48,18 @@ class ExchangeRecord:
 def exchange_records(problem: ExchangeProblem) -> list[ExchangeRecord]:
     """Decompose *problem* into per-exchange records (insertion order)."""
     graph = problem.interaction
+    edges_at = graph.edges_by_party()
+    red = graph.priority_edges
     records: list[ExchangeRecord] = []
     for trusted in graph.trusted_components:
-        edges = graph.edges_at(trusted)
+        edges = edges_at[trusted]
         if len(edges) != 2:
             raise ConformanceError(
                 f"{trusted.name!r} mediates {len(edges)} parties; conformance "
                 "transforms cover pairwise exchanges only"
             )
         members = tuple((e.principal, e.provides, e.tag) for e in edges)
-        priority = tuple(
-            i for i, e in enumerate(edges) if e in graph.priority_edges
-        )
+        priority = tuple(i for i, e in enumerate(edges) if e in red)
         records.append(
             ExchangeRecord(
                 trusted=trusted,

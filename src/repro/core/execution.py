@@ -21,14 +21,16 @@ Indemnity deposits/refunds (§6) are spliced in by
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass
 
 from repro.core.actions import Action, notify, transfer
 from repro.core.constraints import Constraint, possession_constraints
-from repro.core.interaction import InteractionGraph
+from repro.core.interaction import InteractionEdge
+from repro.core.items import Item
 from repro.core.parties import Party
 from repro.core.reduction import ReductionTrace
-from repro.core.sequencing import CommitmentNode
+from repro.core.sequencing import CommitmentNode, ConjunctionNode, SGEdge
 from repro.errors import InfeasibleExchangeError, ModelError
 
 
@@ -158,14 +160,19 @@ def recover_execution(
             "SequencingGraph.from_interaction to recover executions"
         )
 
-    order = list(execution_order(trace))
-    steps: list[ExecutionStep] = []
-    executed: set[CommitmentNode] = set()
+    order = execution_order(trace)
+    entitled = interaction.entitlements()
     commitments_at: dict[Party, list[CommitmentNode]] = {}
     for commitment in trace.graph.commitments:
         commitments_at.setdefault(commitment.trusted, []).append(commitment)
-    possession = _initial_possession(interaction)
+    outstanding = {t: len(members) for t, members in commitments_at.items()}
+    # Goods only: principals are assumed solvent — insolvency is modeled
+    # structurally with red edges (the §5 "poor broker"), not here.
+    possession: dict[Party, set[Item]] = {p: set() for p in interaction.parties}
+    for edge in interaction.original_holdings():
+        possession[edge.principal].add(edge.provides)
     bundle_gates = _bundle_gates(trace, commitments_at)
+    strict = scheduler == "paper-strict"
 
     # Possession-gated greedy scheduler.  The paper's rule (commit order with
     # red commitments deferred) is exact for a single red edge; with several
@@ -173,61 +180,59 @@ def recover_execution(
     # broker cannot deposit a document it has not yet been handed (§2.4).
     # Scheduling the first *executable* commitment in the deferred-adjusted
     # commit order reproduces the §5 listing and generalizes to chains.
-    while order:
-        if scheduler == "possession":
-            commitment = _next_executable(order, possession, bundle_gates, executed)
-        else:
-            commitment = order[0]
-        order.remove(commitment)
+    # ``ready`` is a heap of order positions; a commitment found blocked is
+    # parked on its blocker — the ``(principal, item)`` it waits to hold, or
+    # an unexecuted gate commitment — and re-queued when that resolves.
+    ready = list(range(len(order)))
+    waiting: dict[object, list[int]] = {}
+    executed: set[CommitmentNode] = set()
+    steps: list[ExecutionStep] = []
+
+    def wake(blocker: object) -> None:
+        for position in waiting.pop(blocker, ()):
+            heapq.heappush(ready, position)
+
+    while ready:
+        position = heapq.heappop(ready)
+        commitment = order[position]
+        if not strict:
+            blocker = _blocker(commitment, possession, bundle_gates, executed)
+            if blocker is not None:
+                waiting.setdefault(blocker, []).append(position)
+                continue
         edge = commitment.edge
         deposit = transfer(edge.principal, edge.trusted, edge.provides)
         if not edge.provides.is_money:
             possession[edge.principal].discard(edge.provides)
         steps.append(ExecutionStep(0, StepKind.DEPOSIT, deposit, commitment))
         executed.add(commitment)
+        wake(commitment)
         siblings = commitments_at[edge.trusted]
-        pending = [c for c in siblings if c not in executed]
-        if len(pending) == 1:
+        outstanding[edge.trusted] -= 1
+        if outstanding[edge.trusted] == 1:
+            (last,) = (c for c in siblings if c not in executed)
             steps.append(
                 ExecutionStep(
-                    0,
-                    StepKind.NOTIFY,
-                    notify(edge.trusted, pending[0].principal),
-                    commitment,
+                    0, StepKind.NOTIFY, notify(edge.trusted, last.principal), commitment
                 )
             )
-        elif not pending:
-            releases = _release_steps(interaction, edge.trusted, siblings)
+        elif not outstanding[edge.trusted]:
+            releases = _release_steps(entitled, edge.trusted, siblings)
             for release in releases:
                 item = release.action.item
                 assert item is not None
                 if not item.is_money:
                     possession[release.action.recipient].add(item)
+                    wake((release.action.recipient, item))
             steps.extend(releases)
-    return ExecutionSequence(_resequence(steps))
-
-
-def _initial_possession(interaction: InteractionGraph) -> dict[Party, set]:
-    """Who starts out holding which goods.
-
-    A principal initially owns a document it provides unless it also
-    *expects* that same document from one of its other exchanges (then it is
-    a reseller acquiring the good mid-transaction).  Money is not tracked:
-    principals are assumed solvent — insolvency is modeled structurally with
-    red edges (the §5 "poor broker"), not by the scheduler.
-    """
-    possession: dict[Party, set] = {p: set() for p in interaction.parties}
-    for edge in interaction.edges:
-        if edge.provides.is_money:
-            continue
-        incoming = any(
-            interaction.expects(other) == edge.provides
-            for other in interaction.edges
-            if other.principal == edge.principal and other != edge
+    if len(executed) < len(order):
+        labels = [c.label for c in order if c not in executed]
+        raise InfeasibleExchangeError(
+            f"execution scheduler stalled: no pending commitment of {labels} can "
+            "be funded and bundle-assured; the reduction order admits no "
+            "§2.3-protective total order"
         )
-        if not incoming:
-            possession[edge.principal].add(edge.provides)
-    return possession
+    return ExecutionSequence(_resequence(steps))
 
 
 def _bundle_gates(
@@ -247,12 +252,13 @@ def _bundle_gates(
 
     Red conjunctions are untouched: their ordering is the red-deferral rule.
     """
+    by_conjunction: dict[ConjunctionNode, list[SGEdge]] = {}
+    for sg_edge in trace.graph.edges:
+        by_conjunction.setdefault(sg_edge.conjunction, []).append(sg_edge)
     gates: dict[CommitmentNode, list[CommitmentNode]] = {}
-    graph = trace.graph
-    for conjunction in graph.conjunctions:
+    for conjunction, edges in by_conjunction.items():
         if not conjunction.agent.is_principal:
             continue
-        edges = graph.edges_of_conjunction(conjunction)
         if len(edges) < 2 or any(e.is_red for e in edges):
             continue
         members = [e.commitment for e in edges]
@@ -270,31 +276,30 @@ def _bundle_gates(
     return gates
 
 
-def _next_executable(
-    order: list[CommitmentNode],
-    possession: dict[Party, set],
+def _blocker(
+    commitment: CommitmentNode,
+    possession: dict[Party, set[Item]],
     bundle_gates: dict[CommitmentNode, list[CommitmentNode]],
     executed: set[CommitmentNode],
-) -> CommitmentNode:
-    """The first commitment whose deposit its principal can actually make."""
-    for commitment in order:
-        item = commitment.edge.provides
-        if not item.is_money and item not in possession[commitment.edge.principal]:
-            continue
-        gate = bundle_gates.get(commitment, ())
-        if any(required not in executed for required in gate):
-            continue
-        return commitment
-    labels = [c.label for c in order]
-    raise InfeasibleExchangeError(
-        f"execution scheduler stalled: no pending commitment of {labels} can "
-        "be funded and bundle-assured; the reduction order admits no "
-        "§2.3-protective total order"
-    )
+) -> object | None:
+    """What keeps *commitment*'s deposit from executing now, or None.
+
+    Either the ``(principal, item)`` pair its principal does not hold yet, or
+    a gate commitment that has not executed.  Executed gate members are
+    dropped from the end of the gate list: execution is permanent, so each
+    gate is scanned once in total.
+    """
+    edge = commitment.edge
+    if not edge.provides.is_money and edge.provides not in possession[edge.principal]:
+        return (edge.principal, edge.provides)
+    gate = bundle_gates.get(commitment)
+    while gate and gate[-1] in executed:
+        gate.pop()
+    return gate[-1] if gate else None
 
 
 def _release_steps(
-    interaction: InteractionGraph,
+    entitled: dict[InteractionEdge, Item],
     trusted: Party,
     siblings: list[CommitmentNode],
 ) -> list[ExecutionStep]:
@@ -306,7 +311,7 @@ def _release_steps(
     """
     releases: list[ExecutionStep] = []
     for receiver in siblings:
-        item = interaction.expects(receiver.edge)
+        item = entitled[receiver.edge]
         outbound = transfer(trusted, receiver.principal, item)
         releases.append(ExecutionStep(0, StepKind.RELEASE, outbound, receiver))
     releases.sort(

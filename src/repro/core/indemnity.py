@@ -129,12 +129,14 @@ def splittable_conjunctions(problem: ExchangeProblem) -> tuple[Party, ...]:
     bundle pattern.
     """
     graph = problem.interaction
+    priority = graph.priority_edges
+    edges_at = graph.edges_by_party()
     result: list[Party] = []
     for principal in graph.principals:
-        edges = [e for e in graph.edges if e.principal == principal]
+        edges = edges_at[principal]
         if len(edges) < 2:
             continue
-        if any(e in graph.priority_edges for e in edges):
+        if any(e in priority for e in edges):
             continue
         result.append(principal)
     return tuple(result)

@@ -19,6 +19,7 @@ edges in the sequencing graph.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -87,7 +88,10 @@ class InteractionGraph:
     def __init__(self) -> None:
         self._principals: dict[str, Party] = {}
         self._trusted: dict[str, Party] = {}
-        self._edges: list[InteractionEdge] = []
+        # Insertion-ordered (a dict used as an ordered set): the order is the
+        # node order of deterministic reduction strategies, and membership
+        # tests stay O(1).
+        self._edges: dict[InteractionEdge, None] = {}
         self._priority: set[InteractionEdge] = set()
         # §9 extension: explicit entitlement maps for trusted components that
         # mediate more than two parties (who receives what on completion).
@@ -132,7 +136,7 @@ class InteractionGraph:
             raise GraphError(
                 f"duplicate interaction edge {edge.label!r} (use tag= to disambiguate)"
             )
-        self._edges.append(edge)
+        self._edges[edge] = None
         return edge
 
     def add_exchange(
@@ -249,6 +253,47 @@ class InteractionGraph:
         """Edges whose commitments are priority (red) at their principal."""
         return frozenset(self._priority)
 
+    def edges_by_party(self) -> dict[Party, list[InteractionEdge]]:
+        """Every party's incident edges (either endpoint), in insertion order.
+
+        Built in one pass on each call: code that visits every party or
+        every edge groups once here instead of calling :meth:`edges_at` (a
+        scan of all edges) per party.
+        """
+        grouped: dict[Party, list[InteractionEdge]] = {p: [] for p in self.parties}
+        for e in self._edges:
+            grouped[e.principal].append(e)
+            grouped[e.trusted].append(e)
+        return grouped
+
+    def entitlements(self) -> dict[InteractionEdge, Item]:
+        """:meth:`expects` for every edge at once, in one pass.
+
+        Raises :class:`GraphError` when a trusted component without an
+        entitlement map does not mediate exactly two parties.
+        """
+        edges_at = self.edges_by_party()
+        return {e: self._entitled(e, edges_at[e.trusted]) for e in self._edges}
+
+    def original_holdings(self) -> list[InteractionEdge]:
+        """The document edges whose principal holds the document from the start.
+
+        A principal starts out holding a document it provides unless another
+        of its own edges is entitled to that document (then it is a reseller
+        that acquires the good mid-exchange).  Money is not tracked here.
+        Edges come in insertion order.
+        """
+        entitled = self.entitlements()
+        incoming = Counter((e.principal, item) for e, item in entitled.items())
+        held: list[InteractionEdge] = []
+        for e in self._edges:
+            if e.provides.is_money:
+                continue
+            own = 1 if entitled[e] == e.provides else 0  # e is not "another" edge
+            if incoming[e.principal, e.provides] == own:
+                held.append(e)
+        return held
+
     def edges_at(self, party: Party) -> tuple[InteractionEdge, ...]:
         """All edges incident to *party* (either endpoint)."""
         return tuple(e for e in self._edges if party in (e.principal, e.trusted))
@@ -275,16 +320,20 @@ class InteractionGraph:
         Pairwise exchanges swap the two deposits; multi-party exchanges
         (added via :meth:`add_multi_exchange`) consult their entitlement map.
         """
+        return self._entitled(edge, self.edges_at(edge.trusted))
+
+    def _entitled(self, edge: InteractionEdge, at_trusted: Sequence[InteractionEdge]) -> Item:
+        """:meth:`expects`, given every edge at *edge*'s trusted component."""
         entitlements = self._multi_entitlements.get(edge.trusted)
         if entitlements is not None:
             return entitlements[edge.principal]
-        others = self.counterparts(edge)
-        if len(others) != 1:
+        if len(at_trusted) != 2:
             raise GraphError(
-                f"trusted component {edge.trusted.name!r} mediates {len(others) + 1} "
+                f"trusted component {edge.trusted.name!r} mediates {len(at_trusted)} "
                 "parties without an entitlement map; use add_multi_exchange"
             )
-        return others[0].provides
+        first, second = at_trusted
+        return second.provides if first == edge else first.provides
 
     def find_edge(self, principal_name: str, trusted_name: str, tag: str = "") -> InteractionEdge:
         """Look up an edge by endpoint names (raises if absent)."""
@@ -349,7 +398,7 @@ class InteractionGraph:
         clone = InteractionGraph()
         clone._principals = dict(self._principals)
         clone._trusted = dict(self._trusted)
-        clone._edges = list(self._edges)
+        clone._edges = dict(self._edges)
         clone._priority = set(self._priority)
         clone._multi_entitlements = {
             t: dict(m) for t, m in self._multi_entitlements.items()

@@ -140,11 +140,6 @@ class Protocol:
         return lines
 
 
-def _observable_at(action: Action, party: Party) -> bool:
-    """Whether *party* locally observes the completion of *action*."""
-    return action.effective_recipient == party
-
-
 def synthesize_protocol(
     interaction: InteractionGraph,
     sequence: ExecutionSequence,
@@ -160,31 +155,33 @@ def synthesize_protocol(
     interaction graph (their behaviour is data-independent of the order).
     """
     roles: dict[Party, list[SendInstruction]] = {}
+    # Each party's locally observable actions (it is the effective recipient)
+    # so far, in sequence order; step indices ascend along the sequence.
+    observed: dict[Party, list[Action]] = {}
     for step in sequence.steps:
-        if step.kind not in (StepKind.DEPOSIT, StepKind.INDEMNITY_DEPOSIT):
-            continue
-        sender = step.action.sender
-        if not sender.is_principal:
-            raise ProtocolError(
-                f"step {step.index} has trusted component {sender.name} as depositor"
+        if step.kind in (StepKind.DEPOSIT, StepKind.INDEMNITY_DEPOSIT):
+            sender = step.action.sender
+            if not sender.is_principal:
+                raise ProtocolError(
+                    f"step {step.index} has trusted component {sender.name} as depositor"
+                )
+            roles.setdefault(sender, []).append(
+                SendInstruction(
+                    step.index, step.action, frozenset(observed.get(sender, ()))
+                )
             )
-        preconditions = frozenset(
-            earlier.action
-            for earlier in sequence.steps
-            if earlier.index < step.index and _observable_at(earlier.action, sender)
-        )
-        roles.setdefault(sender, []).append(
-            SendInstruction(step.index, step.action, preconditions)
-        )
+        observed.setdefault(step.action.effective_recipient, []).append(step.action)
 
     trusted_specs: dict[Party, TrustedExchangeSpec] = {}
     indemnities_by_agent: dict[Party, list[IndemnityOffer]] = {}
     for offer in indemnities:
         indemnities_by_agent.setdefault(offer.via, []).append(offer)
+    edges_at = interaction.edges_by_party()
+    entitled = interaction.entitlements()
     for agent in interaction.trusted_components:
-        edges = interaction.edges_at(agent)
+        edges = edges_at[agent]
         deposits = tuple((e.principal, e.provides) for e in edges)
-        entitlements = tuple((e.principal, interaction.expects(e)) for e in edges)
+        entitlements = tuple((e.principal, entitled[e]) for e in edges)
         agent_deadline = interaction.deadline_of(agent)
         trusted_specs[agent] = TrustedExchangeSpec(
             agent=agent,

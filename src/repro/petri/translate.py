@@ -41,11 +41,10 @@ sequencing-graph feasibility test on every worked example.
 from __future__ import annotations
 
 from repro.core.indemnity import IndemnityPlan
-from repro.core.interaction import InteractionEdge, InteractionGraph
-from repro.core.items import Money
+from repro.core.interaction import InteractionEdge
+from repro.core.items import Item, Money
 from repro.core.parties import Party
 from repro.core.problem import ExchangeProblem
-from repro.core.sequencing import SequencingGraph
 from repro.petri.net import Marking, PetriNet, Transition
 
 
@@ -65,34 +64,33 @@ def _done(component: Party) -> str:
     return f"done:{component.name}"
 
 
-def _incoming_money(graph: InteractionGraph, principal: Party) -> InteractionEdge | None:
-    """An edge through which *principal* is due to receive money, if any."""
-    for edge in graph.edges:
-        if edge.principal != principal:
-            continue
-        expected = graph.expects(edge)
-        if isinstance(expected, Money):
+def _incoming_money(
+    edges: list[InteractionEdge], entitled: dict[InteractionEdge, Item]
+) -> InteractionEdge | None:
+    """The first of a principal's *edges* through which it is due money, if any."""
+    for edge in edges:
+        if isinstance(entitled[edge], Money):
             return edge
     return None
 
 
 def _deposit_guards(
-    problem: ExchangeProblem,
-    sg: SequencingGraph,
     edge: InteractionEdge,
+    own_edges: list[InteractionEdge],
+    red: frozenset[InteractionEdge],
+    personas: set[InteractionEdge],
     split: frozenset[InteractionEdge],
 ) -> list[str]:
-    """Assurance places this edge's deposit must consume."""
-    graph = problem.interaction
-    commitment = sg.commitment_for(edge)
-    if commitment in sg.personas:
+    """Assurance places this edge's deposit must consume.
+
+    *own_edges* are all of the principal's edges, *red* the priority edges
+    and *personas* the edges whose commitment is a persona.
+    """
+    if edge in personas:
         return []
-    siblings = [
-        e for e in graph.edges if e.principal == edge.principal and e != edge
-    ]
+    siblings = [e for e in own_edges if e != edge]
     if not siblings or edge in split:
         return []
-    red = graph.priority_edges
     red_siblings = [s for s in siblings if s in red]
     if red_siblings:
         return [_assured(s) for s in red_siblings]
@@ -109,6 +107,10 @@ def translate(
     graph = problem.interaction
     sg = problem.sequencing_graph()
     split = frozenset(offer.covers for offer in plan.offers) if plan is not None else frozenset()
+    red = graph.priority_edges
+    edges_at = graph.edges_by_party()
+    entitled = graph.entitlements()
+    personas = {commitment.edge for commitment in sg.personas}
 
     transitions: list[Transition] = []
     initial: dict[str, int] = {}
@@ -119,34 +121,27 @@ def translate(
     # received payment into the outgoing one once it arrives.  Like the
     # paper's formalism, the encoding is amount-blind — the token is "a
     # payment", not a denominated value.
-    insolvent: set[InteractionEdge] = set()
-    funded: set[InteractionEdge] = set()
+    funded: dict[InteractionEdge, InteractionEdge] = {}  # pay edge -> income edge
     for edge in graph.edges:
-        if not isinstance(edge.provides, Money) or edge not in graph.priority_edges:
+        if not isinstance(edge.provides, Money) or edge not in red:
             continue
-        if _incoming_money(graph, edge.principal) is None:
-            continue
-        insolvent.add(edge)
-        funded.add(edge)
+        income = _incoming_money(edges_at[edge.principal], entitled)
+        if income is not None:
+            funded[edge] = income
 
-    # Endowments: producers hold their goods; payers hold their money unless
-    # the payment is fund-from-incoming (the poor broker).
+    # Endowments: original owners hold their goods; payers hold their money
+    # unless the payment is fund-from-incoming (the poor broker).
+    originals = set(graph.original_holdings())
     for edge in graph.edges:
         place = _holds(edge.principal, edge.provides.label)
         if isinstance(edge.provides, Money):
-            if edge not in insolvent:
+            if edge not in funded:
                 initial[place] = initial.get(place, 0) + 1
-        else:
-            incoming = any(
-                graph.expects(other) == edge.provides
-                for other in graph.edges
-                if other.principal == edge.principal and other != edge
-            )
-            if not incoming:
-                initial[place] = 1
+        elif edge in originals:
+            initial[place] = 1
 
     for edge in graph.edges:
-        guards = _deposit_guards(problem, sg, edge, split)
+        guards = _deposit_guards(edge, edges_at[edge.principal], red, personas, split)
         consumes = {_holds(edge.principal, edge.provides.label): 1}
         for guard in guards:
             consumes[guard] = consumes.get(guard, 0) + 1
@@ -162,7 +157,7 @@ def translate(
         # deposit; multi-party exchanges read all sibling deposits.
         sibling_places = {
             _at(edge.trusted, other.provides.label): 1
-            for other in graph.edges_at(edge.trusted)
+            for other in edges_at[edge.trusted]
             if other != edge
         }
         transitions.append(
@@ -173,9 +168,7 @@ def translate(
             )
         )
         if edge in funded:
-            incoming_edge = _incoming_money(graph, edge.principal)
-            assert incoming_edge is not None
-            income_label = graph.expects(incoming_edge).label
+            income_label = entitled[funded[edge]].label
             transitions.append(
                 Transition.make(
                     f"fund:{edge.label}",
@@ -185,11 +178,11 @@ def translate(
             )
 
     for component in graph.trusted_components:
-        edges = graph.edges_at(component)
+        edges = edges_at[component]
         consumes = {_at(component, e.provides.label): 1 for e in edges}
         produces: dict[str, int] = {_done(component): 1}
         for e in edges:
-            place = _holds(e.principal, graph.expects(e).label)
+            place = _holds(e.principal, entitled[e].label)
             produces[place] = produces.get(place, 0) + 1
         transitions.append(
             Transition.make(f"complete:{component.name}", consumes, produces)

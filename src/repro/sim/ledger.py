@@ -210,27 +210,20 @@ def endow_from_interaction(
 
     Each principal receives the money it is due to pay out (it is solvent,
     matching §5's assumption) plus optional *working_capital_cents*; each
-    document is endowed to its original owner — the principal that provides
-    it without expecting to receive it first (producers, not resellers).
+    document is endowed to its original owner
+    (:meth:`~repro.core.interaction.InteractionGraph.original_holdings`:
+    producers, not resellers).
     """
     extra_money = extra_money or {}
+    edges_at = interaction.edges_by_party()
     for principal in interaction.principals:
         outlay = sum(
-            e.provides.cents
-            for e in interaction.edges
-            if e.principal == principal and isinstance(e.provides, Money)
+            e.provides.cents for e in edges_at[principal] if isinstance(e.provides, Money)
         )
         ledger.endow_money(
             principal,
             outlay + working_capital_cents + extra_money.get(principal, 0),
         )
-    for edge in interaction.edges:
-        if isinstance(edge.provides, Money):
-            continue
-        incoming = any(
-            interaction.expects(other) == edge.provides
-            for other in interaction.edges
-            if other.principal == edge.principal and other != edge
-        )
-        if not incoming and ledger.holder(edge.provides.label) is None:
+    for edge in interaction.original_holdings():
+        if ledger.holder(edge.provides.label) is None:
             ledger.endow_document(edge.principal, edge.provides.label)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from repro.core.actions import Action
 from repro.core.indemnity import splittable_conjunctions
 from repro.core.interaction import InteractionEdge
-from repro.core.items import Money
+from repro.core.items import Item, Money
 from repro.core.parties import Party
 from repro.core.problem import ExchangeProblem
 from repro.sim.runtime import SimulationResult
@@ -88,74 +88,46 @@ class SafetyReport:
         return lines
 
 
-def _delivered_pairs(delivered: list[Action]) -> list[Action]:
-    return [a for a in delivered if a.is_transfer]
-
-
-def _gave_permanently(edge: InteractionEdge, transfers: list[Action]) -> bool:
-    """Deposit delivered to the trusted component and never reversed."""
-    deposit = None
-    for action in transfers:
-        if (
-            not action.inverted
-            and action.sender == edge.principal
-            and action.recipient == edge.trusted
-            and action.item == edge.provides
-        ):
-            deposit = action
-    if deposit is None:
-        return False
-    return deposit.inverse() not in transfers
-
-
-def _received_expected(
-    problem: ExchangeProblem, edge: InteractionEdge, transfers: list[Action]
-) -> bool:
-    expected = problem.interaction.expects(edge)
+def evaluate_safety(problem: ExchangeProblem, result: SimulationResult) -> SafetyReport:
+    """Check every party's outcome against the acceptance criteria above."""
+    graph = problem.interaction
+    transfers = [a for a in result.delivered if a.is_transfer]
+    delivered = set(transfers)
+    # One pass indexes what each criterion looks up per edge or party: the
+    # last delivered deposit per (sender, recipient, item), the (recipient,
+    # item) pairs received, and indemnity forfeits collected per party.
+    deposits: dict[tuple[Party, Party, Item | None], Action] = {}
+    received: set[tuple[Party, Item | None]] = set()
+    forfeits: dict[Party, int] = {}
     for action in transfers:
         if action.inverted:
             continue
-        if action.effective_recipient == edge.principal and action.item == expected:
-            return True
-    return False
-
-
-def _forfeits_received(party: Party, transfers: list[Action]) -> int:
-    """Indemnity escrow money forwarded (not refunded) to *party*."""
-    total = 0
-    for action in transfers:
-        if action.inverted or not isinstance(action.item, Money):
-            continue
-        if action.effective_recipient == party and "indemnity" in action.item.label:
-            if action.effective_sender.is_trusted:
-                total += action.item.cents
-    return total
-
-
-def evaluate_safety(problem: ExchangeProblem, result: SimulationResult) -> SafetyReport:
-    """Check every party's outcome against the acceptance criteria above."""
-    transfers = _delivered_pairs(result.delivered)
+        item = action.item
+        deposits[action.sender, action.recipient, item] = action
+        received.add((action.recipient, item))
+        # Indemnity escrow money forwarded (not refunded) by a trusted party.
+        if isinstance(item, Money) and "indemnity" in item.label and action.sender.is_trusted:
+            forfeits[action.recipient] = forfeits.get(action.recipient, 0) + item.cents
+    edges_at = graph.edges_by_party()
+    entitled = graph.entitlements()
     bundle_principals = set(splittable_conjunctions(problem))
     verdicts: list[PartyVerdict] = []
 
-    for principal in problem.interaction.principals:
-        edges = [e for e in problem.interaction.edges if e.principal == principal]
+    for principal in graph.principals:
         reasons: list[str] = []
-        outcomes = [
-            EdgeOutcome(
-                e,
-                _gave_permanently(e, transfers),
-                _received_expected(problem, e, transfers),
-            )
-            for e in edges
-        ]
+        outcomes: list[EdgeOutcome] = []
+        for e in edges_at[principal]:
+            # Gave permanently: the deposit was delivered and never reversed.
+            deposit = deposits.get((e.principal, e.trusted, e.provides))
+            gave = deposit is not None and deposit.inverse() not in delivered
+            outcomes.append(EdgeOutcome(e, gave, (e.principal, entitled[e]) in received))
         for outcome in outcomes:
             if not outcome.ok:
                 reasons.append(
                     f"gave {outcome.edge.provides} via {outcome.edge.trusted.name} "
                     "without receiving the counterpart"
                 )
-        forfeits = _forfeits_received(principal, transfers)
+        collected = forfeits.get(principal, 0)
         money_delta = result.money_delta(principal)
         if principal in bundle_principals:
             all_received = all(o.received_expected for o in outcomes)
@@ -165,10 +137,10 @@ def evaluate_safety(problem: ExchangeProblem, result: SimulationResult) -> Safet
                     for o in outcomes
                     if o.gave_permanently and isinstance(o.edge.provides, Money)
                 )
-                if forfeits < spent:
+                if collected < spent:
                     reasons.append(
                         f"incomplete bundle: spent {spent / 100:.2f} but collected "
-                        f"only {forfeits / 100:.2f} in forfeits"
+                        f"only {collected / 100:.2f} in forfeits"
                     )
         verdicts.append(
             PartyVerdict(
@@ -176,14 +148,17 @@ def evaluate_safety(problem: ExchangeProblem, result: SimulationResult) -> Safet
                 ok=not reasons,
                 reasons=tuple(reasons),
                 money_delta_cents=money_delta,
-                forfeits_received_cents=forfeits,
+                forfeits_received_cents=collected,
             )
         )
 
-    for component in problem.interaction.trusted_components:
+    residues: dict[Party, list[str]] = {}
+    for label, holder in result.final.holdings.items():
+        residues.setdefault(holder, []).append(label)
+    for component in graph.trusted_components:
         reasons = []
         delta = result.money_delta(component)
-        residue = result.final.documents_of(component)
+        residue = residues.get(component)
         if delta != 0:
             reasons.append(f"conduit retained {delta / 100:+.2f} in money")
         if residue:

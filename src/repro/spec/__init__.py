@@ -20,7 +20,7 @@ from repro.spec.ast import (
 )
 from repro.spec.compiler import compile_spec, load, load_file
 from repro.spec.formatter import format_problem
-from repro.spec.lexer import Lexer, tokenize
+from repro.spec.lexer import tokenize
 from repro.spec.parser import Parser, parse
 from repro.spec.tokens import KEYWORDS, Token, TokenType
 
@@ -40,7 +40,6 @@ __all__ = [
     "load",
     "load_file",
     "format_problem",
-    "Lexer",
     "tokenize",
     "Parser",
     "parse",

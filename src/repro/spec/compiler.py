@@ -8,7 +8,7 @@ red edges, and trust statements populate the :class:`TrustRelation`.
 
 from __future__ import annotations
 
-from repro.core.interaction import InteractionGraph
+from repro.core.interaction import InteractionEdge, InteractionGraph
 from repro.core.items import Document, Item, cents
 from repro.core.parties import Party, Role
 from repro.core.problem import ExchangeProblem
@@ -89,9 +89,13 @@ def compile_spec(spec: SpecFile, validate: bool = True) -> ExchangeProblem:
         if exchange.deadline is not None:
             graph.set_deadline(via, float(exchange.deadline))
 
+    # Each priority names a (principal, via) pair; resolve every pair in one
+    # pass to the edge find_edge would return (the first; all are untagged).
+    edge_of: dict[tuple[str, str], InteractionEdge] = {}
+    for edge in graph.edges:
+        edge_of.setdefault((edge.principal.name, edge.trusted.name), edge)
     for priority in spec.priorities:
-        edge = graph.find_edge(priority.principal, priority.via)
-        graph.mark_priority(edge)
+        graph.mark_priority(edge_of[priority.principal, priority.via])
 
     trust = TrustRelation()
     for decl in spec.trusts:

@@ -70,13 +70,14 @@ def format_problem(problem: ExchangeProblem) -> str:
         lines.append(f"trusted {component.name}")
     lines.append("")
 
+    edges_at = graph.edges_by_party()
     for component in graph.trusted_components:
         header = f"exchange via {component.name}"
         deadline = graph.deadline_of(component)
         if deadline is not None:
             header += f" deadline {int(deadline)}"
         lines.append(header + " {")
-        edges = graph.edges_at(component)
+        edges = edges_at[component]
         explicit = len(edges) > 2
         for edge in edges:
             clause = f"    {edge.principal.name} {_clause_for(edge.provides)}"
@@ -87,8 +88,9 @@ def format_problem(problem: ExchangeProblem) -> str:
     lines.append("")
 
     emitted_any = False
+    priority = graph.priority_edges
     for edge in graph.edges:
-        if edge in graph.priority_edges:
+        if edge in priority:
             lines.append(f"priority {edge.principal.name} via {edge.trusted.name}")
             emitted_any = True
     for truster, trustee in problem.trust:

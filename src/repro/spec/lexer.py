@@ -4,147 +4,89 @@ Whitespace-insensitive; ``#`` starts a comment running to end of line.
 Amounts are dollars-and-cents literals (``$12``, ``$12.5``, ``$12.50``) and
 are tokenized directly into integer cents so no float ever enters the
 pipeline.
+
+One compiled master pattern scans the input: its alternatives cover every
+character, so consecutive matches tile the source and each match's group
+name says which token (or error) starts there.  Positions are 1-based; every
+character, tab and carriage return included, advances the column by one, and
+only ``\\n`` starts a new line.
 """
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import SpecSyntaxError
 from repro.spec.tokens import KEYWORDS, Token, TokenType
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_IDENT_CONT = _IDENT_START | set("0123456789_-")
-_DIGITS = set("0123456789")
-
-
-class Lexer:
-    """Single-pass scanner over a specification string."""
-
-    def __init__(self, source: str) -> None:
-        self.source = source
-        self.position = 0
-        self.line = 1
-        self.column = 1
-
-    # ------------------------------------------------------------------ util
-
-    def _peek(self) -> str:
-        if self.position >= len(self.source):
-            return ""
-        return self.source[self.position]
-
-    def _advance(self) -> str:
-        char = self.source[self.position]
-        self.position += 1
-        if char == "\n":
-            self.line += 1
-            self.column = 1
-        else:
-            self.column += 1
-        return char
-
-    def _error(self, message: str) -> SpecSyntaxError:
-        return SpecSyntaxError(message, line=self.line, column=self.column)
-
-    def _skip_trivia(self) -> None:
-        while self._peek():
-            char = self._peek()
-            if char in " \t\r\n":
-                self._advance()
-            elif char == "#":
-                while self._peek() and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    # ----------------------------------------------------------------- scan
-
-    def tokens(self) -> list[Token]:
-        """Tokenize the whole input; raises :class:`SpecSyntaxError`."""
-        result: list[Token] = []
-        while True:
-            token = self.next_token()
-            result.append(token)
-            if token.type is TokenType.EOF:
-                return result
-
-    def next_token(self) -> Token:
-        """Scan and return the next token."""
-        self._skip_trivia()
-        line, column = self.line, self.column
-        char = self._peek()
-        if not char:
-            return Token(TokenType.EOF, "", line, column)
-        if char == "{":
-            self._advance()
-            return Token(TokenType.LBRACE, "{", line, column)
-        if char == "}":
-            self._advance()
-            return Token(TokenType.RBRACE, "}", line, column)
-        if char == "-":
-            self._advance()
-            if self._peek() == ">":
-                self._advance()
-                return Token(TokenType.ARROW, "->", line, column)
-            raise SpecSyntaxError("expected '->' after '-'", line=line, column=column)
-        if char == '"':
-            return self._string(line, column)
-        if char == "$":
-            return self._amount(line, column)
-        if char in _DIGITS:
-            return self._number(line, column)
-        if char in _IDENT_START:
-            return self._identifier(line, column)
-        raise self._error(f"unexpected character {char!r}")
-
-    def _string(self, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            char = self._peek()
-            if not char or char == "\n":
-                raise SpecSyntaxError("unterminated string", line=line, column=column)
-            self._advance()
-            if char == '"':
-                return Token(TokenType.STRING, "".join(chars), line, column)
-            chars.append(char)
-
-    def _amount(self, line: int, column: int) -> Token:
-        self._advance()  # '$'
-        digits: list[str] = []
-        while self._peek() in _DIGITS:
-            digits.append(self._advance())
-        if not digits:
-            raise SpecSyntaxError("expected digits after '$'", line=line, column=column)
-        cents = int("".join(digits)) * 100
-        if self._peek() == ".":
-            self._advance()
-            fraction: list[str] = []
-            while self._peek() in _DIGITS:
-                fraction.append(self._advance())
-            if not fraction or len(fraction) > 2:
-                raise SpecSyntaxError(
-                    "amounts take at most two decimal places", line=line, column=column
-                )
-            fraction_text = "".join(fraction).ljust(2, "0")
-            cents += int(fraction_text)
-        return Token(TokenType.AMOUNT, cents, line, column)
-
-    def _number(self, line: int, column: int) -> Token:
-        digits: list[str] = []
-        while self._peek() in _DIGITS:
-            digits.append(self._advance())
-        return Token(TokenType.NUMBER, int("".join(digits)), line, column)
-
-    def _identifier(self, line: int, column: int) -> Token:
-        chars: list[str] = [self._advance()]
-        while self._peek() in _IDENT_CONT:
-            chars.append(self._advance())
-        word = "".join(chars)
-        if word in KEYWORDS:
-            return Token(TokenType.KEYWORD, word, line, column)
-        return Token(TokenType.IDENT, word, line, column)
+_SCANNER = re.compile(
+    r"""
+      (?P<trivia>[ \t\r\n]+|\#[^\n]*)
+    | (?P<word>[A-Za-z][A-Za-z0-9_-]*)
+    | (?P<number>[0-9]+)
+    | (?P<amount>\$(?P<dollars>[0-9]*)(?:\.(?P<cents>[0-9]*))?)
+    | (?P<string>"[^"\n]*"?)
+    | (?P<arrow>->)
+    | (?P<lbrace>\{)
+    | (?P<rbrace>\})
+    | (?P<other>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_PUNCTUATION = {"arrow": TokenType.ARROW, "lbrace": TokenType.LBRACE, "rbrace": TokenType.RBRACE}
 
 
 def tokenize(source: str) -> list[Token]:
-    """Tokenize *source*; convenience wrapper over :class:`Lexer`."""
-    return Lexer(source).tokens()
+    """Tokenize *source*; raises :class:`SpecSyntaxError` on bad input."""
+    tokens: list[Token] = []
+    append = tokens.append
+    line = 1
+    line_start = 0  # offset of the first character of the current line
+    for match in _SCANNER.finditer(source):
+        kind = match.lastgroup
+        start = match.start()
+        text = match.group()
+        if kind == "trivia":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + text.rindex("\n") + 1
+            continue
+        column = start - line_start + 1
+        if kind == "word":
+            word_type = TokenType.KEYWORD if text in KEYWORDS else TokenType.IDENT
+            append(Token(word_type, text, line, column))
+        elif kind == "number":
+            append(Token(TokenType.NUMBER, int(text), line, column))
+        elif kind == "amount":
+            append(Token(TokenType.AMOUNT, _cents(match, line, column), line, column))
+        elif kind == "string":
+            if len(text) < 2 or not text.endswith('"'):
+                raise SpecSyntaxError("unterminated string", line=line, column=column)
+            append(Token(TokenType.STRING, text[1:-1], line, column))
+        elif kind in _PUNCTUATION:
+            append(Token(_PUNCTUATION[kind], text, line, column))
+        elif text == "-":
+            raise SpecSyntaxError("expected '->' after '-'", line=line, column=column)
+        else:
+            raise SpecSyntaxError(
+                f"unexpected character {text!r}", line=line, column=column
+            )
+    append(Token(TokenType.EOF, "", line, len(source) - line_start + 1))
+    return tokens
+
+
+def _cents(match: re.Match[str], line: int, column: int) -> int:
+    """The integer cents of an ``amount`` match (errors point at the ``$``)."""
+    dollars = match.group("dollars")
+    if not dollars:
+        raise SpecSyntaxError("expected digits after '$'", line=line, column=column)
+    cents = int(dollars) * 100
+    fraction = match.group("cents")
+    if fraction is not None:
+        if not fraction or len(fraction) > 2:
+            raise SpecSyntaxError(
+                "amounts take at most two decimal places", line=line, column=column
+            )
+        cents += int(fraction.ljust(2, "0"))
+    return cents

@@ -108,3 +108,92 @@ class TestErrorsAndPositions:
     def test_token_str(self):
         assert "identifier" in str(Token(TokenType.IDENT, "x", 1, 1))
         assert str(tokenize("")[0]) == "end of input"
+
+
+def _error(source):
+    with pytest.raises(SpecSyntaxError) as info:
+        tokenize(source)
+    return info.value
+
+
+def _positions(source):
+    return [(t.type, t.value, t.line, t.column) for t in tokenize(source)]
+
+
+class TestScannerPositions:
+    def test_tab_and_carriage_return_each_advance_one_column(self):
+        assert _positions("a\tb\rc") == [
+            (TokenType.IDENT, "a", 1, 1),
+            (TokenType.IDENT, "b", 1, 3),
+            (TokenType.IDENT, "c", 1, 5),
+            (TokenType.EOF, "", 1, 6),
+        ]
+
+    def test_crlf_starts_one_new_line(self):
+        assert _positions("a\r\n\tb\r\n") == [
+            (TokenType.IDENT, "a", 1, 1),
+            (TokenType.IDENT, "b", 2, 2),
+            (TokenType.EOF, "", 3, 1),
+        ]
+
+    def test_comment_at_end_of_input_without_newline(self):
+        assert _positions("broker # trailing") == [
+            (TokenType.KEYWORD, "broker", 1, 1),
+            (TokenType.EOF, "", 1, 18),
+        ]
+
+    def test_eof_after_trailing_newline_is_on_the_next_line(self):
+        assert tokenize("trust\n")[-1].line == 2
+        assert tokenize("trust\n")[-1].column == 1
+        assert (tokenize("")[0].line, tokenize("")[0].column) == (1, 1)
+
+    def test_identifier_may_end_in_dash(self):
+        assert _positions("a- b ->c") == [
+            (TokenType.IDENT, "a-", 1, 1),
+            (TokenType.IDENT, "b", 1, 4),
+            (TokenType.ARROW, "->", 1, 6),
+            (TokenType.IDENT, "c", 1, 8),
+            (TokenType.EOF, "", 1, 9),
+        ]
+
+    def test_arrow_glued_to_an_identifier_is_absorbed_up_to_the_dash(self):
+        error = _error("Source1->Broker1")
+        assert "unexpected character '>'" in str(error)
+        assert (error.line, error.column) == (1, 9)
+
+    def test_number_then_identifier_without_space(self):
+        assert _positions("12ab") == [
+            (TokenType.NUMBER, 12, 1, 1),
+            (TokenType.IDENT, "ab", 1, 3),
+            (TokenType.EOF, "", 1, 5),
+        ]
+
+    def test_empty_string_literal(self):
+        assert _positions('""') == [
+            (TokenType.STRING, "", 1, 1),
+            (TokenType.EOF, "", 1, 3),
+        ]
+
+
+class TestScannerErrorPositions:
+    @pytest.mark.parametrize(
+        "source,message,line,column",
+        [
+            ("x $1.", "two decimal", 1, 3),
+            ("$1.234", "two decimal", 1, 1),
+            ("ok\n  $ 12", "digits after '\\$'", 2, 3),
+            ("a - b", "'->'", 1, 3),
+            ("principal\n\t@", "unexpected character '@'", 2, 2),
+        ],
+    )
+    def test_error_points_at_the_offending_token(self, source, message, line, column):
+        error = _error(source)
+        assert (error.line, error.column) == (line, column)
+        with pytest.raises(SpecSyntaxError, match=message):
+            tokenize(source)
+
+    @pytest.mark.parametrize("source", ['a "abc', 'a "ab\ncd"', 'a "'])
+    def test_unterminated_string_reported_at_its_opening_quote(self, source):
+        error = _error(source)
+        assert "unterminated string" in str(error)
+        assert (error.line, error.column) == (1, 3)
