@@ -6,8 +6,9 @@ Layers (each usable alone):
   simulator's envelopes;
 * :mod:`repro.net.wal` — per-node append-only JSONL write-ahead log with
   truncated-tail-tolerant replay;
-* :mod:`repro.net.node` — one party as a process: protocol core + WAL +
-  retransmit schedule over a TCP connection;
+* :mod:`repro.net.node` — one party as a process: the party's driver
+  (:mod:`repro.sim.driver`) interpreted over a WAL, a TCP connection and
+  loop timers;
 * :mod:`repro.net.proxy` — the fault proxy enacting a seeded
   :class:`~repro.sim.faults.FaultPlan` on real sockets;
 * :mod:`repro.net.supervisor` — spawn/kill/restart orchestration,
@@ -19,7 +20,7 @@ Entry points: ``repro serve`` / ``repro client`` (see :mod:`repro.cli`) or
 :func:`repro.net.supervisor.run_networked_exchange`.
 """
 
-from repro.net.node import AssetView, ExchangeNode, NodeConfig, run_node
+from repro.net.node import ExchangeNode, NodeConfig, run_node
 from repro.net.proxy import NetFaultProxy
 from repro.net.supervisor import (
     NetRunConfig,
@@ -40,7 +41,6 @@ from repro.net.wire import (
 )
 
 __all__ = [
-    "AssetView",
     "ExchangeNode",
     "NetFaultProxy",
     "NetRunConfig",

@@ -15,8 +15,6 @@ from repro.core.parties import Party
 from repro.core.problem import ExchangeProblem
 from repro.core.protocol import Protocol, synthesize_protocol
 from repro.errors import NetRuntimeError
-from repro.sim.faults import FaultPlan
-from repro.sim.ledger import Ledger, LedgerSnapshot, endow_from_interaction
 from repro.spec.compiler import load_file
 
 
@@ -38,40 +36,6 @@ def derive_protocol(problem: ExchangeProblem, deadline: float | None) -> Protoco
     )
 
 
-def escrow_needs(protocol: Protocol) -> dict[Party, int]:
-    """Extra cents each offeror must be endowed with for §6 escrows."""
-    needs: dict[Party, int] = {}
-    for spec in protocol.trusted_specs.values():
-        for offer in spec.indemnities:
-            needs[offer.offeror] = needs.get(offer.offeror, 0) + offer.amount_cents
-    return needs
-
-
-def build_initial_ledger(
-    problem: ExchangeProblem,
-    protocol: Protocol,
-    working_capital_cents: int = 0,
-) -> Ledger:
-    """The run's initial asset state — identical to the simulator's.
-
-    (:class:`repro.sim.runtime.Simulation` endows the same way; the parity
-    arm asserts digest equality of the two initial snapshots.)
-    """
-    ledger = Ledger()
-    endow_from_interaction(
-        ledger,
-        problem.interaction,
-        working_capital_cents=working_capital_cents,
-        extra_money=escrow_needs(protocol),
-    )
-    return ledger
-
-
-def endowment_of(initial: LedgerSnapshot, party: Party) -> tuple[int, frozenset[str]]:
-    """One node's slice of the initial endowment: (cents, document labels)."""
-    return initial.balance(party), initial.documents_of(party)
-
-
 def find_party(problem: ExchangeProblem, protocol: Protocol, name: str) -> Party:
     """Resolve *name* to the principal or trusted party it denotes."""
     for party in problem.interaction.principals:
@@ -81,19 +45,3 @@ def find_party(problem: ExchangeProblem, protocol: Protocol, name: str) -> Party
         if party.name == name:
             return party
     raise NetRuntimeError(f"party {name!r} does not appear in the problem")
-
-
-def check_plan_targets(
-    problem: ExchangeProblem, protocol: Protocol, plan: FaultPlan
-) -> None:
-    """A plan may only fault parties that exist, and may never silence a
-    trusted component forever (same rule as the simulator)."""
-    principals = {p.name for p in problem.interaction.principals}
-    trusted = {p.name for p in protocol.trusted_specs}
-    for fault in plan.parties:
-        if fault.party not in principals | trusted:
-            raise NetRuntimeError(f"fault plan targets unknown party {fault.party!r}")
-        if fault.permanent and fault.party in trusted:
-            raise NetRuntimeError(
-                f"trusted component {fault.party!r} cannot be permanently silenced"
-            )

@@ -54,6 +54,7 @@ from repro.net.node import NodeConfig, run_node
 from repro.net.proxy import NetFaultProxy
 from repro.net.wire import encode_json
 from repro.sim.faults import FaultPlan
+from repro.sim.ledger import initial_ledger
 from repro.sim.runtime import RunProvenance, SimulationResult
 from repro.sim.safety import SafetyReport, evaluate_safety
 from repro.spec.formatter import format_problem
@@ -300,9 +301,7 @@ async def _run(
     stranded = proxy.resolve_stranded()
 
     # ------------------------------------------------------------- assembly
-    ledger = bootstrap.build_initial_ledger(
-        problem, protocol, config.working_capital_cents
-    )
+    ledger = initial_ledger(problem.interaction, protocol, config.working_capital_cents)
     initial = ledger.seal()
     delivered = proxy.delivered_actions()
     for action in delivered:
@@ -437,7 +436,10 @@ def run_networked_exchange(
     protocol = bootstrap.derive_protocol(problem, config.deadline)
     if fault_plan is not None:
         fault_plan = fault_plan.validate()
-        bootstrap.check_plan_targets(problem, protocol, fault_plan)
+        fault_plan.check_targets(
+            (p.name for p in problem.interaction.principals),
+            (p.name for p in protocol.trusted_specs),
+        )
     adversaries = adversaries or {}
     for name in adversaries:
         bootstrap.find_party(problem, protocol, name)  # raises on unknown

@@ -15,8 +15,10 @@ Discipline (the whole point, so it is spelled out):
   undecodable line anywhere else is corruption and raises.
 
 Records are canonical JSON objects (sorted keys) with a ``"rec"``
-discriminator; see :mod:`repro.net.node` for the vocabulary (``endow``,
-``send``, ``recv``, ``ack``, ``abandon``, ``armed``, ``deadline``).
+discriminator.  The vocabulary (``endow``, ``send``, ``recv``, ``ack``,
+``abandon``, ``armed``, ``deadline``) is the party driver's log
+(:mod:`repro.sim.driver`); :func:`repro.net.node.record_to_json` writes
+each record as JSON.
 """
 
 from __future__ import annotations

@@ -5,18 +5,13 @@ this reproduction uses to *check the claims mechanically*: honest principals
 follow their synthesized roles, trusted components implement the §2.5 escrow
 semantics with deadlines and reversal, adversaries renege or ship bogus
 goods, and the safety monitor verifies that every honest party ends in an
-acceptable state.
+acceptable state.  Each party runs as a sans-I/O driver
+(:mod:`repro.sim.driver`) that the simulator and the socket node both
+interpret.
 """
 
-from repro.sim.agents import (
-    AdversarialPrincipal,
-    AdversaryStrategy,
-    HonestPrincipal,
-    PrincipalAgent,
-    slow_party,
-    withholder,
-    wrong_item_sender,
-)
+from repro.sim.agents import AdversaryStrategy, slow_party, withholder, wrong_item_sender
+from repro.sim.driver import PartyDriver, PrincipalDriver, TrustedDriver, driver_for
 from repro.sim.events import Event, EventQueue
 from repro.sim.faults import (
     FaultConfig,
@@ -26,7 +21,7 @@ from repro.sim.faults import (
     RetryPolicy,
     random_fault_plan,
 )
-from repro.sim.ledger import WIRE, Ledger, LedgerSnapshot, endow_from_interaction
+from repro.sim.ledger import WIRE, Ledger, LedgerSnapshot, endow_from_interaction, initial_ledger
 from repro.sim.network import Delivery, Envelope, Network, NetworkStats, TimerHandle
 from repro.sim.runtime import RunProvenance, Simulation, SimulationResult, simulate
 from repro.sim.safety import (
@@ -35,16 +30,16 @@ from repro.sim.safety import (
     SafetyReport,
     evaluate_safety,
 )
-from repro.sim.trusted_agent import TrustedAgent
 
 __all__ = [
-    "AdversarialPrincipal",
     "AdversaryStrategy",
-    "HonestPrincipal",
-    "PrincipalAgent",
     "slow_party",
     "withholder",
     "wrong_item_sender",
+    "PartyDriver",
+    "PrincipalDriver",
+    "TrustedDriver",
+    "driver_for",
     "Event",
     "EventQueue",
     "FaultConfig",
@@ -57,6 +52,7 @@ __all__ = [
     "Ledger",
     "LedgerSnapshot",
     "endow_from_interaction",
+    "initial_ledger",
     "Delivery",
     "Envelope",
     "Network",
@@ -70,5 +66,4 @@ __all__ = [
     "PartyVerdict",
     "SafetyReport",
     "evaluate_safety",
-    "TrustedAgent",
 ]

@@ -1,182 +1,26 @@
-"""Principal agents: honest role-followers and adversaries.
+"""How a principal deviates from its role.
 
-An honest principal executes its synthesized :class:`PrincipalRole`: it
-fires each instruction, in order, as soon as every precondition has been
-locally observed (a transfer delivered to it or a notify addressed to it)
-and the ledger confirms it holds the asset.
+An honest principal follows its synthesized :class:`PrincipalRole` (see
+:class:`repro.sim.driver.PrincipalDriver`).  An :class:`AdversaryStrategy`
+deviates in the ways the paper worries about:
 
-Adversaries deviate in the two ways the paper worries about:
-
-* :class:`Withholder` — performs the first *perform* instructions then
+* :func:`withholder` — performs the first *after* instructions, then
   reneges (the publisher that keeps the money, the customer that refuses to
   pay);
-* :class:`WrongItemSender` — substitutes a bogus item for a promised
-  document (the publisher that "might provide an incorrect document", §1).
+* :func:`wrong_item_sender` — substitutes a bogus item for a promised
+  document (the publisher that "might provide an incorrect document", §1);
+* :func:`slow_party` — honours its role but delays each send.
 
 The point of the safety benchmarks is that under the synthesized protocol
 *no honest party is harmed* whatever these adversaries do, whereas naive
 direct exchange harms someone.
-
-Under fault injection (see :mod:`repro.sim.faults`) every agent gains two
-coping behaviours via :class:`ResilientNode`: idempotent duplicate
-suppression keyed on the transport's envelope keys, and send-timeouts with
-capped exponential backoff that retransmit undelivered messages until a
-retry cap, after which the message is abandoned and the wire returns the
-asset.  Both are inert on the reliable transport, so the paper's original
-semantics are untouched when no fault plan is installed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from repro.core.actions import Action, transfer
 from repro.core.items import Document, Item
-from repro.core.parties import Party
-from repro.core.protocol import PrincipalRole
-from repro.sim.faults import RetryPolicy
-from repro.sim.protocol_core import PrincipalCore
-
-if TYPE_CHECKING:
-    from repro.sim.network import Envelope
-    from repro.sim.runtime import SimulationRuntime
-
-
-class ResilientNode:
-    """Fault-coping machinery shared by principal and trusted agents.
-
-    Subclasses provide ``party``, ``runtime`` and call :meth:`_init_resilience`
-    during construction.  All of it degrades to pass-through behaviour when
-    the runtime has no fault plan (or, in unit tests, no transport at all).
-    """
-
-    #: Backoff schedule for unacknowledged sends; subclasses may override.
-    retry_policy = RetryPolicy()
-
-    party: Party
-    runtime: SimulationRuntime
-
-    def _init_resilience(self) -> None:
-        self._seen_keys: set[int] = set()
-
-    def _is_duplicate(self, key: int | None) -> bool:
-        """Record *key* and report whether it was already processed."""
-        if key is None:
-            return False
-        if key in self._seen_keys:
-            return True
-        self._seen_keys.add(key)
-        return False
-
-    def _dispatch(self, action: Action) -> Envelope:
-        """Transmit *action* and arm the retry schedule for it."""
-        envelope = self.runtime.transmit(action)
-        self._arm_retries(envelope)
-        return envelope
-
-    def _arm_retries(self, envelope: Envelope | None) -> None:
-        if envelope is None or getattr(self.runtime, "fault_plan", None) is None:
-            return
-        network = self.runtime.network
-        policy = self.retry_policy
-
-        def check(attempt: int) -> None:
-            if network.envelope(envelope.key).delivered:
-                return
-            if attempt > policy.max_retries:
-                network.abandon(envelope.key)
-                return
-            if network.retransmit(envelope.key):
-                self.runtime.schedule_for(
-                    self.party,
-                    policy.timeout_for(attempt),
-                    lambda: check(attempt + 1),
-                    label=f"retry#{attempt} by {self.party.name}",
-                )
-
-        self.runtime.schedule_for(
-            self.party,
-            policy.timeout_for(1),
-            lambda: check(1),
-            label=f"send-timeout by {self.party.name}",
-        )
-
-
-class PrincipalAgent(ResilientNode):
-    """Base class: a principal attached to a runtime (see runtime.py)."""
-
-    def __init__(self, party: Party, role: PrincipalRole, runtime: SimulationRuntime) -> None:
-        self.party = party
-        self.role = role
-        self.runtime = runtime
-        self.core = PrincipalCore(role, permits=self._permits, transform=self._transform)
-        self.sent: list[Action] = []
-        self._init_resilience()
-
-    # ----------------------------------------------------- state (core views)
-
-    @property
-    def observed(self) -> set[Action]:
-        return self.core.observed
-
-    @property
-    def _next_instruction(self) -> int:
-        return self.core.next_instruction
-
-    def start(self) -> None:
-        """Called once when the simulation begins."""
-        self._try_fire()
-
-    def receive(self, action: Action, key: int | None = None) -> None:
-        """Called by the network for every action delivered to this party.
-
-        Observations are normalized (deadline stripped) before matching
-        against instruction guards: the synthesized preconditions are
-        deadline-free, while live notifies carry their §2.5 expiry stamp.
-        Duplicate deliveries (same envelope key) are suppressed.
-        """
-        if self._is_duplicate(key):
-            return
-        self.core.observe(action)
-        self._try_fire()
-
-    # ------------------------------------------------------------ scheduling
-
-    def _try_fire(self) -> None:
-        """Drain the core: fire instructions while their guards hold.
-
-        The instruction-walking logic itself lives in the transport-agnostic
-        :class:`~repro.sim.protocol_core.PrincipalCore` (shared with the
-        socket runtime); this runtime contributes the ledger custody check
-        and the envelope dispatch.
-        """
-        self.core.drain(holds=self._holds, emit=self._emit)
-
-    def _holds(self, action: Action) -> bool:
-        return self.runtime.ledger.can_transfer(self.party, action.item)
-
-    def _emit(self, action: Action) -> None:
-        self._send(action)
-        self.sent.append(action)
-
-    # ------------------------------------------------------------- extension
-
-    def _permits(self, position: int, action: Action) -> bool:
-        """Whether this agent is willing to perform instruction *position*."""
-        return True
-
-    def _transform(self, action: Action) -> Action | None:
-        """Rewrite the action before sending (None = silently skip)."""
-        return action
-
-    def _send(self, action: Action) -> None:
-        """Dispatch the action (subclasses may delay it)."""
-        self._dispatch(action)
-
-
-class HonestPrincipal(PrincipalAgent):
-    """Follows the synthesized role to the letter."""
 
 
 @dataclass(frozen=True)
@@ -200,40 +44,6 @@ class AdversaryStrategy:
         if self.delay:
             parts.append(f"delays each send by {self.delay}")
         return "; ".join(parts)
-
-
-class AdversarialPrincipal(PrincipalAgent):
-    """A principal following an :class:`AdversaryStrategy` instead of its role."""
-
-    def __init__(
-        self,
-        party: Party,
-        role: PrincipalRole,
-        runtime: SimulationRuntime,
-        strategy: AdversaryStrategy,
-    ) -> None:
-        super().__init__(party, role, runtime)
-        self.strategy = strategy
-
-    def _permits(self, position: int, action: Action) -> bool:
-        return position < self.strategy.perform
-
-    def _transform(self, action: Action) -> Action | None:
-        substitute = self.strategy.substitute or {}
-        if action.item is not None and action.item.label in substitute:
-            bogus = substitute[action.item.label]
-            return transfer(action.sender, action.recipient, bogus)
-        return action
-
-    def _send(self, action: Action) -> None:
-        if self.strategy.delay > 0:
-            self.runtime.queue.schedule(
-                self.strategy.delay,
-                lambda: self._dispatch(action),
-                label=f"delayed send by {self.party.name}",
-            )
-        else:
-            self._dispatch(action)
 
 
 def withholder(after: int = 0) -> AdversaryStrategy:

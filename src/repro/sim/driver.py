@@ -1,0 +1,518 @@
+"""One driver per party: everything around a protocol core, without I/O.
+
+The simulator and the socket node run the same protocol cores
+(:mod:`repro.sim.protocol_core`).  What surrounds a core lives here, once:
+``party:seq`` envelope keys and duplicate suppression, the retry schedule,
+deadline arming, the party's custody view, its log, and recovery from that
+log.  A driver holds no clock, socket, queue or ledger.  Its events —
+:meth:`~PartyDriver.start`, :meth:`~PartyDriver.delivered`,
+:meth:`~PartyDriver.acked` and :meth:`~PartyDriver.fired` — are stamped with
+the current sim time and return ordered commands: :class:`Log`,
+:class:`Send`, :class:`Got`, :class:`Timer` and :class:`Abandon`.
+:class:`~repro.sim.runtime.Simulation` interprets the commands as discrete
+events and keeps each party's log in memory; :mod:`repro.net.node`
+interprets them as WAL appends, frames and loop timers.  The same events
+give the same commands, which is what lets :meth:`PartyDriver.recover`
+rebuild a driver from its own log.
+
+The log vocabulary.  Records are tuples led by their kind; the socket node
+writes each as one JSON line of its write-ahead log:
+
+===========================  ==============================================
+``("endow", cents, docs)``   the party's slice of the initial ledger
+``("send", key, action)``    an envelope's first offer, before it goes out
+``("recv", key, action)``    a delivery, before the core sees it
+``("ack", key)``             the wire delivered one of the party's envelopes
+``("abandon", key)``         retries ran out; the wire returned custody
+``("armed", expiry)``        the deadline's absolute expiry, before its timer
+``("deadline",)``            the deadline fired, before its reversals
+===========================  ==============================================
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Iterable, Sequence, Union
+
+from repro.core.actions import Action, transfer
+from repro.core.items import Money
+from repro.core.parties import Party
+from repro.core.protocol import PrincipalRole, Protocol, TrustedExchangeSpec
+from repro.errors import ProtocolError
+from repro.sim.agents import AdversaryStrategy
+from repro.sim.faults import RetryPolicy
+from repro.sim.protocol_core import (
+    ArmDeadline,
+    DisarmDeadline,
+    Effect,
+    NotifyEffect,
+    PrincipalCore,
+    SendEffect,
+    TrustedCore,
+)
+
+Record = tuple[Any, ...]
+
+
+@dataclass(slots=True)
+class Log:
+    """Append *record* to the party's log."""
+
+    record: Record
+
+
+@dataclass(slots=True)
+class Send:
+    """Put attempt *attempt* of envelope *key* on the wire.
+
+    A first offer carries its ``send`` record, which is logged before the
+    envelope goes out.  A retransmission, or a re-offer after recovery,
+    carries ``None``: its record is already in the log.
+    """
+
+    key: str
+    action: Action
+    attempt: int
+    record: Record | None
+
+
+@dataclass(slots=True)
+class Got:
+    """Confirm to the wire that the delivery of envelope *key* is logged."""
+
+    key: str
+
+
+@dataclass(slots=True)
+class Timer:
+    """Set timer *name* to fire at sim time *at*; ``None`` cancels it."""
+
+    name: str
+    at: float | None
+
+
+@dataclass(slots=True)
+class Abandon:
+    """Log *record*, then give up on envelope *key*: custody returns."""
+
+    key: str
+    record: Record
+
+
+Command = Union[Log, Send, Got, Timer, Abandon]
+
+#: The trusted deadline's timer.  A retry timer is named by its envelope's
+#: key (``party:seq``), a slow party's delayed send by ``delay#n``.
+DEADLINE = "deadline"
+
+
+class CustodyView:
+    """What one party holds, as the party itself sees it.
+
+    Credited when a transfer is delivered to the party or abandoned back to
+    it, debited when the party sends one: the party is the effective
+    recipient of every credit and the effective sender of every debit.
+    """
+
+    __slots__ = ("cents", "documents")
+
+    def __init__(self, cents: int, documents: Iterable[str]) -> None:
+        self.cents = cents
+        self.documents = set(documents)
+
+    def holds(self, action: Action) -> bool:
+        item = action.item
+        if item is None:
+            return True
+        if isinstance(item, Money):
+            return self.cents >= item.cents
+        return item.label in self.documents
+
+    def debit(self, action: Action) -> None:
+        item = action.item
+        if item is None:
+            return
+        if isinstance(item, Money):
+            if self.cents < item.cents:
+                raise ProtocolError(
+                    f"debit of {item.cents} cents exceeds balance {self.cents}"
+                )
+            self.cents -= item.cents
+        else:
+            self.documents.discard(item.label)
+
+    def credit(self, action: Action) -> None:
+        item = action.item
+        if item is None:
+            return
+        if isinstance(item, Money):
+            self.cents += item.cents
+        else:
+            self.documents.add(item.label)
+
+
+def _stripped(action: Action) -> Action:
+    return replace(action, deadline=None)
+
+
+class PartyDriver:
+    """Keys, dedup, retries, custody and the log for one party.
+
+    Subclasses wrap a protocol core: :class:`PrincipalDriver` and
+    :class:`TrustedDriver`.  With ``retransmit=False`` (the simulator's
+    reliable wire) delivery is certain: the driver keeps no unacknowledged
+    sends and sets no retry timer.
+    """
+
+    #: Backoff schedule for unacknowledged sends.
+    retry_policy = RetryPolicy()
+    #: Whether a deadline timer is set (only a trusted component has one).
+    armed = False
+
+    def __init__(
+        self, party: Party, cents: int, documents: Iterable[str], retransmit: bool
+    ) -> None:
+        self.party = party
+        self.custody = CustodyView(cents, documents)
+        self.retransmit = retransmit
+        self._first_wait = self.retry_policy.timeout_for(1)
+        self.seen: set[str] = set()
+        self.unacked: dict[str, Action] = {}
+        self._attempts: dict[str, int] = {}
+        self._prefix = party.name + ":"
+        self._seq = 1
+        # Set only while recover() replays a log: first offers are collected
+        # here for matching against the logged ones instead of going out.
+        self._replayed: list[Action] | None = None
+        self._fresh: Sequence[Action] = ()  # regenerated by recovery, never logged
+
+    # ------------------------------------------------------------------ events
+
+    def start(self, now: float) -> list[Command]:
+        """The party's process begins (or, after :meth:`recover`, resumes)."""
+        out: list[Command] = []
+        self._resume(now, out)
+        for key, action in self.unacked.items():
+            out.append(Send(key, action, 1, None))
+            self._arm_retry(now, key, action, out)
+        fresh, self._fresh = self._fresh, ()
+        for action in fresh:
+            self._offer(now, action, out)
+        self._advance(now, out)
+        return out
+
+    def delivered(self, now: float, key: str, action: Action) -> list[Command]:
+        """Envelope *key* carrying *action* reached this party."""
+        if key in self.seen:
+            return [Got(key)]  # a duplicate copy: confirm it, nothing more
+        self.seen.add(key)
+        out: list[Command] = [Log(("recv", key, action)), Got(key)]
+        self.custody.credit(action)
+        self._absorb(now, action, out)
+        return out
+
+    def acked(self, now: float, key: str) -> list[Command]:
+        """The wire delivered this party's envelope *key*."""
+        if self.unacked.pop(key, None) is None:
+            return []
+        self._attempts.pop(key, None)
+        return [Log(("ack", key))]
+
+    def fired(self, now: float, name: str) -> list[Command]:
+        """Timer *name* went off.
+
+        A retry timer whose envelope was acknowledged meanwhile is not
+        cancelled; it fires and yields nothing.
+        """
+        action = self.unacked.get(name)
+        if action is None:
+            return self._timer(now, name)
+        attempts = self._attempts[name]
+        if attempts > self.retry_policy.max_retries:
+            del self.unacked[name], self._attempts[name]
+            self.custody.credit(action)
+            return [Abandon(name, ("abandon", name))]
+        attempts += 1
+        self._attempts[name] = attempts
+        return [
+            Send(name, action, attempts, None),
+            Timer(name, now + self.retry_policy.timeout_for(attempts - 1)),
+        ]
+
+    # ---------------------------------------------------------------- recovery
+
+    def recover(self, records: Sequence[Record]) -> list[Command]:
+        """Rebuild this fresh driver's state from a log.
+
+        The log's inputs (deliveries, acks, abandons, the deadline) are
+        replayed through the live code in their logged order; every first
+        offer that replay regenerates is matched against the logged ``send``
+        records, by action with the deadline stamp stripped.  A matched send
+        keeps its logged key and, unless acked or abandoned, is re-offered by
+        :meth:`start`; a regenerated send with no record (the log ends
+        between its cause and its ``send``) goes out fresh at :meth:`start`.
+        A logged send that replay cannot regenerate means the log and the
+        protocol disagree, and raises :class:`ProtocolError`.
+
+        An empty log is a fresh start, and a log begins with the party's
+        endowment: that record is the one command this returns.
+        """
+        if not records:
+            endowment = ("endow", self.custody.cents, tuple(sorted(self.custody.documents)))
+            return [Log(endowment)]
+        pending: list[Action] = []
+        self._replayed = pending
+        for record in records:
+            kind = record[0]
+            if kind == "endow":
+                self.custody = CustodyView(record[1], record[2])
+                self._advance(0.0, [])
+            elif kind == "recv":
+                self.delivered(0.0, record[1], record[2])
+            elif kind == "send":
+                self._adopt(record[1], record[2], pending)
+            elif kind == "ack":
+                self.unacked.pop(record[1], None)
+            elif kind == "abandon":
+                action = self.unacked.pop(record[1], None)
+                if action is not None:
+                    self.custody.credit(action)
+            elif kind == "deadline":
+                self._timer(0.0, DEADLINE)
+        self._replayed = None
+        self._fresh = pending
+        return []
+
+    def _adopt(self, key: str, logged: Action, pending: list[Action]) -> None:
+        target = _stripped(logged)
+        for index, action in enumerate(pending):
+            if _stripped(action) == target:
+                del pending[index]
+                break
+        else:
+            raise ProtocolError(
+                f"WAL replay diverged for {self.party.name}: logged send {key} "
+                f"({logged}) was not regenerated by the protocol core"
+            )
+        if self.retransmit:
+            self.unacked[key] = logged
+        suffix = key.rpartition(":")[2]
+        if suffix.isdigit():
+            self._seq = max(self._seq, int(suffix) + 1)
+
+    # ----------------------------------------------------------------- sending
+
+    def _emit(self, now: float, action: Action, out: list[Command]) -> None:
+        """The core sends *action*: custody leaves now."""
+        self.custody.debit(action)
+        self._offer(now, action, out)
+
+    def _offer(self, now: float, action: Action, out: list[Command]) -> None:
+        """First offer of a new envelope, plus its first retry timer."""
+        if self._replayed is not None:
+            self._replayed.append(action)
+            return
+        key = self._prefix + str(self._seq)
+        self._seq += 1
+        out.append(Send(key, action, 1, ("send", key, action)))
+        if self.retransmit:
+            self._arm_retry(now, key, action, out)
+
+    def _arm_retry(self, now: float, key: str, action: Action, out: list[Command]) -> None:
+        """Attempt 1 of *key* is out: await its ack, or retry."""
+        self.unacked[key] = action
+        self._attempts[key] = 1
+        out.append(Timer(key, now + self._first_wait))
+
+    # ------------------------------------------------------- subclass hooks
+
+    def _resume(self, now: float, out: list[Command]) -> None:
+        """At start, before re-offers: restore timers recovery could not."""
+
+    def _advance(self, now: float, out: list[Command]) -> None:
+        """Act on whatever the core can do unprompted."""
+
+    def _absorb(self, now: float, action: Action, out: list[Command]) -> None:
+        raise NotImplementedError
+
+    def _timer(self, now: float, name: str) -> list[Command]:
+        return []
+
+    def phase(self) -> str:
+        raise NotImplementedError
+
+
+class PrincipalDriver(PartyDriver):
+    """Drives a :class:`PrincipalCore` through a principal's role.
+
+    An instruction fires once its guards are observed and the custody view
+    holds its asset.  An :class:`AdversaryStrategy` deviates: it withholds
+    from instruction ``perform`` on, swaps documents, or delays each send.
+    """
+
+    def __init__(
+        self,
+        party: Party,
+        role: PrincipalRole,
+        cents: int,
+        documents: Iterable[str],
+        strategy: AdversaryStrategy | None = None,
+        retransmit: bool = True,
+    ) -> None:
+        super().__init__(party, cents, documents, retransmit)
+        self.delay = 0.0
+        if strategy is None:
+            self.core = PrincipalCore(role)
+        else:
+            self.core = PrincipalCore(
+                role, permits=_permits(strategy.perform), transform=_swap(strategy)
+            )
+            self.delay = strategy.delay
+        self._delayed: dict[str, Action] = {}
+        self._delays = 0
+
+    def _absorb(self, now: float, action: Action, out: list[Command]) -> None:
+        self.core.observe(action)
+        self._advance(now, out)
+
+    def _advance(self, now: float, out: list[Command]) -> None:
+        custody = self.custody
+        self.core.drain(holds=custody.holds, emit=lambda action: self._emit(now, action, out))
+
+    def _offer(self, now: float, action: Action, out: list[Command]) -> None:
+        if self.delay and self._replayed is None:
+            self._delays += 1
+            name = f"delay#{self._delays}"
+            self._delayed[name] = action
+            out.append(Timer(name, now + self.delay))
+            return
+        super()._offer(now, action, out)
+
+    def _timer(self, now: float, name: str) -> list[Command]:
+        action = self._delayed.pop(name, None)
+        if action is None:
+            return []
+        out: list[Command] = []
+        super()._offer(now, action, out)
+        return out
+
+    def phase(self) -> str:
+        return "exhausted" if self.core.exhausted else "active"
+
+
+def _permits(perform: int) -> Callable[[int, Action], bool]:
+    return lambda position, action: position < perform
+
+
+def _swap(strategy: AdversaryStrategy) -> Callable[[Action], Action | None]:
+    substitute = strategy.substitute or {}
+
+    def transform(action: Action) -> Action | None:
+        if action.item is not None and action.item.label in substitute:
+            return transfer(action.sender, action.recipient, substitute[action.item.label])
+        return action
+
+    return transform
+
+
+class TrustedDriver(PartyDriver):
+    """Drives a :class:`TrustedCore`: the §2.5 escrow plus its deadline.
+
+    A trusted component never gives up on a release or a reversal while a
+    run lasts, hence its longer retry cap.
+    """
+
+    retry_policy = RetryPolicy(max_retries=32)
+
+    def __init__(
+        self,
+        spec: TrustedExchangeSpec,
+        cents: int,
+        documents: Iterable[str],
+        retransmit: bool = True,
+    ) -> None:
+        super().__init__(spec.agent, cents, documents, retransmit)
+        self.core = TrustedCore(spec)
+        self.armed = False
+        self.expiry: float | None = None  # absolute sim time of the deadline
+        self._unlogged_arm: float | None = None  # recovery: armed, no expiry logged
+
+    def _absorb(self, now: float, action: Action, out: list[Command]) -> None:
+        self._follow(now, self.core.on_receive(action), out)
+
+    def _follow(self, now: float, effects: list[Effect], out: list[Command]) -> None:
+        """Core effects in order: the deadline is armed before the notify it
+        stamps, and disarmed before the releases go out."""
+        for effect in effects:
+            if isinstance(effect, SendEffect):
+                self._emit(now, effect.action, out)
+            elif isinstance(effect, NotifyEffect):
+                expiry = self.expiry if self.armed else None
+                self._emit(now, self.core.expiry_notice(effect.principal, expiry), out)
+            elif isinstance(effect, ArmDeadline):
+                self._arm(now, effect.duration, out)
+            elif isinstance(effect, DisarmDeadline) and self.armed:
+                self.armed = False
+                out.append(Timer(DEADLINE, None))
+
+    def _arm(self, now: float, duration: float, out: list[Command]) -> None:
+        if self.armed or self.core.reversed:
+            return
+        self.armed = True
+        if self._replayed is not None:
+            if self.expiry is None:
+                self._unlogged_arm = duration
+            return
+        self.expiry = now + duration
+        out.append(Log(("armed", self.expiry)))
+        out.append(Timer(DEADLINE, self.expiry))
+
+    def _timer(self, now: float, name: str) -> list[Command]:
+        if name != DEADLINE or not self.armed:
+            return []
+        self.armed = False
+        out: list[Command] = [Log(("deadline",))]
+        self._follow(now, self.core.on_deadline(), out)
+        return out
+
+    def recover(self, records: Sequence[Record]) -> list[Command]:
+        # The notify a deposit triggers is stamped with the expiry logged
+        # after that deposit: read it before the replay reaches the deposit.
+        for record in records:
+            if record[0] == "armed":
+                self.expiry = float(record[1])
+        return super().recover(records)
+
+    def _resume(self, now: float, out: list[Command]) -> None:
+        if not self.armed:
+            return
+        if self._unlogged_arm is not None:
+            # The log ends between the deposit that armed the deadline and
+            # its ``armed`` record: the expiry counts from now.
+            self.expiry = now + self._unlogged_arm
+            self._unlogged_arm = None
+            out.append(Log(("armed", self.expiry)))
+        out.append(Timer(DEADLINE, self.expiry))
+
+    def phase(self) -> str:
+        if self.core.completed:
+            return "completed"
+        return "reversed" if self.core.reversed else "open"
+
+
+def driver_for(
+    protocol: Protocol,
+    party: Party,
+    cents: int,
+    documents: Iterable[str],
+    strategy: AdversaryStrategy | None = None,
+    retransmit: bool = True,
+) -> PartyDriver:
+    """The driver for *party* in *protocol*, endowed with *cents* and
+    *documents* (its slice of the sealed initial ledger)."""
+    spec = protocol.trusted_specs.get(party)
+    if spec is not None:
+        return TrustedDriver(spec, cents, documents, retransmit)
+    return PrincipalDriver(
+        party, protocol.role_of(party), cents, documents, strategy, retransmit
+    )

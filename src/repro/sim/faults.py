@@ -22,8 +22,9 @@ faults that the :class:`~repro.sim.network.Network` interprets:
 :func:`random_fault_plan` grows a plan from a seed and a
 :class:`FaultConfig`, which is how the chaos study
 (:mod:`repro.analysis.chaos_study`) crosses fault schedules with random
-problems.  :class:`RetryPolicy` parameterizes the agents' send-timeout /
-capped-exponential-backoff machinery.
+problems.  :class:`RetryPolicy` parameterizes the party drivers'
+send-timeout / capped-exponential-backoff schedule
+(:mod:`repro.sim.driver`).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.errors import FaultInjectionError
 
@@ -169,6 +171,23 @@ class FaultPlan:
         """Names of every party with a process fault (crashed at all)."""
         return frozenset(f.party for f in self.parties)
 
+    def check_targets(self, principals: Iterable[str], trusted: Iterable[str]) -> None:
+        """A plan may only fault parties that exist, and may never silence a
+        trusted component forever: trusted infrastructure can crash and
+        restart, but a vanished escrow holder would take deposits with it."""
+        infrastructure = frozenset(trusted)
+        known = frozenset(principals) | infrastructure
+        for fault in self.parties:
+            if fault.party not in known:
+                raise FaultInjectionError(
+                    f"fault plan targets unknown party {fault.party!r}"
+                )
+            if fault.permanent and fault.party in infrastructure:
+                raise FaultInjectionError(
+                    f"trusted component {fault.party!r} cannot be permanently "
+                    "silenced (it may crash and restart, never vanish)"
+                )
+
     def worst_drop(self) -> float:
         """The highest drop probability across links (0 if fault-free)."""
         return max((link.drop for link in self.links), default=0.0)
@@ -193,11 +212,14 @@ class FaultPlan:
 class RetryPolicy:
     """Send-timeout schedule: capped exponential backoff with a retry cap.
 
-    The first timeout fires ``base_timeout`` after the send; each subsequent
-    one multiplies by ``backoff`` up to ``max_timeout``.  After
-    ``max_retries`` unacknowledged attempts the sender abandons the message
-    and the wire returns custody of the asset (the simulator's stand-in for
-    a bounced letter).
+    Retransmission 1 comes ``timeout_for(1)`` after the send, and
+    retransmission *k* + 1 comes ``timeout_for(k)`` after retransmission
+    *k*.  When ``timeout_for(max_retries)`` passes after the last
+    retransmission with no acknowledgement, the sender abandons the message
+    and the wire returns custody of the asset (a bounced letter).  The
+    defaults send at sim times 0, 4, 8, 16, 32, 48 … 160 and abandon at
+    176; with ``max_retries=32`` the last attempt goes at 480 and the
+    abandon comes at 496.
     """
 
     base_timeout: float = 4.0
@@ -206,7 +228,11 @@ class RetryPolicy:
     max_retries: int = 12
 
     def timeout_for(self, attempt: int) -> float:
-        """Delay before retry number *attempt* (1-based)."""
+        """``base_timeout * backoff ** (attempt - 1)``, capped at ``max_timeout``.
+
+        The wait before retransmission 1 and the wait after retransmission
+        *attempt* (1-based): see the class docstring for the schedule.
+        """
         return min(self.base_timeout * self.backoff ** (attempt - 1), self.max_timeout)
 
 

@@ -21,6 +21,7 @@ from repro.core.actions import Action
 from repro.core.interaction import InteractionGraph
 from repro.core.items import Item, Money
 from repro.core.parties import Party, Role
+from repro.core.protocol import Protocol
 from repro.errors import SimulationError
 
 #: Custody account for assets in transit on an unreliable wire.  Under fault
@@ -227,3 +228,27 @@ def endow_from_interaction(
     for edge in interaction.original_holdings():
         if ledger.holder(edge.provides.label) is None:
             ledger.endow_document(edge.principal, edge.provides.label)
+
+
+def initial_ledger(
+    interaction: InteractionGraph,
+    protocol: Protocol,
+    working_capital_cents: int = 0,
+) -> Ledger:
+    """A run's initial asset state, the same in both runtimes.
+
+    :func:`endow_from_interaction`, plus the money each indemnity offeror
+    must post in escrow under *protocol* (§6).
+    """
+    escrow_needs: dict[Party, int] = {}
+    for spec in protocol.trusted_specs.values():
+        for offer in spec.indemnities:
+            escrow_needs[offer.offeror] = escrow_needs.get(offer.offeror, 0) + offer.amount_cents
+    ledger = Ledger()
+    endow_from_interaction(
+        ledger,
+        interaction,
+        working_capital_cents=working_capital_cents,
+        extra_money=escrow_needs,
+    )
+    return ledger

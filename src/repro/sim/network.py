@@ -11,10 +11,10 @@ regimes coexist:
   send becomes an :class:`Envelope` that the transport attempts to deliver
   under seeded per-link drop/duplicate/delay/partition faults and per-party
   crash faults.  Senders drive retransmission via :meth:`Network.retransmit`
-  (the agents own the timeout/backoff policy); the first successful delivery
-  of an envelope fires the runtime's custody-release hook and is logged,
-  duplicate copies reach the handler with the same dedup key and no asset
-  effect.  Deliveries to a *crashed* party still land (the host accepts the
+  (the party drivers own the timeout/backoff policy); the first successful
+  delivery of an envelope fires the runtime's first-delivery hook and is
+  logged, duplicate copies reach the handler with the same dedup key and no
+  asset effect.  Deliveries to a *crashed* party still land (the host accepts the
   asset) but the handler call is parked in a mailbox replayed at restart;
   a permanently silent party simply never replays.  Per-link delivery times
   are clamped monotone, so delay jitter alone cannot reorder one sender's
@@ -22,8 +22,10 @@ regimes coexist:
   holds the transport to this).
 
 Handlers are registered per party and invoked as ``handler(action, key)``
-where *key* is the envelope's dedup key (``None`` never occurs via the
-network; direct unit-test invocations may omit it).
+where *key* is the envelope's dedup key: the sending driver's ``party:seq``
+key.  Message spans and the causal log number envelopes by a network-wide
+counter instead (``Envelope.obs_key``), so traces read the same whatever
+the keys.
 """
 
 from __future__ import annotations
@@ -54,9 +56,10 @@ class Delivery:
 class Envelope:
     """One logical message and its transport fate."""
 
-    key: int
+    key: str
     action: Action
     sent_at: float
+    obs_key: int = 0  # network-wide ordinal naming the envelope in traces
     attempts: int = 0
     delivered: bool = False
     delivered_at: float | None = None
@@ -86,7 +89,7 @@ class NetworkStats:
 class TimerHandle:
     """A cancellable, crash-deferrable timer returned by ``schedule_for``.
 
-    Duck-types the slice of :class:`~repro.sim.events.Event` the agents use
+    Duck-types the slice of :class:`~repro.sim.events.Event` a runtime uses
     (``time`` and ``cancel``) while surviving re-scheduling across a crash
     window, which a bare event cannot.
     """
@@ -119,19 +122,21 @@ class Network:
         self.stats = NetworkStats()
         self.log: list[Delivery] = []
         self._handlers: dict[Party, Callable[..., None]] = {}
-        self._envelopes: dict[int, Envelope] = {}
+        self._envelopes: dict[str, Envelope] = {}
         self._keys = itertools.count(1)
         self._rng = fault_plan.rng() if fault_plan is not None else None
         self._fifo_floor: dict[tuple[Party, Party], float] = {}
-        self._mailbox: dict[Party, list[tuple[Action, int]]] = {}
+        self._mailbox: dict[Party, list[tuple[Action, str]]] = {}
         # When a tracer is active, every envelope gets a span whose events
         # are the transport's fate decisions — the causal message trace.
         tracer = _active_tracer()
         self.message_obs: MessageObs | None = (
             MessageObs(tracer) if tracer is not None else None
         )
-        # The runtime installs these to move wire custody on the ledger.
-        self.custody_release_hook: Callable[[Envelope], None] | None = None
+        # The runtime installs these: the first delivery of an envelope
+        # acknowledges it (and releases wire custody); an abandon returns
+        # custody to the sender.
+        self.first_delivery_hook: Callable[[Envelope], None] | None = None
         self.custody_return_hook: Callable[[Envelope], None] | None = None
         if self.fault_plan is not None:
             for fault in self.fault_plan.parties:
@@ -142,10 +147,6 @@ class Network:
                         label=f"restart {fault.party}",
                     )
 
-    @property
-    def faulty(self) -> bool:
-        return self.fault_plan is not None
-
     def register(self, party: Party, handler: Callable[..., None]) -> None:
         """Attach the node that receives messages addressed to *party*."""
         if party in self._handlers:
@@ -154,8 +155,12 @@ class Network:
 
     # -------------------------------------------------------------------- send
 
-    def send(self, action: Action) -> Envelope:
-        """Send *action* to its effective recipient; returns the envelope."""
+    def send(self, action: Action, key: str | None = None) -> Envelope:
+        """Send *action* to its effective recipient; returns the envelope.
+
+        *key* is the sender's envelope key; without one the envelope is
+        keyed by its network-wide ordinal.
+        """
         recipient = action.effective_recipient
         if recipient not in self._handlers:
             raise SimulationError(f"no node registered for {recipient.name}")
@@ -166,27 +171,30 @@ class Network:
             self.stats.transfers += 1
         else:
             self.stats.notifies += 1
-        envelope = Envelope(next(self._keys), action, self.queue.now)
+        obs_key = next(self._keys)
+        envelope = Envelope(
+            str(obs_key) if key is None else key, action, self.queue.now, obs_key
+        )
         self._envelopes[envelope.key] = envelope
         if self.message_obs is not None:
             envelope.span_id = self.message_obs.send(
-                envelope.key, sender.name, recipient.name, str(action), envelope.sent_at
+                obs_key, sender.name, recipient.name, str(action), envelope.sent_at
             )
         self._attempt(envelope)
         return envelope
 
-    def retransmit(self, key: int) -> bool:
+    def retransmit(self, key: str) -> bool:
         """Re-attempt an undelivered envelope; no-op once delivered/abandoned."""
         envelope = self._envelopes[key]
         if envelope.delivered or envelope.abandoned:
             return False
         self.stats.retransmits += 1
         if self.message_obs is not None:
-            self.message_obs.retransmit(envelope.key, self.queue.now)
+            self.message_obs.retransmit(envelope.obs_key, self.queue.now)
         self._attempt(envelope)
         return True
 
-    def abandon(self, key: int) -> bool:
+    def abandon(self, key: str) -> bool:
         """Give up on an envelope: the wire returns custody to the sender."""
         envelope = self._envelopes[key]
         if envelope.delivered or envelope.abandoned:
@@ -194,16 +202,10 @@ class Network:
         envelope.abandoned = True
         self.stats.abandoned += 1
         if self.message_obs is not None:
-            self.message_obs.abandon(envelope.key, self.queue.now)
+            self.message_obs.abandon(envelope.obs_key, self.queue.now)
         if self.custody_return_hook is not None:
             self.custody_return_hook(envelope)
         return True
-
-    def is_delivered(self, key: int) -> bool:
-        return self._envelopes[key].delivered
-
-    def envelope(self, key: int) -> Envelope:
-        return self._envelopes[key]
 
     @property
     def in_flight(self) -> list[Envelope]:
@@ -234,7 +236,7 @@ class Network:
         action = envelope.action
         now = self.queue.now
         if self.message_obs is not None:
-            self.message_obs.attempt(envelope.key, envelope.attempts, now)
+            self.message_obs.attempt(envelope.obs_key, envelope.attempts, now)
         plan = self.fault_plan
         times = [now + self.latency]
         if plan is not None and plan.active(now):
@@ -247,7 +249,7 @@ class Network:
                 ):
                     self.stats.dropped += 1
                     if self.message_obs is not None:
-                        self.message_obs.drop(envelope.key, now)
+                        self.message_obs.drop(envelope.obs_key, now)
                     return  # this attempt is lost; the asset stays on the wire
                 jitter = (
                     self._rng.uniform(0.0, link.max_delay) if link.max_delay > 0 else 0.0
@@ -256,7 +258,7 @@ class Network:
                 if link.duplicate > 0 and self._rng.random() < link.duplicate:
                     self.stats.duplicates += 1
                     if self.message_obs is not None:
-                        self.message_obs.duplicate(envelope.key, now)
+                        self.message_obs.duplicate(envelope.obs_key, now)
                     times.append(times[0] + self.latency)
         for t in times:
             if plan is not None:
@@ -277,23 +279,23 @@ class Network:
         if not envelope.delivered:
             envelope.delivered = True
             envelope.delivered_at = self.queue.now
-            if self.custody_release_hook is not None:
-                self.custody_release_hook(envelope)
+            if self.first_delivery_hook is not None:
+                self.first_delivery_hook(envelope)
             self.stats.messages_delivered += 1
             if self.message_obs is not None:
-                self.message_obs.deliver(envelope.key, self.queue.now)
+                self.message_obs.deliver(envelope.obs_key, self.queue.now)
             self.log.append(Delivery(envelope.sent_at, self.queue.now, envelope.action))
         else:
             self.stats.duplicate_deliveries += 1
             if self.message_obs is not None:
-                self.message_obs.duplicate_delivery(envelope.key, self.queue.now)
+                self.message_obs.duplicate_delivery(envelope.obs_key, self.queue.now)
         plan = self.fault_plan
         if plan is not None and plan.is_crashed(recipient.name, self.queue.now):
             # The host accepted the asset; the process is down.  Park the
             # handler call until restart (never, for permanent silence).
             self.stats.deferred += 1
             if self.message_obs is not None:
-                self.message_obs.defer(envelope.key, self.queue.now)
+                self.message_obs.defer(envelope.obs_key, self.queue.now)
             self._mailbox.setdefault(recipient, []).append(
                 (envelope.action, envelope.key)
             )
@@ -313,17 +315,17 @@ class Network:
     def schedule_for(
         self,
         party: Party,
-        delay: float,
+        at: float,
         callback: Callable[[], None],
         label: str = "",
     ) -> TimerHandle:
-        """Schedule a timer owned by *party*'s process.
+        """Schedule a timer owned by *party*'s process, due at sim time *at*.
 
         While the party is crashed the timer defers to its restart instant;
         if the party never restarts the timer dies with it.  On the reliable
-        transport this is a plain delayed callback.
+        transport this is a plain callback at *at*.
         """
-        handle = TimerHandle(self.queue.now + delay)
+        handle = TimerHandle(at)
 
         def fire() -> None:
             if handle.cancelled:
@@ -337,5 +339,5 @@ class Network:
                 return
             callback()
 
-        handle._event = self.queue.schedule(delay, fire, label)
+        handle._event = self.queue.schedule_at(at, fire, label)
         return handle

@@ -16,11 +16,11 @@ with no knowledge of envelopes, retries, event queues, sockets or clocks:
   on deadline expiry.
 
 Cores never *send* — they return ordered :data:`Effect` values (or call an
-``emit`` callback) which the surrounding runtime interprets: the simulator
-maps them onto :class:`~repro.sim.network.Envelope` dispatch with retry
-timers, the socket runtime onto write-ahead-logged TCP frames.  Because
-both runtimes interpret one core, a safety verdict proven in-process is a
-statement about the very logic that runs over real sockets.
+``emit`` callback).  The party driver around each core
+(:mod:`repro.sim.driver`) turns them into keyed, logged, retried sends and
+deadline timers, and both runtimes interpret that one driver's commands.
+A safety verdict proven in-process is therefore a statement about the very
+logic that runs over real sockets.
 
 Determinism contract: given the same observation sequence, a core emits the
 same effect sequence — cores draw no randomness and read no clock.  This is
@@ -91,7 +91,7 @@ class PrincipalCore:
     """Pure instruction-walking logic for one principal.
 
     ``permits`` / ``transform`` are the adversary extension points (see
-    :class:`repro.sim.agents.AdversarialPrincipal`): ``permits`` gates
+    :class:`repro.sim.agents.AdversaryStrategy`): ``permits`` gates
     whether instruction *position* is performed at all, ``transform``
     rewrites the outgoing action (``None`` = silently skip this
     instruction).  Honest principals use the defaults.
@@ -158,11 +158,9 @@ class PrincipalCore:
 class TrustedCore:
     """Pure §2.5 escrow logic for one trusted component.
 
-    State mirrors :class:`repro.sim.trusted_agent.TrustedAgent` exactly
-    (the agent now delegates here); effects preserve the agent's historic
-    dispatch order: arm-before-progress on receive, disarm → releases
-    (goods before money) → escrow refunds on completion, indemnity
-    settlement before reversals on expiry.
+    Effects come in a fixed order: arm-before-progress on receive, disarm →
+    releases (goods before money) → escrow refunds on completion,
+    indemnity settlement before reversals on expiry.
     """
 
     spec: TrustedExchangeSpec

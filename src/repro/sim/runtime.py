@@ -1,9 +1,10 @@
-"""Simulation runtime: wire a synthesized protocol to agents and run it.
+"""Simulation runtime: wire a synthesized protocol to party drivers and run it.
 
 :class:`Simulation` builds the whole apparatus for one exchange problem —
-event queue, network, ledger with endowments, one agent per party — runs to
-quiescence, and returns a :class:`SimulationResult` with the delivery log,
-ledger snapshots, and network statistics.
+event queue, network, ledger with endowments, one driver per party
+(:mod:`repro.sim.driver`) — runs to quiescence, and returns a
+:class:`SimulationResult` with the delivery log, ledger snapshots, and
+network statistics.
 
 Asset semantics depend on the transport.  On the reliable wire (no fault
 plan) movements are applied to the ledger at *send* time — an asset is never
@@ -25,9 +26,9 @@ endowed automatically so a cheat physically *can* ship the wrong item.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.core.actions import Action
 from repro.core.execution import recover_execution
@@ -36,19 +37,24 @@ from repro.core.parties import Party
 from repro.core.problem import ExchangeProblem
 from repro.core.protocol import Protocol, synthesize_protocol
 from repro.core.states import ExchangeState
-from repro.errors import FaultInjectionError, SimulationError
+from repro.errors import SimulationError
 from repro.obs.runtime import active as _active_tracer
-from repro.sim.agents import (
-    AdversarialPrincipal,
-    AdversaryStrategy,
-    HonestPrincipal,
-    PrincipalAgent,
+from repro.sim.agents import AdversaryStrategy
+from repro.sim.driver import (
+    Abandon,
+    Command,
+    Got,
+    Log,
+    PartyDriver,
+    Record,
+    Send,
+    Timer,
+    driver_for,
 )
 from repro.sim.events import EventQueue
 from repro.sim.faults import FaultPlan
-from repro.sim.ledger import Ledger, LedgerSnapshot, endow_from_interaction
+from repro.sim.ledger import LedgerSnapshot, initial_ledger
 from repro.sim.network import Delivery, Envelope, Network, NetworkStats, TimerHandle
-from repro.sim.trusted_agent import TrustedAgent
 
 
 @dataclass(frozen=True)
@@ -97,7 +103,16 @@ class SimulationResult:
 
 
 class Simulation:
-    """One runnable instance of an exchange protocol."""
+    """One runnable instance of an exchange protocol.
+
+    A discrete-event interpreter of the party drivers' commands
+    (:mod:`repro.sim.driver`): ``Send`` moves custody on the ledger and puts
+    the envelope on the :class:`Network` under the driver's key, ``Timer``
+    becomes a crash-aware :meth:`Network.schedule_for` timer, and every
+    logged record is kept in memory, per party, in :attr:`logs`.  A crash
+    pauses a party: its deliveries wait in the network's mailbox and its
+    timers wait for the restart.
+    """
 
     def __init__(
         self,
@@ -114,52 +129,53 @@ class Simulation:
         self.queue = EventQueue()
         self.fault_plan = fault_plan
         self.seed = seed
+        principals = problem.interaction.principals
         if fault_plan is not None:
-            self._check_plan_targets(fault_plan)
+            fault_plan.check_targets(
+                (p.name for p in principals), (p.name for p in protocol.trusted_specs)
+            )
         self.network = Network(self.queue, latency=latency, fault_plan=fault_plan)
-        self.ledger = Ledger()
+        self.ledger = initial_ledger(problem.interaction, protocol, working_capital_cents)
         adversaries = adversaries or {}
-
-        escrow_needs: dict[Party, int] = {}
-        for spec in protocol.trusted_specs.values():
-            for offer in spec.indemnities:
-                escrow_needs[offer.offeror] = (
-                    escrow_needs.get(offer.offeror, 0) + offer.amount_cents
-                )
-        endow_from_interaction(
-            self.ledger,
-            problem.interaction,
-            working_capital_cents=working_capital_cents,
-            extra_money=escrow_needs,
-        )
-
-        self.principals: dict[Party, PrincipalAgent] = {}
-        for party in problem.interaction.principals:
-            role = protocol.role_of(party)
+        for party in principals:
             strategy = adversaries.get(party.name)
-            if strategy is None:
-                agent: PrincipalAgent = HonestPrincipal(party, role, self)
-            else:
-                agent = AdversarialPrincipal(party, role, self, strategy)
-                for bogus in (strategy.substitute or {}).values():
-                    if not bogus.is_money and self.ledger.holder(bogus.label) is None:
-                        self.ledger.endow_document(party, bogus.label)
-            self.principals[party] = agent
-            self.network.register(party, agent.receive)
+            if strategy is None or not strategy.substitute:
+                continue
+            for bogus in strategy.substitute.values():
+                if not bogus.is_money and self.ledger.holder(bogus.label) is None:
+                    self.ledger.endow_document(party, bogus.label)
+        self.initial = self.ledger.seal()
 
-        self.trusted: dict[Party, TrustedAgent] = {}
-        for agent_party, spec in protocol.trusted_specs.items():
-            node = TrustedAgent(spec, self)
-            self.trusted[agent_party] = node
-            self.network.register(agent_party, node.receive)
+        documents: dict[Party, list[str]] = {}
+        for label, holder in self.initial.holdings.items():
+            documents.setdefault(holder, []).append(label)
+        self._slots: dict[Party, _Slot] = {}
+        for party in (*principals, *protocol.trusted_specs):
+            driver = driver_for(
+                protocol,
+                party,
+                self.initial.balance(party),
+                documents.get(party, ()),
+                adversaries.get(party.name),
+                retransmit=fault_plan is not None,
+            )
+            slot = self._slots[party] = _Slot(party, driver)
+            self.network.register(party, functools.partial(self._delivered, slot))
+            self._apply(slot, driver.recover(()))
+        self.drivers: dict[Party, PartyDriver] = {
+            party: slot.driver for party, slot in self._slots.items()
+        }
+        #: Each party's log: its records, in the order its driver logged them.
+        self.logs: dict[Party, list[Record]] = {
+            party: slot.log for party, slot in self._slots.items()
+        }
 
         if fault_plan is not None:
-            self.network.custody_release_hook = self._release_custody
+            self.network.first_delivery_hook = self._first_delivery
             self.network.custody_return_hook = self._return_custody
 
-        self.initial = self.ledger.seal()
-        self._delivered: list[Action] = []
-        self.network.log = _LoggingList(self._delivered)  # type: ignore[assignment]
+        self._delivered_actions: list[Action] = []
+        self.network.log = _LoggingList(self._delivered_actions)  # type: ignore[assignment]
         self.provenance = RunProvenance(
             problem_name=problem.name,
             seed=seed,
@@ -172,23 +188,6 @@ class Simulation:
             ),
             working_capital_cents=working_capital_cents,
         )
-
-    def _check_plan_targets(self, plan: FaultPlan) -> None:
-        """A plan may only fault parties that exist, and may never silence
-        a trusted component forever — trusted infrastructure can crash and
-        restart, but a vanished escrow holder would take deposits with it."""
-        principals = {p.name for p in self.problem.interaction.principals}
-        trusted = {p.name for p in self.protocol.trusted_specs}
-        for fault in plan.parties:
-            if fault.party not in principals | trusted:
-                raise FaultInjectionError(
-                    f"fault plan targets unknown party {fault.party!r}"
-                )
-            if fault.permanent and fault.party in trusted:
-                raise FaultInjectionError(
-                    f"trusted component {fault.party!r} cannot be permanently "
-                    "silenced (it may crash and restart, never vanish)"
-                )
 
     # ----------------------------------------------------------- construction
 
@@ -252,29 +251,58 @@ class Simulation:
 
     # ------------------------------------------------------------------- run
 
-    def transmit(self, action: Action) -> Envelope:
-        """Move the asset (to the recipient, or into wire custody under
-        fault injection) and put the message on the wire."""
-        if self.fault_plan is not None:
-            self.ledger.hold_in_transit(action)
-        else:
-            self.ledger.apply(action)
-        self.ledger.check()
-        return self.network.send(action)
+    def _apply(self, slot: _Slot, commands: list[Command]) -> None:
+        """Carry out one driver step's commands, in order."""
+        for command in commands:
+            if isinstance(command, Log):
+                slot.log.append(command.record)
+            elif isinstance(command, Got):
+                continue  # this wire needs no confirmation that a delivery is logged
+            elif isinstance(command, Timer):
+                previous = slot.timers.pop(command.name, None)
+                if previous is not None:
+                    previous.cancel()
+                if command.at is not None:
+                    slot.timers[command.name] = self.network.schedule_for(
+                        slot.party,
+                        command.at,
+                        functools.partial(self._fired, slot, command.name),
+                        command.name,
+                    )
+            elif isinstance(command, Send):
+                if command.record is None:
+                    self.network.retransmit(command.key)
+                    continue
+                slot.log.append(command.record)
+                action = command.action
+                # On the reliable wire the asset moves at send time; under
+                # faults it waits in the wire's custody until delivery.
+                if self.fault_plan is not None:
+                    self.ledger.hold_in_transit(action)
+                else:
+                    self.ledger.apply(action)
+                self.ledger.check()
+                self.network.send(action, command.key)
+            elif isinstance(command, Abandon):
+                slot.log.append(command.record)
+                self.network.abandon(command.key)
 
-    def schedule_for(
-        self,
-        party: Party,
-        delay: float,
-        callback: Callable[[], None],
-        label: str = "",
-    ) -> TimerHandle:
-        """A crash-aware timer owned by *party* (see Network.schedule_for)."""
-        return self.network.schedule_for(party, delay, callback, label)
+    def _fired(self, slot: _Slot, name: str) -> None:
+        del slot.timers[name]
+        self._apply(slot, slot.driver.fired(self.queue.now, name))
 
-    def _release_custody(self, envelope: Envelope) -> None:
-        self.ledger.release_from_transit(envelope.action)
+    def _delivered(self, slot: _Slot, action: Action, key: str) -> None:
+        self._apply(slot, slot.driver.delivered(self.queue.now, key, action))
+
+    def _first_delivery(self, envelope: Envelope) -> None:
+        """Under faults: release wire custody and acknowledge the sender."""
+        action = envelope.action
+        self.ledger.release_from_transit(action)
         self.ledger.check()
+        slot = self._slots[action.effective_sender]
+        commands = slot.driver.acked(self.queue.now, envelope.key)
+        if commands:
+            self._apply(slot, commands)
 
     def _return_custody(self, envelope: Envelope) -> None:
         self.ledger.return_from_transit(envelope.action)
@@ -307,10 +335,8 @@ class Simulation:
         return result
 
     def _run(self, max_time: float) -> SimulationResult:
-        for agent in self.principals.values():
-            agent.start()
-        for node in self.trusted.values():
-            node.start()
+        for slot in self._slots.values():
+            self._apply(slot, slot.driver.start(self.queue.now))
         while True:
             if self.queue.now > max_time:
                 raise SimulationError(f"simulation exceeded max_time={max_time}")
@@ -327,17 +353,29 @@ class Simulation:
             initial=self.initial,
             final=self.ledger.snapshot(),
             stats=self.network.stats,
-            delivered=list(self._delivered),
+            delivered=list(self._delivered_actions),
             completed_agents=frozenset(
-                p for p, node in self.trusted.items() if node.completed
+                p for p in self.protocol.trusted_specs if self.drivers[p].phase() == "completed"
             ),
             reversed_agents=frozenset(
-                p for p, node in self.trusted.items() if node.reversed
+                p for p in self.protocol.trusted_specs if self.drivers[p].phase() == "reversed"
             ),
             provenance=self.provenance,
             stranded_messages=len(stranded),
             quiescent=not stranded,
         )
+
+
+class _Slot:
+    """One party in the simulator: its driver, its log and its timers."""
+
+    __slots__ = ("party", "driver", "log", "timers")
+
+    def __init__(self, party: Party, driver: PartyDriver) -> None:
+        self.party = party
+        self.driver = driver
+        self.log: list[Record] = []
+        self.timers: dict[str, TimerHandle] = {}
 
 
 class _LoggingList(list["Delivery"]):

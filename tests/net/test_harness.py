@@ -14,6 +14,7 @@ from repro.errors import NetRuntimeError
 from repro.net import bootstrap
 from repro.net.proxy import NetFaultProxy
 from repro.net.supervisor import NetRunConfig, run_networked_exchange
+from repro.sim.ledger import initial_ledger
 from repro.sim.runtime import simulate
 from repro.spec.formatter import format_problem
 from repro.workloads import simple_purchase
@@ -95,7 +96,7 @@ def test_externally_spawned_clients_complete_exchange(client_spawner, tmp_path):
 
     proxy = asyncio.run(drive())
     protocol = bootstrap.derive_protocol(problem, 60.0)
-    ledger = bootstrap.build_initial_ledger(problem, protocol, 0)
+    ledger = initial_ledger(problem.interaction, protocol, 0)
     ledger.seal()
     for action in proxy.delivered_actions():
         ledger.apply(action)
@@ -139,7 +140,7 @@ def test_manual_sigkill_and_respawn_recovers(client_spawner, tmp_path):
 
     proxy = asyncio.run(drive())
     protocol = bootstrap.derive_protocol(problem, 60.0)
-    ledger = bootstrap.build_initial_ledger(problem, protocol, 0)
+    ledger = initial_ledger(problem.interaction, protocol, 0)
     ledger.seal()
     for action in proxy.delivered_actions():
         ledger.apply(action)

@@ -11,6 +11,10 @@ from __future__ import annotations
 import json
 import os
 
+import pytest
+
+from repro.errors import FaultInjectionError
+from repro.net.proxy import NetFaultProxy
 from repro.net.supervisor import NetRunConfig, run_networked_exchange
 from repro.sim.faults import FaultPlan, PartyFault
 from repro.sim.runtime import simulate
@@ -90,3 +94,20 @@ def test_three_party_chain_over_sockets(net_run_dir):
     assert run.result.quiescent
     assert all(v.ok for v in run.report.verdicts)
     assert run.result.final.digest() == oracle.final.digest()
+
+
+def test_plan_silencing_a_trusted_component_is_rejected_before_any_socket(
+    tmp_path, monkeypatch
+):
+    # The same rule as the simulator's (FaultPlan.check_targets): a trusted
+    # component may crash and restart, never vanish.
+    def no_socket(*args, **kwargs):
+        raise AssertionError("the proxy opened a socket")
+
+    monkeypatch.setattr(NetFaultProxy, "start", no_socket)
+    problem = simple_purchase()
+    plan = FaultPlan(parties=(PartyFault("Trusted", crash_at=1.0),))
+    run_dir = tmp_path / "run"
+    with pytest.raises(FaultInjectionError, match="permanently"):
+        run_networked_exchange(problem, str(run_dir), NetRunConfig(**FAST), fault_plan=plan)
+    assert not run_dir.exists()

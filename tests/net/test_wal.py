@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.actions import pay
+from repro.core.items import money
+from repro.core.parties import consumer, trusted
 from repro.errors import NetRuntimeError
+from repro.net.node import record_from_json, record_to_json
 from repro.net.wal import WriteAheadLog, replay
-from repro.net.wire import encode_json
+from repro.net.wire import action_to_json, encode_json
 
 RECORDS = [
     {"rec": "endow", "balance": 1000, "docs": ["d"]},
@@ -110,3 +114,34 @@ def test_golden_bytes_are_canonical(tmp_path):
     wal.close()
     with open(path, "rb") as fh:
         assert fh.read() == b'{"key":"A:1","rec":"ack"}\n'
+
+
+def test_driver_records_keep_their_json_shape(tmp_path):
+    # The party driver's log vocabulary, as the node writes it: the same
+    # JSON objects the node wrote before the driver existed, so old logs
+    # still replay.
+    action = pay(consumer("Customer"), trusted("Trusted"), money(10))
+    records = [
+        ("endow", 1000, ("a", "b")),
+        ("send", "Customer:1", action),
+        ("recv", "Trusted:1", action),
+        ("ack", "Customer:1"),
+        ("abandon", "Customer:2"),
+        ("armed", 62.5),
+        ("deadline",),
+    ]
+    path = str(tmp_path / "node.wal")
+    wal = WriteAheadLog(path)
+    for record in records:
+        wal.append(record_to_json(record))
+    wal.close()
+    assert replay(path) == [
+        {"rec": "endow", "balance": 1000, "docs": ["a", "b"]},
+        {"rec": "send", "key": "Customer:1", "action": action_to_json(action)},
+        {"rec": "recv", "key": "Trusted:1", "action": action_to_json(action)},
+        {"rec": "ack", "key": "Customer:1"},
+        {"rec": "abandon", "key": "Customer:2"},
+        {"rec": "armed", "expiry": 62.5},
+        {"rec": "deadline"},
+    ]
+    assert [record_from_json(raw) for raw in replay(path)] == records

@@ -1,4 +1,6 @@
-"""Unit tests for the network transport and principal agents."""
+"""Unit tests for the network transport and the principal's driver."""
+
+from dataclasses import replace
 
 import pytest
 
@@ -7,8 +9,11 @@ from repro.core.items import document, money
 from repro.core.parties import consumer, producer, trusted
 from repro.core.protocol import PrincipalRole, SendInstruction
 from repro.errors import SimulationError
+from repro.sim.agents import slow_party, withholder, wrong_item_sender
+from repro.sim.driver import PrincipalDriver
 from repro.sim.events import EventQueue
 from repro.sim.network import Network
+from tests.sim.driver_harness import Harness
 
 C = consumer("c")
 P = producer("p")
@@ -87,98 +92,59 @@ class TestNetwork:
         assert delivery.delivered_at == 2.0
 
 
-class FakeLedger:
-    def __init__(self, allow=True):
-        self.allow = allow
-
-    def can_transfer(self, party, item):
-        return self.allow
-
-
-class FakeRuntime:
-    def __init__(self, allow=True):
-        self.ledger = FakeLedger(allow)
-        self.queue = EventQueue()
-        self.out = []
-
-    def transmit(self, action):
-        self.out.append(action)
+def _principal(strategy=None, cents=1000, documents=("d",)):
+    """A principal driver for c, endowed with *cents* and *documents*."""
+    first = SendInstruction(1, pay(C, T, M), frozenset())
+    second = SendInstruction(3, give(C, trusted("t2"), D), frozenset({notify(T, C)}))
+    role = PrincipalRole(C, (first, second))
+    return Harness(PrincipalDriver(C, role, cents, documents, strategy, retransmit=False))
 
 
 class TestPrincipalAgent:
-    def _role(self):
-        first = SendInstruction(1, pay(C, T, M), frozenset())
-        second = SendInstruction(3, give(C, trusted("t2"), D), frozenset({notify(T, C)}))
-        return PrincipalRole(C, (first, second))
+    """The principal's driver: events in, first offers out."""
 
     def test_unguarded_instruction_fires_at_start(self):
-        from repro.sim.agents import HonestPrincipal
-
-        runtime = FakeRuntime()
-        agent = HonestPrincipal(C, self._role(), runtime)
-        agent.start()
+        runtime = _principal()
+        runtime.start()
         assert runtime.out == [pay(C, T, M)]
 
     def test_guarded_instruction_waits_for_observation(self):
-        from repro.sim.agents import HonestPrincipal
-
-        runtime = FakeRuntime()
-        agent = HonestPrincipal(C, self._role(), runtime)
-        agent.start()
+        runtime = _principal()
+        runtime.start()
         assert len(runtime.out) == 1
-        agent.receive(notify(T, C))
+        runtime.deliver(notify(T, C))
         assert len(runtime.out) == 2
 
     def test_observation_with_deadline_still_matches_guard(self):
-        from dataclasses import replace
-
-        from repro.sim.agents import HonestPrincipal
-
-        runtime = FakeRuntime()
-        agent = HonestPrincipal(C, self._role(), runtime)
-        agent.start()
+        runtime = _principal()
+        runtime.start()
         stamped = replace(notify(T, C), deadline=42.0)
-        agent.receive(stamped)
+        runtime.deliver(stamped)
         assert len(runtime.out) == 2
 
     def test_asset_gating_blocks_until_funds(self):
-        from repro.sim.agents import HonestPrincipal
-
-        runtime = FakeRuntime(allow=False)
-        agent = HonestPrincipal(C, self._role(), runtime)
-        agent.start()
+        runtime = _principal(cents=0)
+        runtime.start()
         assert runtime.out == []
-        runtime.ledger.allow = True
-        agent.receive(give(P, C, document("irrelevant")))
-        assert len(runtime.out) >= 1
+        runtime.deliver(pay(P, C, M))  # the funds arrive
+        assert runtime.out == [pay(C, T, M)]
 
     def test_withholder_stops_at_position(self):
-        from repro.sim.agents import AdversarialPrincipal, withholder
-
-        runtime = FakeRuntime()
-        agent = AdversarialPrincipal(C, self._role(), runtime, withholder(1))
-        agent.start()
-        agent.receive(notify(T, C))
+        runtime = _principal(withholder(1))
+        runtime.start()
+        runtime.deliver(notify(T, C))
         assert runtime.out == [pay(C, T, M)]  # second instruction withheld
 
     def test_wrong_item_sender_substitutes(self):
-        from repro.sim.agents import AdversarialPrincipal, wrong_item_sender
-
-        runtime = FakeRuntime()
-        strategy = wrong_item_sender("d", "junk")
-        agent = AdversarialPrincipal(C, self._role(), runtime, strategy)
-        agent.start()
-        agent.receive(notify(T, C))
+        runtime = _principal(wrong_item_sender("d", "junk"), documents=("d", "junk"))
+        runtime.start()
+        runtime.deliver(notify(T, C))
         assert runtime.out[1].item.label == "junk"
 
     def test_slow_party_defers_into_queue(self):
-        from repro.sim.agents import AdversarialPrincipal, slow_party
-
-        runtime = FakeRuntime()
-        agent = AdversarialPrincipal(C, self._role(), runtime, slow_party(5.0))
-        agent.start()
-        assert runtime.out == []  # scheduled, not sent
-        while (event := runtime.queue.pop()) is not None:
-            event.callback()
+        runtime = _principal(slow_party(5.0))
+        runtime.start()
+        assert runtime.out == []  # a timer is set, nothing is sent
+        runtime.fire_all()
         assert runtime.out == [pay(C, T, M)]
-        assert runtime.queue.now == 5.0
+        assert runtime.now == 5.0

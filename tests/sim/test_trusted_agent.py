@@ -1,8 +1,9 @@
-"""Direct unit tests for the TrustedAgent escrow machine (§2.5).
+"""Unit tests for the trusted component's driver: the §2.5 escrow machine.
 
-These drive the agent through a stub runtime, without the network or
-principals, to pin down each behaviour: acceptance, rejection, notify,
-release ordering, timeout reversal, and indemnity settlement.
+Each test feeds a :class:`TrustedDriver` events — deliveries, timer
+firings — without a network or principals, and checks the commands it
+returns: acceptance, rejection, notify, release ordering, timeout
+reversal, and indemnity settlement.
 """
 
 from repro.core.actions import ActionKind, give, pay
@@ -10,32 +11,14 @@ from repro.core.indemnity import IndemnityOffer
 from repro.core.items import cents, document, money
 from repro.core.parties import consumer, producer, trusted
 from repro.core.protocol import TrustedExchangeSpec
-from repro.sim.events import EventQueue
-from repro.sim.trusted_agent import TrustedAgent
+from repro.sim.driver import TrustedDriver
+from tests.sim.driver_harness import Harness
 
 C = consumer("c")
 P = producer("p")
 T = trusted("t")
 D = document("d")
 M = money(10)
-
-
-class StubRuntime:
-    """Collects transmissions; owns a real event queue for timeouts."""
-
-    def __init__(self):
-        self.queue = EventQueue()
-        self.out = []
-
-    def transmit(self, action):
-        self.out.append(action)
-
-    def schedule_for(self, party, delay, callback, label=""):
-        return self.queue.schedule(delay, callback, label)
-
-    def fire_all(self):
-        while (event := self.queue.pop()) is not None:
-            event.callback()
 
 
 def _spec(deadline=None, indemnities=()):
@@ -48,111 +31,115 @@ def _spec(deadline=None, indemnities=()):
     )
 
 
-def _agent(deadline=None, indemnities=()):
-    runtime = StubRuntime()
-    agent = TrustedAgent(_spec(deadline, indemnities), runtime)
-    return agent, runtime
+def _driver(spec):
+    """A trusted driver on the reliable wire: its only timer is the deadline."""
+    return TrustedDriver(spec, 0, (), retransmit=False)
+
+
+def _escrow(deadline=None, indemnities=()):
+    runtime = Harness(_driver(_spec(deadline, indemnities)))
+    return runtime.driver.core, runtime
 
 
 class TestDeposits:
     def test_first_deposit_triggers_notify_to_other(self):
-        agent, runtime = _agent()
-        agent.receive(pay(C, T, M))
+        core, runtime = _escrow()
+        runtime.deliver(pay(C, T, M))
         assert len(runtime.out) == 1
         notice = runtime.out[0]
         assert notice.kind is ActionKind.NOTIFY
         assert notice.recipient == P
 
     def test_second_deposit_releases_goods_before_money(self):
-        agent, runtime = _agent()
-        agent.receive(pay(C, T, M))
-        agent.receive(give(P, T, D))
-        assert agent.completed
+        core, runtime = _escrow()
+        runtime.deliver(pay(C, T, M))
+        runtime.deliver(give(P, T, D))
+        assert core.completed
         releases = runtime.out[1:]
         assert [a.item.is_money for a in releases] == [False, True]
         assert releases[0].recipient == C and releases[1].recipient == P
 
     def test_duplicate_deposit_bounced(self):
-        agent, runtime = _agent()
+        core, runtime = _escrow()
         first = pay(C, T, M)
-        agent.receive(first)
-        agent.receive(first)
+        runtime.deliver(first)
+        runtime.deliver(first)
         bounced = runtime.out[-1]
         assert bounced == first.inverse()
-        assert agent.rejected == [first]
+        assert core.rejected == [first]
 
     def test_unknown_depositor_bounced(self):
-        agent, runtime = _agent()
+        core, runtime = _escrow()
         stranger = consumer("stranger")
         stray = pay(stranger, T, M)
-        agent.receive(stray)
+        runtime.deliver(stray)
         assert runtime.out == [stray.inverse()]
 
     def test_wrong_item_bounced(self):
-        agent, runtime = _agent()
+        core, runtime = _escrow()
         bogus = give(P, T, document("junk"))
-        agent.receive(bogus)
+        runtime.deliver(bogus)
         assert runtime.out == [bogus.inverse()]
-        assert not agent.received
+        assert not core.received
 
     def test_deposit_after_completion_bounced(self):
-        agent, runtime = _agent()
-        agent.receive(pay(C, T, M))
-        agent.receive(give(P, T, D))
+        core, runtime = _escrow()
+        runtime.deliver(pay(C, T, M))
+        runtime.deliver(give(P, T, D))
         late = pay(C, T, M)
-        agent.receive(late)
+        runtime.deliver(late)
         assert runtime.out[-1] == late.inverse()
 
     def test_notify_sent_once_only(self):
-        agent, runtime = _agent()
-        agent.receive(pay(C, T, M))
+        core, runtime = _escrow()
+        runtime.deliver(pay(C, T, M))
         bogus = give(P, T, document("junk"))
-        agent.receive(bogus)  # bounced; P still pending
+        runtime.deliver(bogus)  # bounced; P still pending
         notifies = [a for a in runtime.out if a.kind is ActionKind.NOTIFY]
         assert len(notifies) == 1
 
     def test_inverted_and_notify_inputs_ignored(self):
         from repro.core.actions import notify as make_notify
 
-        agent, runtime = _agent()
-        agent.receive(pay(C, T, M).inverse())
-        agent.receive(make_notify(trusted("other"), C))
+        core, runtime = _escrow()
+        runtime.deliver(pay(C, T, M).inverse())
+        runtime.deliver(make_notify(trusted("other"), C))
         assert runtime.out == []
 
 
 class TestTimeout:
     def test_timeout_reverses_held_deposits(self):
-        agent, runtime = _agent(deadline=5.0)
+        core, runtime = _escrow(deadline=5.0)
         deposit = pay(C, T, M)
-        agent.receive(deposit)
+        runtime.deliver(deposit)
         runtime.fire_all()
-        assert agent.reversed
+        assert core.reversed
         assert deposit.inverse() in runtime.out
 
     def test_completion_cancels_timeout(self):
-        agent, runtime = _agent(deadline=5.0)
-        agent.receive(pay(C, T, M))
-        agent.receive(give(P, T, D))
+        core, runtime = _escrow(deadline=5.0)
+        runtime.deliver(pay(C, T, M))
+        runtime.deliver(give(P, T, D))
         runtime.fire_all()
-        assert agent.completed and not agent.reversed
+        assert core.completed and not core.reversed
 
     def test_deposit_after_reversal_bounced(self):
-        agent, runtime = _agent(deadline=5.0)
-        agent.receive(pay(C, T, M))
+        core, runtime = _escrow(deadline=5.0)
+        runtime.deliver(pay(C, T, M))
         runtime.fire_all()
         late = give(P, T, D)
-        agent.receive(late)
+        runtime.deliver(late)
         assert runtime.out[-1] == late.inverse()
 
     def test_no_deadline_never_reverses(self):
-        agent, runtime = _agent(deadline=None)
-        agent.receive(pay(C, T, M))
+        core, runtime = _escrow(deadline=None)
+        runtime.deliver(pay(C, T, M))
         runtime.fire_all()
-        assert not agent.reversed
+        assert not core.reversed
 
     def test_notify_expiry_equals_timeout_time(self):
-        agent, runtime = _agent(deadline=5.0)
-        agent.receive(pay(C, T, M))
+        core, runtime = _escrow(deadline=5.0)
+        runtime.deliver(pay(C, T, M))
         notice = runtime.out[0]
         assert notice.deadline == 5.0  # queue starts at t=0
 
@@ -177,29 +164,28 @@ class TestPartialDeposits:
             indemnities=indemnities,
         )
 
-    def _agent3(self, deadline=5.0, indemnities=()):
-        runtime = StubRuntime()
-        agent = TrustedAgent(self._spec3(deadline, indemnities), runtime)
-        return agent, runtime
+    def _escrow3(self, deadline=5.0, indemnities=()):
+        runtime = Harness(_driver(self._spec3(deadline, indemnities)))
+        return runtime.driver.core, runtime
 
     def test_timeout_reverses_every_held_deposit(self):
-        agent, runtime = self._agent3()
+        core, runtime = self._escrow3()
         first = pay(C, T, M)
         second = pay(self.B, T, money(20))
-        agent.receive(first)
-        agent.receive(second)  # P never ships: two of three deposits held
+        runtime.deliver(first)
+        runtime.deliver(second)  # P never ships: two of three deposits held
         runtime.fire_all()
-        assert agent.reversed and not agent.completed
+        assert core.reversed and not core.completed
         assert first.inverse() in runtime.out
         assert second.inverse() in runtime.out
-        assert agent.received == {}
+        assert core.received == {}
 
     def test_partial_deposit_does_not_notify_until_one_outstanding(self):
-        agent, runtime = self._agent3()
-        agent.receive(pay(C, T, M))
+        core, runtime = self._escrow3()
+        runtime.deliver(pay(C, T, M))
         notifies = [a for a in runtime.out if a.kind is ActionKind.NOTIFY]
         assert notifies == []  # two still pending: nobody is "last"
-        agent.receive(pay(self.B, T, money(20)))
+        runtime.deliver(pay(self.B, T, money(20)))
         notifies = [a for a in runtime.out if a.kind is ActionKind.NOTIFY]
         assert len(notifies) == 1 and notifies[0].recipient == P
 
@@ -214,11 +200,11 @@ class TestPartialDeposits:
             covers=InteractionEdge(C, T, M),
             amount_cents=500,
         )
-        agent, runtime = self._agent3(indemnities=(offer,))
+        core, runtime = self._escrow3(indemnities=(offer,))
         escrow = pay(P, T, cents(500, tag="indemnity-x"))
-        agent.receive(escrow)
-        agent.receive(pay(C, T, M))            # beneficiary performs
-        agent.receive(pay(self.B, T, money(20)))  # bystander performs too
+        runtime.deliver(escrow)
+        runtime.deliver(pay(C, T, M))            # beneficiary performs
+        runtime.deliver(pay(self.B, T, money(20)))  # bystander performs too
         runtime.fire_all()                     # offeror P never ships
         forfeits = [
             a for a in runtime.out
@@ -240,30 +226,30 @@ class TestPartialDeposits:
             covers=InteractionEdge(C, T, M),
             amount_cents=500,
         )
-        agent, runtime = self._agent3(indemnities=(offer,))
+        core, runtime = self._escrow3(indemnities=(offer,))
         escrow = pay(P, T, cents(500, tag="indemnity-x"))
-        agent.receive(escrow)
-        agent.receive(pay(self.B, T, money(20)))  # only the bystander performs
+        runtime.deliver(escrow)
+        runtime.deliver(pay(self.B, T, money(20)))  # only the bystander performs
         runtime.fire_all()
         assert escrow.inverse() in runtime.out  # refunded, not forfeited
 
 
 class TestDuplicateSuppression:
     def test_same_envelope_key_suppressed_not_bounced(self):
-        agent, runtime = _agent()
+        core, runtime = _escrow()
         deposit = pay(C, T, M)
-        agent.receive(deposit, key=7)
-        agent.receive(deposit, key=7)  # transport re-delivered the same copy
-        assert agent.rejected == []
+        runtime.deliver(deposit, key="c:7")
+        runtime.deliver(deposit, key="c:7")  # transport re-delivered the same copy
+        assert core.rejected == []
         bounces = [a for a in runtime.out if a.inverted]
         assert bounces == []
 
     def test_distinct_keys_still_bounce_true_overdeposit(self):
-        agent, runtime = _agent()
+        core, runtime = _escrow()
         deposit = pay(C, T, M)
-        agent.receive(deposit, key=7)
-        agent.receive(deposit, key=8)  # a genuinely new send: over-deposit
-        assert agent.rejected == [deposit]
+        runtime.deliver(deposit, key="c:7")
+        runtime.deliver(deposit, key="c:8")  # a genuinely new send: over-deposit
+        assert core.rejected == [deposit]
         assert runtime.out[-1] == deposit.inverse()
 
 
@@ -271,7 +257,7 @@ class TestIndemnities:
     def _offer(self):
         graph_edge = None
         # A synthetic edge object is unnecessary: offers only use parties
-        # and the amount inside the agent.
+        # and the amount inside the core.
         from repro.core.interaction import InteractionEdge
 
         graph_edge = InteractionEdge(C, T, M)
@@ -284,26 +270,26 @@ class TestIndemnities:
 
     def test_escrow_recognized_not_treated_as_deposit(self):
         offer = self._offer()
-        agent, runtime = _agent(deadline=5.0, indemnities=(offer,))
-        agent.receive(self._escrow_action(offer))
-        assert P in agent.escrows
-        assert P not in agent.received
+        core, runtime = _escrow(deadline=5.0, indemnities=(offer,))
+        runtime.deliver(self._escrow_action(offer))
+        assert P in core.escrows
+        assert P not in core.received
         assert runtime.out == []  # no bounce, no notify
 
     def test_escrow_refunded_on_completion(self):
         offer = self._offer()
-        agent, runtime = _agent(deadline=50.0, indemnities=(offer,))
+        core, runtime = _escrow(deadline=50.0, indemnities=(offer,))
         escrow = self._escrow_action(offer)
-        agent.receive(escrow)
-        agent.receive(pay(C, T, M))
-        agent.receive(give(P, T, D))
+        runtime.deliver(escrow)
+        runtime.deliver(pay(C, T, M))
+        runtime.deliver(give(P, T, D))
         assert escrow.inverse() in runtime.out
 
     def test_escrow_forfeited_when_beneficiary_performed(self):
         offer = self._offer()
-        agent, runtime = _agent(deadline=5.0, indemnities=(offer,))
-        agent.receive(self._escrow_action(offer))
-        agent.receive(pay(C, T, M))  # beneficiary performs; offeror never does
+        core, runtime = _escrow(deadline=5.0, indemnities=(offer,))
+        runtime.deliver(self._escrow_action(offer))
+        runtime.deliver(pay(C, T, M))  # beneficiary performs; offeror never does
         runtime.fire_all()
         forfeits = [
             a
@@ -318,11 +304,11 @@ class TestIndemnities:
 
     def test_escrow_refunded_when_beneficiary_idle(self):
         offer = self._offer()
-        agent, runtime = _agent(deadline=5.0, indemnities=(offer,))
+        core, runtime = _escrow(deadline=5.0, indemnities=(offer,))
         escrow = self._escrow_action(offer)
-        agent.receive(escrow)
+        runtime.deliver(escrow)
         # Nobody deposits; timeout fires only if armed — escrows alone do
         # not arm it, so force one deposit from the offeror side.
-        agent.receive(give(P, T, D))
+        runtime.deliver(give(P, T, D))
         runtime.fire_all()
         assert escrow.inverse() in runtime.out
