@@ -40,9 +40,13 @@ def test_bench_chaos_crash_heavy_reversals(benchmark):
 
 
 def test_bench_single_faulty_run_example1(benchmark):
+    # The partition window loses every attempt made before t=1 — the first
+    # sends — whatever the seed's rolls, so retransmission is certain.
     plan = FaultPlan(
         seed=5,
-        links=(LinkFault(drop=0.3, duplicate=0.2, max_delay=2.0),),
+        links=(
+            LinkFault(drop=0.3, duplicate=0.2, max_delay=2.0, partitions=((0.0, 1.0),)),
+        ),
         heal_at=30.0,
     )
 

@@ -229,8 +229,8 @@ def _run_scenario(scenario: ChaosScenario) -> ChaosVerdict:
                 seed=scenario.problem_seed,
             )
             replay.run(max_time=cfg.max_time)
-            if replay.network.message_obs is not None:
-                message_trace = replay.network.message_obs.trace_lines()
+            if replay.network.core.obs is not None:
+                message_trace = replay.network.core.obs.trace_lines()
     return ChaosVerdict(
         index=scenario.index,
         problem_seed=scenario.problem_seed,

@@ -4,18 +4,16 @@ The §5 safety theorem is transport-independent: whether messages die in a
 discrete-event queue or on a real TCP socket, every honest party that is
 not permanently silent must end the exchange safe.  This module checks
 that claim *differentially* — one seeded problem and one seeded
-:class:`~repro.sim.faults.FaultPlan` run through both runtimes:
+:class:`~repro.sim.faults.FaultPlan` run through the in-process simulator
+(:class:`repro.sim.runtime.Simulation`) and the socket runtime
+(:func:`repro.net.supervisor.run_networked_exchange`), where party crashes
+are real process kills.
 
-* the in-process simulator (:class:`repro.sim.runtime.Simulation`), where
-  fault rolls draw from ``random.Random(plan.seed)`` in event order; and
-* the socket runtime (:func:`repro.net.supervisor.run_networked_exchange`),
-  where each roll hashes ``(seed, envelope, attempt)`` and party crashes
-  are real process kills.
-
-The two arms do **not** drop the same individual messages — wall-clock
-scheduling makes event order nondeterministic, so the rolls cannot line
-up.  What must agree, and what this arm asserts, is everything the
-theorem actually guarantees:
+Both runtimes interpret one transport core whose fault rolls are keyed by
+envelope and attempt, so an envelope meets the same fate on every attempt
+both make.  Which attempts they make still depends on wall-clock timing —
+an acknowledgement can race a retransmission, a respawn takes real time —
+so this arm asserts what the theorem guarantees:
 
 * the per-party safety verdict (``ok``) for every party that is not
   permanently silent, in both arms;

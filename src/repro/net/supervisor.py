@@ -52,7 +52,7 @@ from repro.errors import NetRuntimeError
 from repro.net import bootstrap
 from repro.net.node import NodeConfig, run_node
 from repro.net.proxy import NetFaultProxy
-from repro.net.wire import encode_json
+from repro.net.wire import action_to_json, encode_json
 from repro.sim.faults import FaultPlan
 from repro.sim.ledger import initial_ledger
 from repro.sim.runtime import RunProvenance, SimulationResult
@@ -378,8 +378,14 @@ def _write_artifacts(
     report: SafetyReport,
 ) -> None:
     with open(os.path.join(run_dir, "deliveries.jsonl"), "wb") as fh:
-        for record in proxy.delivery_log:
-            fh.write(encode_json(record.to_json()) + b"\n")
+        for delivery in proxy.delivery_log:
+            line = {
+                "seq": delivery.seq,
+                "time": round(delivery.delivered_at, 6),
+                "key": delivery.key,
+                "action": action_to_json(delivery.action),
+            }
+            fh.write(encode_json(line) + b"\n")
     provenance = result.provenance
     assert provenance is not None
     with open(os.path.join(run_dir, "provenance.json"), "w", encoding="utf-8") as out:

@@ -1,9 +1,10 @@
-"""Deterministic fault injection for the simulator.
+"""Deterministic fault injection for both runtimes.
 
 The paper's failure model is "parties renege, wires do not": misbehaviour
 lives in the agents, the transport is perfect.  This module supplies the
 other half — a seeded, replayable description of *transport* and *process*
-faults that the :class:`~repro.sim.network.Network` interprets:
+faults that the simulator's :class:`~repro.sim.network.Network` and the
+socket runtime's :class:`~repro.net.proxy.NetFaultProxy` both enact:
 
 * :class:`LinkFault` — per-link message faults: drop and duplication
   probabilities, bounded delay jitter, and partition windows during which
@@ -15,9 +16,12 @@ faults that the :class:`~repro.sim.network.Network` interprets:
   still land on its ledger account; only its logic is suspended.
 * :class:`FaultPlan` — the picklable bundle of both, plus a ``heal_at``
   horizon after which the links behave perfectly again.  A plan is a pure
-  value: the same plan and event schedule replays the same faults, because
-  every probabilistic roll draws from ``random.Random(plan.seed)`` in event
-  order.
+  value, and :meth:`FaultPlan.fate` is the one place a delivery attempt's
+  fate is decided: the partition window, then drop, delay and duplicate
+  rolls from :func:`fault_rolls`, a hash of ``(seed, envelope key,
+  attempt)``.  An envelope's fate therefore depends on the envelope alone,
+  not on event order, so both runtimes give the same envelope the same
+  fate on every attempt.
 
 :func:`random_fault_plan` grows a plan from a seed and a
 :class:`FaultConfig`, which is how the chaos study
@@ -31,8 +35,9 @@ from __future__ import annotations
 
 import hashlib
 import random
+import struct
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from repro.errors import FaultInjectionError
 
@@ -40,6 +45,35 @@ from repro.errors import FaultInjectionError
 def _check_probability(value: float, label: str) -> None:
     if not 0.0 <= value <= 1.0:
         raise FaultInjectionError(f"{label} must be a probability in [0, 1], got {value}")
+
+
+_LANES = struct.Struct(">3Q")
+_UNIT = 2.0**-53
+
+
+def fault_rolls(seed: int, key: str, attempt: int) -> tuple[float, float, float]:
+    """The drop, delay and duplicate rolls of one delivery attempt.
+
+    One ``sha256(seed:key:attempt)`` digest cut into three 8-byte lanes,
+    each scaled to a uniform float in [0, 1): a pure function of the
+    envelope's key and the attempt ordinal.
+    """
+    digest = hashlib.sha256(f"{seed}:{key}:{attempt}".encode("utf-8")).digest()
+    drop, delay, duplicate = _LANES.unpack_from(digest)
+    return (drop >> 11) * _UNIT, (delay >> 11) * _UNIT, (duplicate >> 11) * _UNIT
+
+
+class Fate(NamedTuple):
+    """What the wire does to one delivery attempt."""
+
+    dropped: bool
+    jitter: float  # delay beyond the link latency
+    duplicated: bool
+
+
+#: The fate of an attempt on a perfect link, and of one that is lost.
+CLEAN = Fate(False, 0.0, False)
+LOST = Fate(True, 0.0, False)
 
 
 @dataclass(frozen=True)
@@ -133,10 +167,6 @@ class FaultPlan:
 
     # ------------------------------------------------------------------ query
 
-    def rng(self) -> random.Random:
-        """A fresh deterministic stream for this plan's probabilistic rolls."""
-        return random.Random(self.seed)
-
     def active(self, now: float) -> bool:
         """Whether link faults still apply at *now*."""
         return self.heal_at is None or now < self.heal_at
@@ -147,6 +177,23 @@ class FaultPlan:
             if link.matches(sender, recipient):
                 return link
         return None
+
+    def fate(self, sender: str, recipient: str, key: str, attempt: int, now: float) -> Fate:
+        """The fate of attempt *attempt* of envelope *key*, offered at *now*.
+
+        First the partition window, then the drop, delay and duplicate
+        rolls of :func:`fault_rolls`; past ``heal_at``, or on a link with no
+        fault, the attempt is clean.
+        """
+        link = self.link_for(sender, recipient) if self.active(now) else None
+        if link is None:
+            return CLEAN
+        if link.partitioned(now):
+            return LOST
+        drop, delay, duplicate = fault_rolls(self.seed, key, attempt)
+        if drop < link.drop:
+            return LOST
+        return Fate(False, delay * link.max_delay, duplicate < link.duplicate)
 
     def fault_of(self, name: str) -> PartyFault | None:
         for fault in self.parties:

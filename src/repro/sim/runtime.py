@@ -54,7 +54,7 @@ from repro.sim.driver import (
 from repro.sim.events import EventQueue
 from repro.sim.faults import FaultPlan
 from repro.sim.ledger import LedgerSnapshot, initial_ledger
-from repro.sim.network import Delivery, Envelope, Network, NetworkStats, TimerHandle
+from repro.sim.network import Envelope, Network, NetworkStats, TimerHandle
 
 
 @dataclass(frozen=True)
@@ -174,8 +174,6 @@ class Simulation:
             self.network.first_delivery_hook = self._first_delivery
             self.network.custody_return_hook = self._return_custody
 
-        self._delivered_actions: list[Action] = []
-        self.network.log = _LoggingList(self._delivered_actions)  # type: ignore[assignment]
         self.provenance = RunProvenance(
             problem_name=problem.name,
             seed=seed,
@@ -345,15 +343,15 @@ class Simulation:
                 break
             event.callback()
         stranded = self.network.resolve_stranded() if self.fault_plan else []
-        if self.network.message_obs is not None:
-            self.network.message_obs.finish(self.queue.now)
+        if self.network.core.obs is not None:
+            self.network.core.obs.finish(self.queue.now)
         return SimulationResult(
             problem_name=self.problem.name,
             duration=self.queue.now,
             initial=self.initial,
             final=self.ledger.snapshot(),
             stats=self.network.stats,
-            delivered=list(self._delivered_actions),
+            delivered=[delivery.action for delivery in self.network.log],
             completed_agents=frozenset(
                 p for p in self.protocol.trusted_specs if self.drivers[p].phase() == "completed"
             ),
@@ -376,18 +374,6 @@ class _Slot:
         self.driver = driver
         self.log: list[Record] = []
         self.timers: dict[str, TimerHandle] = {}
-
-
-class _LoggingList(list["Delivery"]):
-    """Adapter: the network appends Delivery records; we keep bare actions."""
-
-    def __init__(self, sink: list[Action]) -> None:
-        super().__init__()
-        self._sink = sink
-
-    def append(self, delivery: Delivery) -> None:
-        super().append(delivery)
-        self._sink.append(delivery.action)
 
 
 def simulate(

@@ -11,11 +11,14 @@ from repro.core.parties import consumer, producer, trusted
 from repro.errors import FaultInjectionError, SimulationError
 from repro.sim.events import EventQueue
 from repro.sim.faults import (
+    CLEAN,
+    LOST,
     FaultConfig,
     FaultPlan,
     LinkFault,
     PartyFault,
     RetryPolicy,
+    fault_rolls,
     random_fault_plan,
 )
 from repro.sim.ledger import WIRE, Ledger
@@ -86,6 +89,57 @@ class TestFaultPlan:
         ]
 
 
+class TestFaultRolls:
+    """One keyed roll per attempt: fates depend on the envelope, not on order."""
+
+    @pytest.mark.parametrize(
+        "seed, key, attempt, rolls",
+        [
+            (0, "Customer:1", 1, (0.6831594962497808, 0.7233039636701171, 0.9612612005343546)),
+            (7, "Trusted:3", 2, (0.26826805100365014, 0.364936623544862, 0.3993135023210924)),
+            (1996, "Broker1:12", 5, (0.31303180577988243, 0.6002575759171646, 0.7681461909410453)),
+        ],
+    )
+    def test_rolls_are_pinned(self, seed, key, attempt, rolls):
+        assert fault_rolls(seed, key, attempt) == rolls
+
+    def test_fate_reads_partition_then_drop_delay_and_duplicate(self):
+        link = LinkFault(drop=0.6, duplicate=0.97, max_delay=2.0, partitions=((0.0, 1.0),))
+        plan = FaultPlan(seed=0, links=(link,), heal_at=10.0)
+        assert plan.fate("Customer", "T", "Customer:1", 1, 0.5) == LOST  # partitioned
+        dropped, jitter, duplicated = plan.fate("Customer", "T", "Customer:1", 1, 2.0)
+        assert not dropped  # drop roll 0.683 >= 0.6
+        assert jitter == 0.7233039636701171 * 2.0
+        assert duplicated  # duplicate roll 0.961 < 0.97
+        assert plan.fate("Customer", "T", "Customer:1", 1, 10.0) == CLEAN  # healed
+
+    def test_opposite_send_orders_give_every_attempt_the_same_fate(self):
+        plan = FaultPlan(seed=11, links=(LinkFault(drop=0.4, duplicate=0.4, max_delay=2.0),))
+        # Each envelope has a link of its own, so the FIFO floor cannot
+        # couple one envelope's arrival times to another's.
+        senders = [consumer(f"c{i}") for i in range(12)]
+        keys = [f"c{i}:1" for i in range(12)]
+
+        def arrivals(order):
+            order = list(order)
+            queue, network = _faulty_network(plan)
+            seen = {key: [] for key in keys}
+            network.register(T, lambda action, key: seen[key].append(queue.now))
+            for i in order:
+                network.send(pay(senders[i], T, M), keys[i])
+            queue.schedule_at(
+                5.0, lambda: [network.retransmit(keys[i]) for i in order]
+            )
+            _drain(queue)
+            return seen, network.stats
+
+        forward, forward_stats = arrivals(range(12))
+        backward, backward_stats = arrivals(reversed(range(12)))
+        assert forward == backward
+        assert forward_stats == backward_stats
+        assert forward_stats.dropped and forward_stats.duplicates  # the faults bit
+
+
 def _drain(queue):
     while (event := queue.pop()) is not None:
         event.callback()
@@ -133,6 +187,21 @@ class TestUnreliableTransport:
         assert network.stats.messages_delivered == 1
         assert network.stats.duplicate_deliveries == 1
         assert len(network.log) == 1  # the log records the message once
+
+    def test_duplicate_for_crashed_recipient_is_dropped_not_parked(self):
+        plan = FaultPlan(
+            seed=1, links=(LinkFault(duplicate=1.0),), parties=(PartyFault("t", 0.0, 10.0),)
+        )
+        queue, network = _faulty_network(plan)
+        keys = []
+        network.register(T, lambda a, key: keys.append(key))
+        network.send(pay(C, T, M))
+        _drain(queue)
+        # The first copy is parked and handled at restart; the second,
+        # arriving while t is down, counts as a duplicate and goes nowhere.
+        assert len(keys) == 1
+        assert network.stats.deferred == 1
+        assert network.stats.duplicate_deliveries == 1
 
     def test_partition_drops_everything_in_window(self):
         plan = FaultPlan(

@@ -1,14 +1,17 @@
 """Pinned outputs of the exchange pipeline, problem by problem.
 
-For every input problem one digest covers what each stage after reduction
-produced: the §5 execution sequence under both schedulers (or the error
-text), the synthesized roles with their preconditions and the escrow specs,
-the simulated run's ledger digests, delivery log and safety verdicts — once
-on the reliable transport and once under a seeded fault plan — and, for an
-infeasible bundle, the minimal indemnity plan and the run it unlocks.
+For every input problem two digests cover what each stage after reduction
+produced.  The fault-free digest covers the §5 execution sequence under both
+schedulers (or the error text), the synthesized roles with their
+preconditions and the escrow specs, the reliable run's ledger digests,
+delivery log and safety verdicts, and, for an infeasible bundle, the
+minimal indemnity plan and the run it unlocks.  The fault-run digest covers
+the same run record under a seeded fault plan.  Keeping them apart means a
+change to the fault model re-records only the second half, and the first
+half still proves that nothing fault-free moved.
 
-``tests/data/pipeline_digests.json`` holds the digests recorded at commit
-2c09f83.  A mismatch means a stage's output changed; re-record only for an
+``tests/data/pipeline_digests.json`` maps each input to its pair of
+digests.  A mismatch means a stage's output changed; re-record only for an
 intended change, by running this file as a script from the repository root
 under ``PYTHONPATH=src`` and writing its output over the fixture.
 """
@@ -171,9 +174,11 @@ def _indemnified_run(problem: ExchangeProblem, plan: IndemnityPlan) -> Simulatio
     return Simulation.from_plan(problem, plan, deadline=DEADLINE).run()
 
 
-def record(problem: ExchangeProblem, fault_seed: int) -> list[str]:
-    """Every post-reduction output for *problem*, one string per fact."""
+def record(problem: ExchangeProblem, fault_seed: int) -> tuple[list[str], list[str]]:
+    """Every post-reduction output for *problem*, one string per fact: the
+    fault-free lines, then the fault-run lines."""
     lines: list[str] = []
+    faulted: list[str] = []
     trace = reduce_graph(problem.sequencing_graph())
     lines.append(f"feasible={trace.feasible}")
     sequence = None
@@ -212,9 +217,9 @@ def record(problem: ExchangeProblem, fault_seed: int) -> list[str]:
             seed=fault_seed,
             config=FaultConfig(),
         )
-        faulty = _attempt(lines, "faults", _faulty_run, problem, faults)
+        faulty = _attempt(faulted, "faults", _faulty_run, problem, faults)
         if faulty is not None:
-            _run_lines(lines, f"faults {faults.digest()}", problem, faulty)
+            _run_lines(faulted, f"faults {faults.digest()}", problem, faulty)
     elif len(splittable_conjunctions(problem)) == 1:
         plan = minimal_indemnity_plan(problem)
         lines.append(f"plan feasible={plan.feasible}")
@@ -223,19 +228,26 @@ def record(problem: ExchangeProblem, fault_seed: int) -> list[str]:
             unlocked = _attempt(lines, "indemnified", _indemnified_run, problem, plan)
             if unlocked is not None:
                 _run_lines(lines, "indemnified", problem, unlocked)
-    return lines
+    return lines, faulted
 
 
-def family_digests(family: str) -> dict[str, str]:
-    """``{input key: digest of its record}`` for one input family."""
-    digests: dict[str, str] = {}
-    for index, (key, problem) in enumerate(FAMILIES[family]()):
-        text = "\n".join(record(problem, fault_seed=index))
-        digests[key] = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-    return digests
+def _digest(lines: list[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
 
 
-def _pinned(family: str) -> dict[str, str]:
+#: The two halves of an input's record, in the order :func:`record` returns them.
+HALVES = ("fault_free", "faults")
+
+
+def family_digests(family: str) -> dict[str, dict[str, str]]:
+    """``{input key: {half: digest}}`` for one input family."""
+    return {
+        key: dict(zip(HALVES, map(_digest, record(problem, fault_seed=index))))
+        for index, (key, problem) in enumerate(FAMILIES[family]())
+    }
+
+
+def _pinned(family: str) -> dict[str, dict[str, str]]:
     with open(FIXTURE, encoding="utf-8") as handle:
         return json.load(handle)["families"][family]
 
@@ -245,10 +257,13 @@ def test_pipeline_outputs_match_pinned_digests(family):
     pinned = _pinned(family)
     actual = family_digests(family)
     assert sorted(actual) == sorted(pinned)
-    changed = sorted(key for key in actual if actual[key] != pinned[key])
-    assert not changed, f"outputs changed for {changed}"
+    changed = {
+        half: sorted(key for key in actual if actual[key][half] != pinned[key][half])
+        for half in HALVES
+    }
+    assert not any(changed.values()), f"outputs changed: {changed}"
 
 
 if __name__ == "__main__":
     families = {name: family_digests(name) for name in sorted(FAMILIES)}
-    print(json.dumps({"recorded_at": "2c09f83", "families": families}, indent=1))
+    print(json.dumps({"families": families}, indent=1))
