@@ -51,7 +51,7 @@ from repro.analysis.batch import effective_cpu_count
 from repro.analysis.cost import chain_cost_sweep, format_chain_table, static_cost
 from repro.core.indemnity import minimal_indemnity_plan, splittable_conjunctions
 from repro.core.problem import ExchangeProblem
-from repro.core.protocol import synthesize_protocol
+from repro.core.protocol import derive_protocol
 from repro.errors import ReproError
 from repro.sim.agents import AdversaryStrategy
 from repro.sim.runtime import Simulation, simulate
@@ -125,9 +125,7 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
 
 def _cmd_protocol(args: argparse.Namespace) -> int:
     problem = _load_problem(args)
-    sequence = problem.execution_sequence()
-    protocol = synthesize_protocol(problem.interaction, sequence, problem.name)
-    for line in protocol.describe():
+    for line in derive_protocol(problem).describe():
         print(line)
     return 0
 
@@ -509,7 +507,7 @@ def _random_profile_problem(seed: int) -> ExchangeProblem:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Drive an exchange end-to-end as real processes over real sockets."""
-    from repro.net.supervisor import NetRunConfig, run_networked_exchange, trusted_parties
+    from repro.net.supervisor import NetRunConfig, run_networked_exchange
     from repro.obs import metric_records, span_records, tracing, write_jsonl
     from repro.sim.faults import FaultConfig, random_fault_plan
 
@@ -522,7 +520,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     fault_plan = None
     if args.fault_seed is not None:
         principals = [p.name for p in problem.interaction.principals]
-        trusted = [p.name for p in trusted_parties(problem, args.deadline)]
+        trusted = [p.name for p in problem.interaction.trusted_components]
         fault_plan = random_fault_plan(
             principals,
             trusted,

@@ -18,7 +18,9 @@ instructions:
   scripted step-by-step because their behaviour is the *same* in every
   exchange; the spec only tells them what to expect and where to send it.
 
-The simulator (:mod:`repro.sim`) interprets both role kinds directly.
+Each party runs its role in one sans-I/O party driver
+(:mod:`repro.sim.driver`), which the simulator and the socket node both
+interpret.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from repro.core.indemnity import IndemnityOffer
 from repro.core.interaction import InteractionGraph
 from repro.core.items import Item
 from repro.core.parties import Party
+from repro.core.problem import ExchangeProblem
 from repro.errors import ProtocolError
 
 
@@ -205,3 +208,15 @@ def synthesize_protocol(
         roles=principal_roles,
         trusted_specs=trusted_specs,
     )
+
+
+def derive_protocol(problem: ExchangeProblem, deadline: float | None = None) -> Protocol:
+    """The protocol of a feasible *problem*: its §5 execution sequence
+    compiled into roles, with *deadline* for each trusted component the
+    problem gives no deadline of its own.
+
+    Synthesis is deterministic, so every process of a networked run derives
+    the same protocol from the same spec text.
+    """
+    sequence = problem.execution_sequence()
+    return synthesize_protocol(problem.interaction, sequence, problem.name, deadline=deadline)

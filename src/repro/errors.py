@@ -20,7 +20,7 @@ can catch a single base class.  Subsystems refine it:
 * :class:`FaultInjectionError` — a fault-injection plan is malformed
   (probabilities out of range, restart before crash, partition outside the
   healing horizon) or targets a party it must not (permanently silencing a
-  trusted component).
+  trusted component), or an adversary names no principal of the problem.
 * :class:`ProtocolError` — a protocol role received a message it cannot
   handle, or was asked to perform a transfer it cannot honour.
 * :class:`StaticCheckError` — the ``repro lint`` engine was misused (a path
@@ -81,7 +81,8 @@ class SimulationError(ReproError):
 
 
 class FaultInjectionError(SimulationError):
-    """A fault-injection plan is malformed or targets a forbidden party."""
+    """A fault plan is malformed or targets a forbidden party, or an
+    adversary does."""
 
 
 class ProtocolError(ReproError):

@@ -12,9 +12,7 @@ Layers (each usable alone):
 * :mod:`repro.net.proxy` — the fault proxy enacting a seeded
   :class:`~repro.sim.faults.FaultPlan` on real sockets;
 * :mod:`repro.net.supervisor` — spawn/kill/restart orchestration,
-  quiescence detection and result assembly;
-* :mod:`repro.net.bootstrap` — the deterministic derivations every
-  process repeats from the spec text.
+  quiescence detection and result assembly.
 
 Entry points: ``repro serve`` / ``repro client`` (see :mod:`repro.cli`) or
 :func:`repro.net.supervisor.run_networked_exchange`.

@@ -1,11 +1,11 @@
 """One exchange party as a networked process.
 
 ``repro client`` runs exactly one of these: it loads the spec, re-derives
-the synthesized protocol (deterministic — every node independently derives
-the same one, see :mod:`repro.net.bootstrap`), takes its party's slice of
-the sealed initial ledger, and runs the party's driver
-(:mod:`repro.sim.driver`) — the very driver the simulator runs — over a
-TCP connection to the fault proxy.
+the synthesized protocol (:func:`~repro.core.protocol.derive_protocol` is
+deterministic, so every node derives the same one), takes its party's
+slice of the sealed initial ledger, and runs the party's driver
+(:mod:`repro.sim.driver`) — the very state machine the simulator runs —
+over a TCP connection to the fault proxy.
 
 The node is an asyncio interpreter of the driver's commands: ``Log``
 appends a record to the write-ahead log (:mod:`repro.net.wal`), ``Send``,
@@ -29,8 +29,9 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.core.protocol import derive_protocol
 from repro.errors import NetRuntimeError
-from repro.net import bootstrap, wal
+from repro.net import wal
 from repro.net.wire import action_from_json, action_to_json, read_frame, write_frame
 from repro.sim.agents import withholder
 from repro.sim.driver import (
@@ -45,6 +46,7 @@ from repro.sim.driver import (
     driver_for,
 )
 from repro.sim.ledger import initial_ledger
+from repro.spec.compiler import load_file
 
 
 @dataclass(frozen=True)
@@ -95,9 +97,13 @@ class ExchangeNode:
 
     def __init__(self, cfg: NodeConfig) -> None:
         self.cfg = cfg
-        problem = bootstrap.load_problem(cfg.spec_path)
-        protocol = bootstrap.derive_protocol(problem, cfg.deadline)
-        self.party = bootstrap.find_party(problem, protocol, cfg.party)
+        problem = load_file(cfg.spec_path)
+        protocol = derive_protocol(problem, cfg.deadline)
+        # Every principal has a role and every trusted component a spec.
+        parties = {party.name: party for party in (*protocol.roles, *protocol.trusted_specs)}
+        if cfg.party not in parties:
+            raise NetRuntimeError(f"party {cfg.party!r} does not appear in the problem")
+        self.party = parties[cfg.party]
         initial = initial_ledger(problem.interaction, protocol, cfg.working_capital_cents).seal()
         strategy = withholder(cfg.withhold) if cfg.withhold is not None else None
         self.driver = driver_for(

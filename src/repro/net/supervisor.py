@@ -45,15 +45,13 @@ import time
 from dataclasses import dataclass, field
 
 import repro
-from repro.core.parties import Party
 from repro.core.problem import ExchangeProblem
-from repro.core.protocol import Protocol
+from repro.core.protocol import Protocol, derive_protocol
 from repro.errors import NetRuntimeError
-from repro.net import bootstrap
 from repro.net.node import NodeConfig, run_node
 from repro.net.proxy import NetFaultProxy
 from repro.net.wire import action_to_json, encode_json
-from repro.sim.faults import FaultPlan
+from repro.sim.faults import FaultPlan, check_adversaries
 from repro.sim.ledger import initial_ledger
 from repro.sim.runtime import RunProvenance, SimulationResult
 from repro.sim.safety import SafetyReport, evaluate_safety
@@ -439,7 +437,7 @@ def run_networked_exchange(
 ) -> NetRunResult:
     """Drive *problem* end-to-end over real sockets; blocks until done."""
     config = config.validate()
-    protocol = bootstrap.derive_protocol(problem, config.deadline)
+    protocol = derive_protocol(problem, config.deadline)
     if fault_plan is not None:
         fault_plan = fault_plan.validate()
         fault_plan.check_targets(
@@ -447,8 +445,7 @@ def run_networked_exchange(
             (p.name for p in protocol.trusted_specs),
         )
     adversaries = adversaries or {}
-    for name in adversaries:
-        bootstrap.find_party(problem, protocol, name)  # raises on unknown
+    check_adversaries(adversaries, (p.name for p in problem.interaction.principals))
 
     os.makedirs(run_dir, exist_ok=True)
     spec_path = os.path.join(run_dir, "problem.spec")
@@ -471,8 +468,3 @@ def run_networked_exchange(
     # after the loop has shut down — rather than inside the async runtime.
     _write_artifacts(run_dir, proxy, run.result, run.report)
     return run
-
-
-def trusted_parties(problem: ExchangeProblem, deadline: float | None) -> list[Party]:
-    """The trusted components a run of *problem* will spawn (for harnesses)."""
-    return list(bootstrap.derive_protocol(problem, deadline).trusted_specs)

@@ -3,16 +3,18 @@
 Discipline (the whole point, so it is spelled out):
 
 * **log-then-send** — a node appends a ``send`` record *before* the act
-  frame reaches the socket, and a ``recv`` record before a delivered
-  action touches the protocol core.  A SIGKILL between the append and the
+  frame reaches the socket, and a ``recv`` record before the party's
+  driver acts on a delivery.  A SIGKILL between the append and the
   side effect therefore loses at most the side effect, never the record
   of intent — replay regenerates the side effect.
-* **dedup by envelope key** — ``recv`` keys replayed into the core are
+* **dedup by envelope key** — ``recv`` keys replayed into the driver are
   remembered, so a redelivered copy after restart is suppressed exactly
   like a duplicate envelope in the simulator.
-* **truncated tails are expected** — a crash can cut the final line mid
-  JSON.  :func:`replay` drops an undecodable *last* line silently; an
-  undecodable line anywhere else is corruption and raises.
+* **truncated tails are expected** — a record is complete only with its
+  newline, and a crash can cut the final line anywhere.  :func:`replay`
+  drops the bytes after the last newline; a reopened log cuts them before
+  its first append, so the next record never glues onto a torn one.  An
+  undecodable complete line is corruption and raises.
 
 Records are canonical JSON objects (sorted keys) with a ``"rec"``
 discriminator.  The vocabulary (``endow``, ``send``, ``recv``, ``ack``,
@@ -45,6 +47,13 @@ class WriteAheadLog:
         if directory:
             os.makedirs(directory, exist_ok=True)
         self._fh = open(path, "ab")
+        end = self._fh.tell()
+        if end:
+            # Cut a torn tail: the bytes after the last newline.
+            with open(path, "rb") as fh:
+                complete = fh.read().rfind(b"\n") + 1
+            if complete < end:
+                self._fh.truncate(complete)
 
     def append(self, record: dict[str, Any]) -> None:
         if "rec" not in record:
@@ -59,28 +68,24 @@ class WriteAheadLog:
 def replay(path: str) -> list[dict[str, Any]]:
     """Parse the records of the WAL at *path*, tolerating a truncated tail.
 
-    Returns ``[]`` for a missing or empty file.  Raises
-    :class:`NetRuntimeError` on corruption anywhere but the final line —
-    a torn tail is a crash artifact, a torn middle is not.
+    Returns ``[]`` for a missing or empty file.  The bytes after the last
+    newline are a torn tail, a crash artifact, and are dropped even if they
+    parse.  Raises :class:`NetRuntimeError` on a complete line that is not
+    a record.
     """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except FileNotFoundError:
         return []
-    if not raw:
-        return []
     lines = raw.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()  # trailing newline: the last record was fully written
+    lines.pop()  # the torn tail; empty when the last record was fully written
     records: list[dict[str, Any]] = []
     offset = 0  # byte offset of the current record within the file
     for index, line in enumerate(lines):
         try:
             record = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            if index == len(lines) - 1:
-                break  # torn tail: the crash interrupted the final append
             raise NetRuntimeError(
                 f"corrupt WAL record at {path}:{index + 1} "
                 f"(record {index} of {len(lines)}, byte offset {offset}): "

@@ -1,9 +1,10 @@
-"""One driver per party: everything around a protocol core, without I/O.
+"""One state machine per party, without I/O.
 
-The simulator and the socket node run the same protocol cores
-(:mod:`repro.sim.protocol_core`).  What surrounds a core lives here, once:
+A party's whole state lives in its driver: a :class:`PrincipalDriver` walks
+its synthesized :class:`~repro.core.protocol.PrincipalRole`, a
+:class:`TrustedDriver` runs the §2.5 escrow, and both keep their
 ``party:seq`` envelope keys and duplicate suppression, the retry schedule,
-deadline arming, the party's custody view, its log, and recovery from that
+the deadline, the party's custody view, its log, and recovery from that
 log.  A driver holds no clock, socket, queue or ledger.  Its events —
 :meth:`~PartyDriver.start`, :meth:`~PartyDriver.delivered`,
 :meth:`~PartyDriver.acked` and :meth:`~PartyDriver.fired` — are stamped with
@@ -11,7 +12,9 @@ the current sim time and return ordered commands: :class:`Log`,
 :class:`Send`, :class:`Got`, :class:`Timer` and :class:`Abandon`.
 :class:`~repro.sim.runtime.Simulation` interprets the commands as discrete
 events and keeps each party's log in memory; :mod:`repro.net.node`
-interprets them as WAL appends, frames and loop timers.  The same events
+interprets them as WAL appends, frames and loop timers, so a safety verdict
+proven in process is a statement about the very logic that runs over real
+sockets.  A driver draws no randomness and reads no clock: the same events
 give the same commands, which is what lets :meth:`PartyDriver.recover`
 rebuild a driver from its own log.
 
@@ -21,7 +24,7 @@ writes each as one JSON line of its write-ahead log:
 ===========================  ==============================================
 ``("endow", cents, docs)``   the party's slice of the initial ledger
 ``("send", key, action)``    an envelope's first offer, before it goes out
-``("recv", key, action)``    a delivery, before the core sees it
+``("recv", key, action)``    a delivery, before the driver acts on it
 ``("ack", key)``             the wire delivered one of the party's envelopes
 ``("abandon", key)``         retries ran out; the wire returned custody
 ``("armed", expiry)``        the deadline's absolute expiry, before its timer
@@ -32,24 +35,15 @@ writes each as one JSON line of its write-ahead log:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Sequence, Union
+from typing import Any, Iterable, Sequence, Union
 
-from repro.core.actions import Action, transfer
-from repro.core.items import Money
+from repro.core.actions import Action, notify, transfer
+from repro.core.items import Item, Money
 from repro.core.parties import Party
 from repro.core.protocol import PrincipalRole, Protocol, TrustedExchangeSpec
 from repro.errors import ProtocolError
 from repro.sim.agents import AdversaryStrategy
 from repro.sim.faults import RetryPolicy
-from repro.sim.protocol_core import (
-    ArmDeadline,
-    DisarmDeadline,
-    Effect,
-    NotifyEffect,
-    PrincipalCore,
-    SendEffect,
-    TrustedCore,
-)
 
 Record = tuple[Any, ...]
 
@@ -158,7 +152,7 @@ def _stripped(action: Action) -> Action:
 class PartyDriver:
     """Keys, dedup, retries, custody and the log for one party.
 
-    Subclasses wrap a protocol core: :class:`PrincipalDriver` and
+    The subclasses add the party's protocol: :class:`PrincipalDriver` and
     :class:`TrustedDriver`.  With ``retransmit=False`` (the simulator's
     reliable wire) delivery is certain: the driver keeps no unacknowledged
     sends and sets no retry timer.
@@ -292,7 +286,7 @@ class PartyDriver:
         else:
             raise ProtocolError(
                 f"WAL replay diverged for {self.party.name}: logged send {key} "
-                f"({logged}) was not regenerated by the protocol core"
+                f"({logged}) was not regenerated by the protocol"
             )
         if self.retransmit:
             self.unacked[key] = logged
@@ -303,7 +297,7 @@ class PartyDriver:
     # ----------------------------------------------------------------- sending
 
     def _emit(self, now: float, action: Action, out: list[Command]) -> None:
-        """The core sends *action*: custody leaves now."""
+        """The party sends *action*: custody leaves now."""
         self.custody.debit(action)
         self._offer(now, action, out)
 
@@ -330,7 +324,7 @@ class PartyDriver:
         """At start, before re-offers: restore timers recovery could not."""
 
     def _advance(self, now: float, out: list[Command]) -> None:
-        """Act on whatever the core can do unprompted."""
+        """Act on whatever the party can do unprompted."""
 
     def _absorb(self, now: float, action: Action, out: list[Command]) -> None:
         raise NotImplementedError
@@ -343,7 +337,7 @@ class PartyDriver:
 
 
 class PrincipalDriver(PartyDriver):
-    """Drives a :class:`PrincipalCore` through a principal's role.
+    """A principal walking its :class:`PrincipalRole`.
 
     An instruction fires once its guards are observed and the custody view
     holds its asset.  An :class:`AdversaryStrategy` deviates: it withholds
@@ -360,24 +354,42 @@ class PrincipalDriver(PartyDriver):
         retransmit: bool = True,
     ) -> None:
         super().__init__(party, cents, documents, retransmit)
+        self.role = role
+        self.observed: set[Action] = set()
+        self.next_instruction = 0
+        self._perform = len(role.instructions)
+        self._substitute: dict[str, Item] = {}
         self.delay = 0.0
-        if strategy is None:
-            self.core = PrincipalCore(role)
-        else:
-            self.core = PrincipalCore(
-                role, permits=_permits(strategy.perform), transform=_swap(strategy)
-            )
+        if strategy is not None:
+            self._perform = min(self._perform, strategy.perform)
+            self._substitute = strategy.substitute or {}
             self.delay = strategy.delay
         self._delayed: dict[str, Action] = {}
         self._delays = 0
 
     def _absorb(self, now: float, action: Action, out: list[Command]) -> None:
-        self.core.observe(action)
+        # Strip the deadline stamp from a delivered notify before matching
+        # preconditions: synthesized guards carry none.
+        self.observed.add(_stripped(action) if action.deadline is not None else action)
         self._advance(now, out)
 
     def _advance(self, now: float, out: list[Command]) -> None:
-        custody = self.custody
-        self.core.drain(holds=custody.holds, emit=lambda action: self._emit(now, action, out))
+        instructions = self.role.instructions
+        while self.next_instruction < self._perform:
+            instruction = instructions[self.next_instruction]
+            if not instruction.ready(self.observed):
+                return
+            action = instruction.action
+            item = action.item
+            if item is not None and item.label in self._substitute:
+                action = transfer(action.sender, action.recipient, self._substitute[item.label])
+            if not self.custody.holds(action):
+                return  # wait until the asset arrives
+            # Debit custody before the next instruction's custody check, so
+            # a role that spends one asset twice blocks instead of
+            # double-spending.
+            self._emit(now, action, out)
+            self.next_instruction += 1
 
     def _offer(self, now: float, action: Action, out: list[Command]) -> None:
         if self.delay and self._replayed is None:
@@ -397,29 +409,17 @@ class PrincipalDriver(PartyDriver):
         return out
 
     def phase(self) -> str:
-        return "exhausted" if self.core.exhausted else "active"
-
-
-def _permits(perform: int) -> Callable[[int, Action], bool]:
-    return lambda position, action: position < perform
-
-
-def _swap(strategy: AdversaryStrategy) -> Callable[[Action], Action | None]:
-    substitute = strategy.substitute or {}
-
-    def transform(action: Action) -> Action | None:
-        if action.item is not None and action.item.label in substitute:
-            return transfer(action.sender, action.recipient, substitute[action.item.label])
-        return action
-
-    return transform
+        return "exhausted" if self.next_instruction >= len(self.role.instructions) else "active"
 
 
 class TrustedDriver(PartyDriver):
-    """Drives a :class:`TrustedCore`: the §2.5 escrow plus its deadline.
+    """A trusted component running the §2.5 escrow, plus its deadline.
 
-    A trusted component never gives up on a release or a reversal while a
-    run lasts, hence its longer retry cap.
+    It accepts the deposits its spec expects and bounces everything else,
+    notifies the last outstanding principal, releases every entitlement on
+    completion, and on expiry settles the §6 indemnities and reverses every
+    deposit.  A trusted component never gives up on a release or a reversal
+    while a run lasts, hence its longer retry cap.
     """
 
     retry_policy = RetryPolicy(max_retries=32)
@@ -432,31 +432,74 @@ class TrustedDriver(PartyDriver):
         retransmit: bool = True,
     ) -> None:
         super().__init__(spec.agent, cents, documents, retransmit)
-        self.core = TrustedCore(spec)
-        self.armed = False
+        self.spec = spec
+        self._expected = dict(spec.deposits)
+        self.received: dict[Party, Action] = {}  # depositor -> accepted deposit
+        self.escrows: dict[Party, Action] = {}  # offeror -> indemnity escrow
+        self.notified: set[Party] = set()
+        self.rejected: list[Action] = []
+        self.completed = False
+        self.reversed = False
         self.expiry: float | None = None  # absolute sim time of the deadline
         self._unlogged_arm: float | None = None  # recovery: armed, no expiry logged
 
     def _absorb(self, now: float, action: Action, out: list[Command]) -> None:
-        self._follow(now, self.core.on_receive(action), out)
+        if not action.is_transfer or action.inverted:
+            return  # notifies and stray reversals carry no escrow duty
+        item = action.item
+        sender = action.effective_sender
+        if isinstance(item, Money) and "indemnity" in item.label and any(
+            sender == offer.offeror and item.cents == offer.amount_cents
+            for offer in self.spec.indemnities
+        ):
+            self.escrows[sender] = action
+            return
+        if (
+            self._expected.get(sender) != item
+            or self.completed
+            or self.reversed
+            or sender in self.received
+        ):
+            # Unknown depositor, wrong item, duplicate, or too late: send it
+            # straight back (§2.5: a trusted component may reverse actions in
+            # which it was the recipient).
+            self.rejected.append(action)
+            self._emit(now, action.inverse(), out)
+            return
+        self.received[sender] = action
+        self._arm(now, out)  # arm the deadline before the notify it stamps
+        pending = [p for p, _ in self.spec.deposits if p not in self.received]
+        if not pending:
+            self._complete(now, out)
+        elif len(pending) == 1 and pending[0] not in self.notified:
+            last = pending[0]
+            self.notified.add(last)
+            # §2.5: the notice carries the earliest expiry of the pieces held.
+            notice = notify(self.party, last)
+            if self.armed and self.expiry is not None:
+                notice = replace(notice, deadline=self.expiry)
+            self._emit(now, notice, out)
 
-    def _follow(self, now: float, effects: list[Effect], out: list[Command]) -> None:
-        """Core effects in order: the deadline is armed before the notify it
-        stamps, and disarmed before the releases go out."""
-        for effect in effects:
-            if isinstance(effect, SendEffect):
-                self._emit(now, effect.action, out)
-            elif isinstance(effect, NotifyEffect):
-                expiry = self.expiry if self.armed else None
-                self._emit(now, self.core.expiry_notice(effect.principal, expiry), out)
-            elif isinstance(effect, ArmDeadline):
-                self._arm(now, effect.duration, out)
-            elif isinstance(effect, DisarmDeadline) and self.armed:
-                self.armed = False
-                out.append(Timer(DEADLINE, None))
+    def _complete(self, now: float, out: list[Command]) -> None:
+        """Every deposit is in: disarm, then release goods before money,
+        then refund the indemnity escrows."""
+        self.completed = True
+        if self.armed:
+            self.armed = False
+            out.append(Timer(DEADLINE, None))
+        releases = sorted(
+            (transfer(self.party, principal, item) for principal, item in self.spec.entitlements),
+            key=lambda a: (isinstance(a.item, Money), a.recipient.name),
+        )
+        for release in releases:
+            self._emit(now, release, out)
+        for escrow in self.escrows.values():
+            self._emit(now, escrow.inverse(), out)
+        self.escrows.clear()
 
-    def _arm(self, now: float, duration: float, out: list[Command]) -> None:
-        if self.armed or self.core.reversed:
+    def _arm(self, now: float, out: list[Command]) -> None:
+        duration = self.spec.deadline
+        if duration is None or self.armed or self.reversed:
             return
         self.armed = True
         if self._replayed is not None:
@@ -472,7 +515,23 @@ class TrustedDriver(PartyDriver):
             return []
         self.armed = False
         out: list[Command] = [Log(("deadline",))]
-        self._follow(now, self.core.on_deadline(), out)
+        if self.completed or self.reversed:
+            return out
+        self.reversed = True
+        # Settle the indemnities before the reversals.
+        for offer in self.spec.indemnities:
+            escrow = self.escrows.pop(offer.offeror, None)
+            if escrow is None:
+                continue
+            if offer.beneficiary in self.received and offer.offeror not in self.received:
+                # Forfeit: the escrowed sum goes to the beneficiary.
+                assert escrow.item is not None
+                self._emit(now, transfer(self.party, offer.beneficiary, escrow.item), out)
+            else:
+                self._emit(now, escrow.inverse(), out)
+        for deposit in self.received.values():
+            self._emit(now, deposit.inverse(), out)
+        self.received.clear()
         return out
 
     def recover(self, records: Sequence[Record]) -> list[Command]:
@@ -495,9 +554,9 @@ class TrustedDriver(PartyDriver):
         out.append(Timer(DEADLINE, self.expiry))
 
     def phase(self) -> str:
-        if self.core.completed:
+        if self.completed:
             return "completed"
-        return "reversed" if self.core.reversed else "open"
+        return "reversed" if self.reversed else "open"
 
 
 def driver_for(

@@ -255,6 +255,18 @@ class FaultPlan:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
+def check_adversaries(names: Iterable[str], principals: Iterable[str]) -> None:
+    """Every adversary must name a principal of the problem: trusted
+    components follow §2.5 by definition, so none of them can deviate."""
+    known = frozenset(principals)
+    for name in names:
+        if name not in known:
+            raise FaultInjectionError(
+                f"adversary {name!r} is not a principal of the problem "
+                "(trusted components follow §2.5 and never deviate)"
+            )
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Send-timeout schedule: capped exponential backoff with a retry cap.

@@ -35,7 +35,7 @@ from repro.core.execution import recover_execution
 from repro.core.indemnity import IndemnityPlan, apply_plan
 from repro.core.parties import Party
 from repro.core.problem import ExchangeProblem
-from repro.core.protocol import Protocol, synthesize_protocol
+from repro.core.protocol import Protocol, derive_protocol, synthesize_protocol
 from repro.core.states import ExchangeState
 from repro.errors import SimulationError
 from repro.obs.runtime import active as _active_tracer
@@ -52,7 +52,7 @@ from repro.sim.driver import (
     driver_for,
 )
 from repro.sim.events import EventQueue
-from repro.sim.faults import FaultPlan
+from repro.sim.faults import FaultPlan, check_adversaries
 from repro.sim.ledger import LedgerSnapshot, initial_ledger
 from repro.sim.network import Envelope, Network, NetworkStats, TimerHandle
 
@@ -134,9 +134,10 @@ class Simulation:
             fault_plan.check_targets(
                 (p.name for p in principals), (p.name for p in protocol.trusted_specs)
             )
+        adversaries = adversaries or {}
+        check_adversaries(adversaries, (p.name for p in principals))
         self.network = Network(self.queue, latency=latency, fault_plan=fault_plan)
         self.ledger = initial_ledger(problem.interaction, protocol, working_capital_cents)
-        adversaries = adversaries or {}
         for party in principals:
             strategy = adversaries.get(party.name)
             if strategy is None or not strategy.substitute:
@@ -201,13 +202,9 @@ class Simulation:
         seed: int | None = None,
     ) -> "Simulation":
         """Synthesize the protocol for a feasible problem and wire it up."""
-        sequence = problem.execution_sequence()
-        protocol = synthesize_protocol(
-            problem.interaction, sequence, problem.name, deadline=deadline
-        )
         return cls(
             problem,
-            protocol,
+            derive_protocol(problem, deadline),
             adversaries,
             latency,
             working_capital_cents,

@@ -10,8 +10,8 @@ import os
 
 import pytest
 
+from repro.core.protocol import derive_protocol
 from repro.errors import NetRuntimeError
-from repro.net import bootstrap
 from repro.net.proxy import NetFaultProxy
 from repro.net.supervisor import NetRunConfig, run_networked_exchange
 from repro.sim.ledger import initial_ledger
@@ -58,7 +58,7 @@ def test_process_ready_timeout_lists_exit_status(net_run_dir):
 
 
 def _setup(tmp_path, problem):
-    protocol = bootstrap.derive_protocol(problem, 60.0)
+    protocol = derive_protocol(problem, 60.0)
     spec_path = tmp_path / "problem.spec"
     spec_path.write_text(format_problem(problem))
     names = [p.name for p in problem.interaction.principals] + [
@@ -95,7 +95,7 @@ def test_externally_spawned_clients_complete_exchange(client_spawner, tmp_path):
         return proxy
 
     proxy = asyncio.run(drive())
-    protocol = bootstrap.derive_protocol(problem, 60.0)
+    protocol = derive_protocol(problem, 60.0)
     ledger = initial_ledger(problem.interaction, protocol, 0)
     ledger.seal()
     for action in proxy.delivered_actions():
@@ -139,7 +139,7 @@ def test_manual_sigkill_and_respawn_recovers(client_spawner, tmp_path):
         return proxy
 
     proxy = asyncio.run(drive())
-    protocol = bootstrap.derive_protocol(problem, 60.0)
+    protocol = derive_protocol(problem, 60.0)
     ledger = initial_ledger(problem.interaction, protocol, 0)
     ledger.seal()
     for action in proxy.delivered_actions():

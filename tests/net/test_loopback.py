@@ -111,3 +111,21 @@ def test_plan_silencing_a_trusted_component_is_rejected_before_any_socket(
     with pytest.raises(FaultInjectionError, match="permanently"):
         run_networked_exchange(problem, str(run_dir), NetRunConfig(**FAST), fault_plan=plan)
     assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("name", ["Custmer", "Trusted"])
+def test_adversary_naming_no_principal_is_rejected_before_any_socket(
+    tmp_path, monkeypatch, name
+):
+    # The same rule as the simulator's (check_adversaries): a misspelled
+    # principal would run honestly, and a trusted component never deviates.
+    def no_socket(*args, **kwargs):
+        raise AssertionError("the proxy opened a socket")
+
+    monkeypatch.setattr(NetFaultProxy, "start", no_socket)
+    run_dir = tmp_path / "run"
+    with pytest.raises(FaultInjectionError, match="not a principal"):
+        run_networked_exchange(
+            simple_purchase(), str(run_dir), NetRunConfig(**FAST), adversaries={name: 0}
+        )
+    assert not run_dir.exists()

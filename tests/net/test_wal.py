@@ -66,6 +66,24 @@ def test_truncated_tail_is_dropped(tmp_path):
     assert replay(str(path)) == RECORDS  # fully written after all
 
 
+def test_a_torn_log_reopened_and_appended_replays(tmp_path):
+    # A restarted node reopens its log and appends to it, and may crash
+    # again: the records it appends must not glue onto the torn one.  That
+    # includes the cut that leaves the JSON whole but drops its newline.
+    path = tmp_path / "torn.wal"
+    intact = b"".join(encode_json(r) + b"\n" for r in RECORDS[:2])
+    torn = encode_json(RECORDS[2]) + b"\n"
+    appended = [{"rec": "ack", "key": "Customer:2"}, {"rec": "deadline"}]
+    for cut in range(len(torn)):
+        path.write_bytes(intact + torn[:cut])
+        assert replay(str(path)) == RECORDS[:2], f"cut at byte {cut}"
+        wal = WriteAheadLog(str(path))
+        for record in appended:
+            wal.append(record)
+        wal.close()
+        assert replay(str(path)) == RECORDS[:2] + appended, f"cut at byte {cut}"
+
+
 def test_corrupt_middle_raises(tmp_path):
     path = tmp_path / "corrupt.wal"
     lines = [encode_json(RECORDS[0]), b'{"rec": truncated-garbage', encode_json(RECORDS[2])]

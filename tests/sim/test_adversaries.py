@@ -8,6 +8,7 @@ participant does, every honest party ends in one of its acceptable states.
 import pytest
 
 from repro.core.indemnity import plan_indemnities
+from repro.errors import FaultInjectionError
 from repro.sim import (
     Simulation,
     evaluate_safety,
@@ -133,6 +134,15 @@ class TestIndemnityForfeit:
         report = evaluate_safety(problem, result)
         assert report.honest_parties_safe()
         assert report.verdict_of("Consumer").forfeits_received_cents == 0
+
+
+class TestAdversaryNames:
+    @pytest.mark.parametrize("name", ["Brokr", "Trusted1"])
+    def test_an_adversary_must_name_a_principal(self, name):
+        # A misspelled principal would run honestly, and a trusted
+        # component follows §2.5 by definition.
+        with pytest.raises(FaultInjectionError, match="not a principal"):
+            simulate(example1(), adversaries={name: withholder(0)})
 
 
 class TestAdversaryStrategyObjects:

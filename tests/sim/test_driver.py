@@ -1,5 +1,6 @@
 """The party driver's own machinery: keys, dedup, the retry schedule, the
-deadline's place in the command order, and custody on abandon."""
+deadline's place in the command order, custody on abandon, and a
+principal's walk of its synthesized role."""
 
 from __future__ import annotations
 
@@ -10,8 +11,14 @@ import pytest
 from repro.core.actions import give, notify, pay
 from repro.core.items import document, money
 from repro.core.parties import consumer, producer, trusted
-from repro.core.protocol import PrincipalRole, SendInstruction, TrustedExchangeSpec
+from repro.core.protocol import (
+    PrincipalRole,
+    SendInstruction,
+    TrustedExchangeSpec,
+    derive_protocol,
+)
 from repro.errors import ProtocolError
+from repro.sim.agents import withholder
 from repro.sim.driver import (
     Abandon,
     Got,
@@ -22,6 +29,8 @@ from repro.sim.driver import (
     TrustedDriver,
 )
 from repro.sim.faults import RetryPolicy
+from repro.sim.ledger import initial_ledger
+from repro.workloads import example1, simple_purchase
 from tests.sim.driver_harness import Harness
 
 C = consumer("c")
@@ -120,6 +129,81 @@ class TestRetrySchedule:
         assert runtime.driver.unacked == {}
 
 
+def _role_player(problem, name, strategy=None, cents=None):
+    """The driver of principal *name* in *problem*'s synthesized protocol,
+    endowed as the simulator endows it, on the reliable wire."""
+    protocol = derive_protocol(problem, 60.0)
+    initial = initial_ledger(problem.interaction, protocol, 0).seal()
+    party = next(p for p in protocol.roles if p.name == name)
+    return Harness(
+        PrincipalDriver(
+            party,
+            protocol.role_of(party),
+            initial.balance(party) if cents is None else cents,
+            initial.documents_of(party),
+            strategy,
+            retransmit=False,
+        )
+    )
+
+
+class TestPrincipal:
+    def test_unguarded_instruction_fires_at_start(self):
+        runtime = _role_player(simple_purchase(), "Customer")
+        runtime.start()
+        assert runtime.out == [runtime.driver.role.instructions[0].action]
+        assert runtime.out[0].is_transfer
+        assert runtime.driver.phase() == "exhausted"
+        runtime.start()
+        assert len(runtime.out) == 1  # never re-fires
+
+    def test_guarded_instruction_waits_for_its_preconditions(self):
+        runtime = _role_player(example1(), "Broker")
+        runtime.start()
+        assert runtime.out == []  # both instructions are guarded
+        first = runtime.driver.role.instructions[0]
+        for precondition in first.preconditions:
+            runtime.deliver(precondition)
+        assert runtime.out == [first.action]
+        assert runtime.driver.phase() == "active"  # the second is still guarded
+
+    def test_the_deadline_stamp_is_stripped_before_matching(self):
+        runtime = _role_player(example1(), "Broker")
+        first = runtime.driver.role.instructions[0]
+        for precondition in first.preconditions:
+            runtime.deliver(replace(precondition, deadline=42.0))  # a live §2.5 stamp
+        assert runtime.out == [first.action]
+        assert all(action.deadline is None for action in runtime.driver.observed)
+
+    def test_the_custody_gate_waits_without_advancing(self):
+        runtime = _role_player(simple_purchase(), "Customer", cents=0)
+        runtime.start()
+        assert runtime.out == []
+        assert runtime.driver.next_instruction == 0
+        action = runtime.driver.role.instructions[0].action
+        runtime.deliver(pay(action.recipient, action.sender, action.item))  # the funds
+        assert runtime.out == [action]
+        assert runtime.driver.next_instruction == 1
+
+    def test_a_withholder_performs_nothing(self):
+        runtime = _role_player(simple_purchase(), "Customer", withholder(0))
+        runtime.start()
+        assert runtime.out == []
+        assert runtime.driver.phase() == "active"
+
+    def test_the_same_deliveries_give_the_same_commands(self):
+        runs = []
+        for _ in range(2):
+            runtime = _role_player(example1(), "Broker")
+            runtime.start()
+            for instruction in runtime.driver.role.instructions:
+                for precondition in sorted(instruction.preconditions, key=str):
+                    runtime.deliver(precondition)
+            runs.append(runtime.commands)
+        assert runs[0] == runs[1]
+        assert len([c for c in runs[0] if isinstance(c, Send)]) == 2
+
+
 class TestDelivery:
     def test_recv_is_logged_before_got(self):
         runtime = _escrow()
@@ -130,7 +214,7 @@ class TestDelivery:
         runtime = _escrow()
         runtime.deliver(pay(C, T, M), key="c:1")
         assert runtime.deliver(pay(C, T, M), key="c:1") == [Got("c:1")]
-        assert runtime.driver.core.rejected == []
+        assert runtime.driver.rejected == []
 
     def test_delivery_credits_custody(self):
         runtime = _escrow()
@@ -158,6 +242,13 @@ class TestDeadline:
         assert commands[2] == Log(("armed", 7.0))
         assert commands[3] == Timer("deadline", 7.0)
         assert commands[4].action == replace(notify(T, P), deadline=7.0)
+
+    def test_an_escrow_without_a_deadline_notifies_unstamped(self):
+        runtime = _escrow(deadline=None)
+        commands = runtime.deliver(pay(C, T, M), key="c:1")
+        assert [type(c) for c in commands] == [Log, Got, Send, Timer]
+        assert runtime.out == [notify(T, P)]
+        assert runtime.out[0].deadline is None
 
     def test_completion_cancels_the_deadline_before_releasing(self):
         runtime = _escrow(deadline=5.0, retransmit=False)
@@ -187,7 +278,7 @@ class TestRecover:
         log = [c.record for c in live.commands if isinstance(c, Log)]
         cut = log[: log.index(("recv", "c:1", pay(C, T, M))) + 1]  # before `armed`
         assert cut[0] == ("endow", 0, ())
-        driver = TrustedDriver(live.driver.core.spec, 0, ())
+        driver = TrustedDriver(live.driver.spec, 0, ())
         driver.recover(cut)
         commands = driver.start(3.0)
         assert commands[0] == Log(("armed", 8.0))  # expiry counts from the restart
@@ -201,7 +292,7 @@ class TestRecover:
         log = [("endow", 1000, ())] + [
             c.record for c in live.commands if isinstance(c, Send) and c.record
         ]
-        driver = PrincipalDriver(C, live.driver.core.role, 1000, ())
+        driver = PrincipalDriver(C, live.driver.role, 1000, ())
         driver.recover(log)
         commands = driver.start(10.0)
         assert commands == [Send("c:1", pay(C, T, M), 1, None), Timer("c:1", 14.0)]

@@ -3,10 +3,13 @@
 The simulator keeps each party's log in memory.  A fresh driver must
 recover from any prefix of it — a crash can cut the log anywhere — and
 recovery from the whole log must rebuild exactly the live driver's state.
-A log the protocol core cannot have written must be refused.
+A log the protocol cannot have written must be refused.  What each party
+logs, and in what order, is pinned: old logs must stay replayable.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
@@ -14,6 +17,8 @@ from repro.core.actions import pay
 from repro.core.indemnity import minimal_indemnity_plan
 from repro.core.items import money
 from repro.errors import ProtocolError
+from repro.net.node import record_to_json
+from repro.net.wire import encode_json
 from repro.sim.driver import Send, TrustedDriver, driver_for
 from repro.sim.faults import FaultPlan, LinkFault, PartyFault
 from repro.sim.runtime import Simulation
@@ -81,13 +86,21 @@ def _fresh(sim, party):
 
 
 def _state(driver):
-    core = driver.core
     if isinstance(driver, TrustedDriver):
-        core_state = (core, driver.armed, driver.expiry)
+        protocol_state = (
+            driver.received,
+            driver.escrows,
+            driver.notified,
+            driver.rejected,
+            driver.completed,
+            driver.reversed,
+            driver.armed,
+            driver.expiry,
+        )
     else:
-        core_state = (core.observed, core.next_instruction)
+        protocol_state = (driver.observed, driver.next_instruction)
     return (
-        core_state,
+        protocol_state,
         driver.custody.cents,
         driver.custody.documents,
         driver.seen,
@@ -124,3 +137,39 @@ def test_a_send_the_core_cannot_regenerate_is_refused():
     forged = ("send", f"{party.name}:99", pay(party, other, money(999)))
     with pytest.raises(ProtocolError, match="WAL replay diverged"):
         _fresh(sim, party).recover(sim.logs[party] + [forged])
+
+
+#: (records, digest) of every party's log in each run, as WAL bytes.
+LOGS = {
+    "example1-reliable": (27, "6ab11a7189074ea3ec54af8f3afc8cf65d823ece4d7f71e50c326dd735535567"),
+    "example1-faulted": (18, "979145028bb5154aa68ac9bef5fd3fb3320372b46c0dc3b6bc8af9473e9f7005"),
+    "example2-indemnified-reliable": (
+        57,
+        "9bea64367fc3e6ead795f0d9f5602a347cf50c27d6ec24dfbe9dfdf29f58dbfc",
+    ),
+    "example2-indemnified-faulted": (
+        60,
+        "d38dfbaf8457f749fe3043f33be2162fc7ed4bae0403d376ff9d44c1f95f3678",
+    ),
+    "chain3-reliable": (53, "dc677c797a0bcf34468c67a1e0560ca701b2630c7032daedc61719d7ea5a0352"),
+    "chain3-faulted": (22, "f076b25da57dc3b926a841512481f2b95c73c0449c8832c974f5ab18638cf13d"),
+}
+
+
+def _log_digest(sim):
+    """Each party's name, then its log as the lines a node writes to its WAL."""
+    digest = hashlib.sha256()
+    count = 0
+    for party in sorted(sim.logs, key=lambda p: p.name):
+        digest.update(party.name.encode("utf-8") + b"\n")
+        for record in sim.logs[party]:
+            digest.update(encode_json(record_to_json(record)) + b"\n")
+            count += 1
+    return count, digest.hexdigest()
+
+
+@pytest.mark.parametrize("run", sorted(LOGS))
+def test_every_partys_log_is_pinned(run):
+    name, _, mode = run.rpartition("-")
+    sim = _simulated(EXCHANGES[name], faulted=mode == "faulted")
+    assert _log_digest(sim) == LOGS[run]

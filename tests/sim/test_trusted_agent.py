@@ -38,12 +38,12 @@ def _driver(spec):
 
 def _escrow(deadline=None, indemnities=()):
     runtime = Harness(_driver(_spec(deadline, indemnities)))
-    return runtime.driver.core, runtime
+    return runtime.driver, runtime
 
 
 class TestDeposits:
     def test_first_deposit_triggers_notify_to_other(self):
-        core, runtime = _escrow()
+        driver, runtime = _escrow()
         runtime.deliver(pay(C, T, M))
         assert len(runtime.out) == 1
         notice = runtime.out[0]
@@ -51,39 +51,39 @@ class TestDeposits:
         assert notice.recipient == P
 
     def test_second_deposit_releases_goods_before_money(self):
-        core, runtime = _escrow()
+        driver, runtime = _escrow()
         runtime.deliver(pay(C, T, M))
         runtime.deliver(give(P, T, D))
-        assert core.completed
+        assert driver.completed
         releases = runtime.out[1:]
         assert [a.item.is_money for a in releases] == [False, True]
         assert releases[0].recipient == C and releases[1].recipient == P
 
     def test_duplicate_deposit_bounced(self):
-        core, runtime = _escrow()
+        driver, runtime = _escrow()
         first = pay(C, T, M)
         runtime.deliver(first)
         runtime.deliver(first)
         bounced = runtime.out[-1]
         assert bounced == first.inverse()
-        assert core.rejected == [first]
+        assert driver.rejected == [first]
 
     def test_unknown_depositor_bounced(self):
-        core, runtime = _escrow()
+        driver, runtime = _escrow()
         stranger = consumer("stranger")
         stray = pay(stranger, T, M)
         runtime.deliver(stray)
         assert runtime.out == [stray.inverse()]
 
     def test_wrong_item_bounced(self):
-        core, runtime = _escrow()
+        driver, runtime = _escrow()
         bogus = give(P, T, document("junk"))
         runtime.deliver(bogus)
         assert runtime.out == [bogus.inverse()]
-        assert not core.received
+        assert not driver.received
 
     def test_deposit_after_completion_bounced(self):
-        core, runtime = _escrow()
+        driver, runtime = _escrow()
         runtime.deliver(pay(C, T, M))
         runtime.deliver(give(P, T, D))
         late = pay(C, T, M)
@@ -91,7 +91,7 @@ class TestDeposits:
         assert runtime.out[-1] == late.inverse()
 
     def test_notify_sent_once_only(self):
-        core, runtime = _escrow()
+        driver, runtime = _escrow()
         runtime.deliver(pay(C, T, M))
         bogus = give(P, T, document("junk"))
         runtime.deliver(bogus)  # bounced; P still pending
@@ -101,7 +101,7 @@ class TestDeposits:
     def test_inverted_and_notify_inputs_ignored(self):
         from repro.core.actions import notify as make_notify
 
-        core, runtime = _escrow()
+        driver, runtime = _escrow()
         runtime.deliver(pay(C, T, M).inverse())
         runtime.deliver(make_notify(trusted("other"), C))
         assert runtime.out == []
@@ -109,22 +109,22 @@ class TestDeposits:
 
 class TestTimeout:
     def test_timeout_reverses_held_deposits(self):
-        core, runtime = _escrow(deadline=5.0)
+        driver, runtime = _escrow(deadline=5.0)
         deposit = pay(C, T, M)
         runtime.deliver(deposit)
         runtime.fire_all()
-        assert core.reversed
+        assert driver.reversed
         assert deposit.inverse() in runtime.out
 
     def test_completion_cancels_timeout(self):
-        core, runtime = _escrow(deadline=5.0)
+        driver, runtime = _escrow(deadline=5.0)
         runtime.deliver(pay(C, T, M))
         runtime.deliver(give(P, T, D))
         runtime.fire_all()
-        assert core.completed and not core.reversed
+        assert driver.completed and not driver.reversed
 
     def test_deposit_after_reversal_bounced(self):
-        core, runtime = _escrow(deadline=5.0)
+        driver, runtime = _escrow(deadline=5.0)
         runtime.deliver(pay(C, T, M))
         runtime.fire_all()
         late = give(P, T, D)
@@ -132,13 +132,13 @@ class TestTimeout:
         assert runtime.out[-1] == late.inverse()
 
     def test_no_deadline_never_reverses(self):
-        core, runtime = _escrow(deadline=None)
+        driver, runtime = _escrow(deadline=None)
         runtime.deliver(pay(C, T, M))
         runtime.fire_all()
-        assert not core.reversed
+        assert not driver.reversed
 
     def test_notify_expiry_equals_timeout_time(self):
-        core, runtime = _escrow(deadline=5.0)
+        driver, runtime = _escrow(deadline=5.0)
         runtime.deliver(pay(C, T, M))
         notice = runtime.out[0]
         assert notice.deadline == 5.0  # queue starts at t=0
@@ -166,22 +166,22 @@ class TestPartialDeposits:
 
     def _escrow3(self, deadline=5.0, indemnities=()):
         runtime = Harness(_driver(self._spec3(deadline, indemnities)))
-        return runtime.driver.core, runtime
+        return runtime.driver, runtime
 
     def test_timeout_reverses_every_held_deposit(self):
-        core, runtime = self._escrow3()
+        driver, runtime = self._escrow3()
         first = pay(C, T, M)
         second = pay(self.B, T, money(20))
         runtime.deliver(first)
         runtime.deliver(second)  # P never ships: two of three deposits held
         runtime.fire_all()
-        assert core.reversed and not core.completed
+        assert driver.reversed and not driver.completed
         assert first.inverse() in runtime.out
         assert second.inverse() in runtime.out
-        assert core.received == {}
+        assert driver.received == {}
 
     def test_partial_deposit_does_not_notify_until_one_outstanding(self):
-        core, runtime = self._escrow3()
+        driver, runtime = self._escrow3()
         runtime.deliver(pay(C, T, M))
         notifies = [a for a in runtime.out if a.kind is ActionKind.NOTIFY]
         assert notifies == []  # two still pending: nobody is "last"
@@ -200,7 +200,7 @@ class TestPartialDeposits:
             covers=InteractionEdge(C, T, M),
             amount_cents=500,
         )
-        core, runtime = self._escrow3(indemnities=(offer,))
+        driver, runtime = self._escrow3(indemnities=(offer,))
         escrow = pay(P, T, cents(500, tag="indemnity-x"))
         runtime.deliver(escrow)
         runtime.deliver(pay(C, T, M))            # beneficiary performs
@@ -226,7 +226,7 @@ class TestPartialDeposits:
             covers=InteractionEdge(C, T, M),
             amount_cents=500,
         )
-        core, runtime = self._escrow3(indemnities=(offer,))
+        driver, runtime = self._escrow3(indemnities=(offer,))
         escrow = pay(P, T, cents(500, tag="indemnity-x"))
         runtime.deliver(escrow)
         runtime.deliver(pay(self.B, T, money(20)))  # only the bystander performs
@@ -236,20 +236,20 @@ class TestPartialDeposits:
 
 class TestDuplicateSuppression:
     def test_same_envelope_key_suppressed_not_bounced(self):
-        core, runtime = _escrow()
+        driver, runtime = _escrow()
         deposit = pay(C, T, M)
         runtime.deliver(deposit, key="c:7")
         runtime.deliver(deposit, key="c:7")  # transport re-delivered the same copy
-        assert core.rejected == []
+        assert driver.rejected == []
         bounces = [a for a in runtime.out if a.inverted]
         assert bounces == []
 
     def test_distinct_keys_still_bounce_true_overdeposit(self):
-        core, runtime = _escrow()
+        driver, runtime = _escrow()
         deposit = pay(C, T, M)
         runtime.deliver(deposit, key="c:7")
         runtime.deliver(deposit, key="c:8")  # a genuinely new send: over-deposit
-        assert core.rejected == [deposit]
+        assert driver.rejected == [deposit]
         assert runtime.out[-1] == deposit.inverse()
 
 
@@ -257,7 +257,7 @@ class TestIndemnities:
     def _offer(self):
         graph_edge = None
         # A synthetic edge object is unnecessary: offers only use parties
-        # and the amount inside the core.
+        # and the amount inside the driver.
         from repro.core.interaction import InteractionEdge
 
         graph_edge = InteractionEdge(C, T, M)
@@ -270,15 +270,15 @@ class TestIndemnities:
 
     def test_escrow_recognized_not_treated_as_deposit(self):
         offer = self._offer()
-        core, runtime = _escrow(deadline=5.0, indemnities=(offer,))
+        driver, runtime = _escrow(deadline=5.0, indemnities=(offer,))
         runtime.deliver(self._escrow_action(offer))
-        assert P in core.escrows
-        assert P not in core.received
+        assert P in driver.escrows
+        assert P not in driver.received
         assert runtime.out == []  # no bounce, no notify
 
     def test_escrow_refunded_on_completion(self):
         offer = self._offer()
-        core, runtime = _escrow(deadline=50.0, indemnities=(offer,))
+        driver, runtime = _escrow(deadline=50.0, indemnities=(offer,))
         escrow = self._escrow_action(offer)
         runtime.deliver(escrow)
         runtime.deliver(pay(C, T, M))
@@ -287,7 +287,7 @@ class TestIndemnities:
 
     def test_escrow_forfeited_when_beneficiary_performed(self):
         offer = self._offer()
-        core, runtime = _escrow(deadline=5.0, indemnities=(offer,))
+        driver, runtime = _escrow(deadline=5.0, indemnities=(offer,))
         runtime.deliver(self._escrow_action(offer))
         runtime.deliver(pay(C, T, M))  # beneficiary performs; offeror never does
         runtime.fire_all()
@@ -304,7 +304,7 @@ class TestIndemnities:
 
     def test_escrow_refunded_when_beneficiary_idle(self):
         offer = self._offer()
-        core, runtime = _escrow(deadline=5.0, indemnities=(offer,))
+        driver, runtime = _escrow(deadline=5.0, indemnities=(offer,))
         escrow = self._escrow_action(offer)
         runtime.deliver(escrow)
         # Nobody deposits; timeout fires only if armed — escrows alone do

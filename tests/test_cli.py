@@ -74,6 +74,11 @@ class TestSimulate:
         assert code == 0
         assert "[OK ]" in capsys.readouterr().out
 
+    def test_misspelled_adversary_exits_two(self, capsys):
+        code = main(["simulate", "--example", "example1", "--adversary", "Brokr:0"])
+        assert code == 2
+        assert "'Brokr' is not a principal" in capsys.readouterr().err
+
     def test_infeasible_example_auto_indemnifies(self, capsys):
         assert main(["simulate", "--example", "example2"]) == 0
         out = capsys.readouterr().out
