@@ -91,7 +91,7 @@ class Action:
         """
         if self.kind is ActionKind.NOTIFY:
             raise ModelError("notify actions have no inverse")
-        return replace(self, inverted=not self.inverted, deadline=None)
+        return Action(self.kind, self.sender, self.recipient, self.item, not self.inverted)
 
     def compensates(self, other: "Action") -> bool:
         """Whether this action is exactly the inverse of *other*."""

@@ -34,10 +34,10 @@ writes each as one JSON line of its write-ahead log:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Iterable, Sequence, Union
 
-from repro.core.actions import Action, notify, transfer
+from repro.core.actions import Action, ActionKind, transfer
 from repro.core.items import Item, Money
 from repro.core.parties import Party
 from repro.core.protocol import PrincipalRole, Protocol, TrustedExchangeSpec
@@ -146,7 +146,7 @@ class CustodyView:
 
 
 def _stripped(action: Action) -> Action:
-    return replace(action, deadline=None)
+    return Action(action.kind, action.sender, action.recipient, action.item, action.inverted)
 
 
 class PartyDriver:
@@ -475,10 +475,8 @@ class TrustedDriver(PartyDriver):
             last = pending[0]
             self.notified.add(last)
             # §2.5: the notice carries the earliest expiry of the pieces held.
-            notice = notify(self.party, last)
-            if self.armed and self.expiry is not None:
-                notice = replace(notice, deadline=self.expiry)
-            self._emit(now, notice, out)
+            expiry = self.expiry if self.armed else None
+            self._emit(now, Action(ActionKind.NOTIFY, self.party, last, deadline=expiry), out)
 
     def _complete(self, now: float, out: list[Command]) -> None:
         """Every deposit is in: disarm, then release goods before money,

@@ -48,7 +48,7 @@ from repro.sim.events import EventQueue
 from repro.sim.faults import FaultPlan
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Delivery:
     """One entry of the wire's ordered log: an envelope's first delivery."""
 
@@ -59,7 +59,7 @@ class Delivery:
     delivered_at: float
 
 
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     """One logical message and its transport fate."""
 
@@ -362,9 +362,7 @@ class Network:
             for fault in self.fault_plan.parties:
                 if fault.restart_at is not None:
                     queue.schedule_at(
-                        fault.restart_at,
-                        functools.partial(self._drain_mailbox, fault.party),
-                        label=f"restart {fault.party}",
+                        fault.restart_at, functools.partial(self._drain_mailbox, fault.party)
                     )
 
     @property
@@ -415,9 +413,7 @@ class Network:
 
     def _schedule(self, envelope: Envelope, arrivals: list[float]) -> None:
         for time in arrivals:
-            self.queue.schedule_at(
-                time, functools.partial(self._arrive, envelope), label=str(envelope.action)
-            )
+            self.queue.schedule_at(time, functools.partial(self._arrive, envelope))
 
     def _arrive(self, envelope: Envelope) -> None:
         now = self.queue.now
@@ -445,13 +441,7 @@ class Network:
 
     # ----------------------------------------------------------------- timers
 
-    def schedule_for(
-        self,
-        party: Party,
-        at: float,
-        callback: Callable[[], None],
-        label: str = "",
-    ) -> TimerHandle:
+    def schedule_for(self, party: Party, at: float, callback: Callable[[], None]) -> TimerHandle:
         """Schedule a timer owned by *party*'s process, due at sim time *at*.
 
         While the party is crashed the timer defers to its restart instant;
@@ -468,9 +458,9 @@ class Network:
                 restart = plan.restart_time(party.name)
                 if restart is None:
                     return  # the process never comes back; neither does this
-                handle._event = self.queue.schedule_at(restart, fire, label)
+                handle._event = self.queue.schedule_at(restart, fire)
                 return
             callback()
 
-        handle._event = self.queue.schedule_at(at, fire, label)
+        handle._event = self.queue.schedule_at(at, fire)
         return handle

@@ -43,7 +43,6 @@ from repro.sim.agents import AdversaryStrategy
 from repro.sim.driver import (
     Abandon,
     Command,
-    Got,
     Log,
     PartyDriver,
     Record,
@@ -249,22 +248,7 @@ class Simulation:
     def _apply(self, slot: _Slot, commands: list[Command]) -> None:
         """Carry out one driver step's commands, in order."""
         for command in commands:
-            if isinstance(command, Log):
-                slot.log.append(command.record)
-            elif isinstance(command, Got):
-                continue  # this wire needs no confirmation that a delivery is logged
-            elif isinstance(command, Timer):
-                previous = slot.timers.pop(command.name, None)
-                if previous is not None:
-                    previous.cancel()
-                if command.at is not None:
-                    slot.timers[command.name] = self.network.schedule_for(
-                        slot.party,
-                        command.at,
-                        functools.partial(self._fired, slot, command.name),
-                        command.name,
-                    )
-            elif isinstance(command, Send):
+            if type(command) is Send:
                 if command.record is None:
                     self.network.retransmit(command.key)
                     continue
@@ -278,9 +262,23 @@ class Simulation:
                     self.ledger.apply(action)
                 self.ledger.check()
                 self.network.send(action, command.key)
-            elif isinstance(command, Abandon):
+            elif type(command) is Log:
+                slot.log.append(command.record)
+            elif type(command) is Timer:
+                previous = slot.timers.pop(command.name, None)
+                if previous is not None:
+                    previous.cancel()
+                if command.at is not None:
+                    slot.timers[command.name] = self.network.schedule_for(
+                        slot.party,
+                        command.at,
+                        functools.partial(self._fired, slot, command.name),
+                    )
+            elif type(command) is Abandon:
                 slot.log.append(command.record)
                 self.network.abandon(command.key)
+            # A Got needs nothing: this wire needs no confirmation that a
+            # delivery is logged.
 
     def _fired(self, slot: _Slot, name: str) -> None:
         del slot.timers[name]

@@ -5,11 +5,14 @@ Amounts are dollars-and-cents literals (``$12``, ``$12.5``, ``$12.50``) and
 are tokenized directly into integer cents so no float ever enters the
 pipeline.
 
-One compiled master pattern scans the input: its alternatives cover every
-character, so consecutive matches tile the source and each match's group
-name says which token (or error) starts there.  Positions are 1-based; every
-character, tab and carriage return included, advances the column by one, and
-only ``\\n`` starts a new line.
+One compiled master pattern scans the input, one match per token: each match
+is the trivia (whitespace and comments) before a token plus the token, and
+the name of the token's group says which token (or error) it is.  The last
+match is the trivia before the end of input, so the matches tile the source.
+Positions are 1-based; every character, tab and carriage return included,
+advances the column by one, and only ``\\n`` starts a new line: the lexer
+counts the newlines in each token's leading trivia and measures its column
+from the last of them.
 """
 
 from __future__ import annotations
@@ -19,17 +22,23 @@ import re
 from repro.errors import SpecSyntaxError
 from repro.spec.tokens import KEYWORDS, Token, TokenType
 
+# Every position after the greedy trivia run starts a token, an ``other``
+# character or the ``eof``, so a match never backtracks into its trivia (a
+# token inside a comment stays in the comment).
 _SCANNER = re.compile(
     r"""
-      (?P<trivia>[ \t\r\n]+|\#[^\n]*)
-    | (?P<word>[A-Za-z][A-Za-z0-9_-]*)
-    | (?P<number>[0-9]+)
-    | (?P<amount>\$(?P<dollars>[0-9]*)(?:\.(?P<cents>[0-9]*))?)
-    | (?P<string>"[^"\n]*"?)
-    | (?P<arrow>->)
+    (?P<trivia>[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*)
+    (?:
+      (?P<word>[A-Za-z][A-Za-z0-9_-]*)
     | (?P<lbrace>\{)
     | (?P<rbrace>\})
+    | (?P<amount>\$(?P<dollars>[0-9]*)(?:\.(?P<cents>[0-9]*))?)
+    | (?P<arrow>->)
+    | (?P<number>[0-9]+)
+    | (?P<string>"[^"\n]*"?)
     | (?P<other>.)
+    | (?P<eof>\Z)
+    )
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -40,39 +49,43 @@ def tokenize(source: str) -> list[Token]:
     """Tokenize *source*; raises :class:`SpecSyntaxError` on bad input."""
     tokens: list[Token] = []
     append = tokens.append
+    count = source.count
     line = 1
     line_start = 0  # offset of the first character of the current line
     for match in _SCANNER.finditer(source):
         kind = match.lastgroup
-        start = match.start()
-        text = match.group()
-        if kind == "trivia":
-            newlines = text.count("\n")
+        trivia = match.start()
+        start = match.end("trivia")
+        if trivia != start:
+            newlines = count("\n", trivia, start)
             if newlines:
                 line += newlines
-                line_start = start + text.rindex("\n") + 1
-            continue
+                line_start = source.rfind("\n", trivia, start) + 1
         column = start - line_start + 1
         if kind == "word":
+            text = match.group("word")
             word_type = TokenType.KEYWORD if text in KEYWORDS else TokenType.IDENT
             append(Token(word_type, text, line, column))
-        elif kind == "number":
-            append(Token(TokenType.NUMBER, int(text), line, column))
+        elif kind in _PUNCTUATION:
+            append(Token(_PUNCTUATION[kind], match.group(kind), line, column))
         elif kind == "amount":
             append(Token(TokenType.AMOUNT, _cents(match, line, column), line, column))
+        elif kind == "number":
+            append(Token(TokenType.NUMBER, int(match.group("number")), line, column))
         elif kind == "string":
+            text = match.group("string")
             if len(text) < 2 or not text.endswith('"'):
                 raise SpecSyntaxError("unterminated string", line=line, column=column)
             append(Token(TokenType.STRING, text[1:-1], line, column))
-        elif kind in _PUNCTUATION:
-            append(Token(_PUNCTUATION[kind], text, line, column))
-        elif text == "-":
+        elif kind == "eof":
+            break
+        elif match.group("other") == "-":
             raise SpecSyntaxError("expected '->' after '-'", line=line, column=column)
         else:
             raise SpecSyntaxError(
-                f"unexpected character {text!r}", line=line, column=column
+                f"unexpected character {match.group('other')!r}", line=line, column=column
             )
-    append(Token(TokenType.EOF, "", line, len(source) - line_start + 1))
+    append(Token(TokenType.EOF, "", line, column))
     return tokens
 
 

@@ -18,6 +18,8 @@ All errors are :class:`SpecSyntaxError` with source positions.
 
 from __future__ import annotations
 
+from typing import Any, Callable
+
 from repro.errors import SpecSyntaxError
 from repro.spec.ast import (
     ClauseKind,
@@ -34,6 +36,8 @@ from repro.spec.ast import (
 from repro.spec.lexer import tokenize
 from repro.spec.tokens import Token, TokenType
 
+_PRINCIPAL_KINDS = {kind.value: kind for kind in PrincipalKind}
+
 
 class Parser:
     """Consumes a token stream and yields a :class:`SpecFile`."""
@@ -44,34 +48,36 @@ class Parser:
 
     # ------------------------------------------------------------------ util
 
-    def _peek(self) -> Token:
-        return self._tokens[self._index]
-
     def _advance(self) -> Token:
         token = self._tokens[self._index]
         if token.type is not TokenType.EOF:
             self._index += 1
         return token
 
-    def _error(self, message: str, token: Token | None = None) -> SpecSyntaxError:
-        token = token if token is not None else self._peek()
+    @staticmethod
+    def _error(message: str, token: Token) -> SpecSyntaxError:
         return SpecSyntaxError(message, line=token.line, column=token.column)
 
-    def _expect_keyword(self, word: str) -> Token:
-        token = self._advance()
-        if not token.is_keyword(word):
+    def _accept(self, word: str) -> bool:
+        """Consume the next token if it is the keyword *word*."""
+        token = self._tokens[self._index]
+        if token.type is TokenType.KEYWORD and token.value == word:
+            self._index += 1
+            return True
+        return False
+
+    def _expect_keyword(self, word: str) -> None:
+        token = self._tokens[self._index]
+        if token.type is not TokenType.KEYWORD or token.value != word:
             raise self._error(f"expected '{word}', found {token}", token)
-        return token
+        self._index += 1
 
     def _expect_ident(self, what: str) -> Token:
-        token = self._advance()
+        token = self._tokens[self._index]
         if token.type is not TokenType.IDENT:
             raise self._error(f"expected {what}, found {token}", token)
+        self._index += 1
         return token
-
-    @staticmethod
-    def _pos(token: Token) -> Position:
-        return Position(token.line, token.column)
 
     # ----------------------------------------------------------------- parse
 
@@ -83,23 +89,26 @@ class Parser:
         exchanges: list[ExchangeDecl] = []
         priorities: list[PriorityDecl] = []
         trusts: list[TrustDecl] = []
-        while self._peek().type is not TokenType.EOF:
-            token = self._peek()
-            if token.is_keyword("principal"):
-                principals.append(self._parse_principal())
-            elif token.is_keyword("trusted"):
-                trusted.append(self._parse_trusted())
-            elif token.is_keyword("exchange"):
-                exchanges.append(self._parse_exchange())
-            elif token.is_keyword("priority"):
-                priorities.append(self._parse_priority())
-            elif token.is_keyword("trust"):
-                trusts.append(self._parse_trust())
-            else:
+        # Each statement keyword: the method that parses the rest of the
+        # statement from its keyword token, and the list its result joins.
+        statements: dict[str, tuple[Callable[[Token], object], list[Any]]] = {
+            "principal": (self._parse_principal, principals),
+            "trusted": (self._parse_trusted, trusted),
+            "exchange": (self._parse_exchange, exchanges),
+            "priority": (self._parse_priority, priorities),
+            "trust": (self._parse_trust, trusts),
+        }
+        tokens = self._tokens
+        while (token := tokens[self._index]).type is not TokenType.EOF:
+            if token.type is not TokenType.KEYWORD or token.value not in statements:
                 raise self._error(
                     f"expected a statement keyword (principal/trusted/exchange/"
-                    f"priority/trust), found {token}"
+                    f"priority/trust), found {token}",
+                    token,
                 )
+            self._index += 1
+            parse_statement, found = statements[str(token.value)]
+            found.append(parse_statement(token))
         return SpecFile(
             name=name,
             principals=tuple(principals),
@@ -110,38 +119,36 @@ class Parser:
         )
 
     def _parse_problem_header(self) -> str:
-        if not self._peek().is_keyword("problem"):
+        if not self._accept("problem"):
             return "unnamed"
-        self._advance()
         token = self._advance()
         if token.type not in (TokenType.STRING, TokenType.IDENT):
             raise self._error("expected a problem name after 'problem'", token)
         return str(token.value)
 
-    def _parse_principal(self) -> PrincipalDecl:
-        start = self._expect_keyword("principal")
+    def _parse_principal(self, start: Token) -> PrincipalDecl:
         kind_token = self._advance()
-        kinds = {kind.value: kind for kind in PrincipalKind}
-        if kind_token.type is not TokenType.KEYWORD or kind_token.value not in kinds:
+        if kind_token.type is not TokenType.KEYWORD or kind_token.value not in _PRINCIPAL_KINDS:
             raise self._error(
                 "expected 'consumer', 'broker' or 'producer' after 'principal'",
                 kind_token,
             )
         name = self._expect_ident("a principal name")
-        return PrincipalDecl(kinds[str(kind_token.value)], str(name.value), self._pos(start))
+        return PrincipalDecl(
+            _PRINCIPAL_KINDS[str(kind_token.value)],
+            str(name.value),
+            Position(start.line, start.column),
+        )
 
-    def _parse_trusted(self) -> TrustedDecl:
-        start = self._expect_keyword("trusted")
+    def _parse_trusted(self, start: Token) -> TrustedDecl:
         name = self._expect_ident("a trusted-component name")
-        return TrustedDecl(str(name.value), self._pos(start))
+        return TrustedDecl(str(name.value), Position(start.line, start.column))
 
-    def _parse_exchange(self) -> ExchangeDecl:
-        start = self._expect_keyword("exchange")
+    def _parse_exchange(self, start: Token) -> ExchangeDecl:
         self._expect_keyword("via")
         via = self._expect_ident("a trusted-component name")
         deadline: int | None = None
-        if self._peek().is_keyword("deadline"):
-            self._advance()
+        if self._accept("deadline"):
             number = self._advance()
             if number.type is not TokenType.NUMBER:
                 raise self._error("expected a number after 'deadline'", number)
@@ -150,46 +157,40 @@ class Parser:
         if brace.type is not TokenType.LBRACE:
             raise self._error("expected '{' opening the exchange block", brace)
         clauses: list[MemberClause] = []
-        while self._peek().type is not TokenType.RBRACE:
-            if self._peek().type is TokenType.EOF:
-                raise self._error("unterminated exchange block (missing '}')")
+        tokens = self._tokens
+        while (token := tokens[self._index]).type is not TokenType.RBRACE:
+            if token.type is TokenType.EOF:
+                raise self._error("unterminated exchange block (missing '}')", token)
             clauses.append(self._parse_clause())
-        self._advance()  # consume '}'
+        self._index += 1  # consume '}'
         if len(clauses) < 2:
-            raise self._error(
-                "an exchange needs at least two member clauses", start
-            )
+            raise self._error("an exchange needs at least two member clauses", start)
         return ExchangeDecl(
-            str(via.value), tuple(clauses), self._pos(start), deadline=deadline
+            str(via.value), tuple(clauses), Position(start.line, start.column), deadline=deadline
         )
 
     def _parse_clause(self) -> MemberClause:
         party = self._expect_ident("a participant name")
         verb = self._advance()
+        word = verb.value if verb.type is TokenType.KEYWORD else None
         amount_cents: int | None = None
         item: str | None = None
-        if verb.is_keyword("pays"):
+        if word == "pays":
             amount = self._advance()
             if amount.type is not TokenType.AMOUNT:
                 raise self._error("expected a '$' amount after 'pays'", amount)
             amount_cents = int(amount.value)
             kind = ClauseKind.PAYS
-        elif verb.is_keyword("gives"):
-            item_token = self._expect_ident("an item name")
-            item = str(item_token.value)
+        elif word == "gives":
+            item = str(self._expect_ident("an item name").value)
             kind = ClauseKind.GIVES
         else:
             raise self._error(f"expected 'pays' or 'gives', found {verb}", verb)
-        tag = ""
-        if self._peek().is_keyword("tag"):
-            self._advance()
-            tag_token = self._expect_ident("a tag name")
-            tag = str(tag_token.value)
+        tag = str(self._expect_ident("a tag name").value) if self._accept("tag") else ""
         expects_item: str | None = None
         expects_amount: int | None = None
         expects_tag = ""
-        if self._peek().is_keyword("expects"):
-            self._advance()
+        if self._accept("expects"):
             target = self._advance()
             if target.type is TokenType.AMOUNT:
                 expects_amount = int(target.value)
@@ -199,37 +200,35 @@ class Parser:
                 raise self._error(
                     "expected an item name or '$' amount after 'expects'", target
                 )
-            if self._peek().is_keyword("tag"):
-                self._advance()
-                expects_tag_token = self._expect_ident("a tag name")
-                expects_tag = str(expects_tag_token.value)
+            if self._accept("tag"):
+                expects_tag = str(self._expect_ident("a tag name").value)
         return MemberClause(
             party=str(party.value),
             kind=kind,
             amount_cents=amount_cents,
             item=item,
             tag=tag,
-            position=self._pos(party),
+            position=Position(party.line, party.column),
             expects_item=expects_item,
             expects_amount_cents=expects_amount,
             expects_tag=expects_tag,
         )
 
-    def _parse_priority(self) -> PriorityDecl:
-        start = self._expect_keyword("priority")
+    def _parse_priority(self, start: Token) -> PriorityDecl:
         principal = self._expect_ident("a principal name")
         self._expect_keyword("via")
         via = self._expect_ident("a trusted-component name")
-        return PriorityDecl(str(principal.value), str(via.value), self._pos(start))
+        return PriorityDecl(
+            str(principal.value), str(via.value), Position(start.line, start.column)
+        )
 
-    def _parse_trust(self) -> TrustDecl:
-        start = self._expect_keyword("trust")
+    def _parse_trust(self, start: Token) -> TrustDecl:
         truster = self._expect_ident("a party name")
         arrow = self._advance()
         if arrow.type is not TokenType.ARROW:
             raise self._error("expected '->' in trust statement", arrow)
         trustee = self._expect_ident("a party name")
-        return TrustDecl(str(truster.value), str(trustee.value), self._pos(start))
+        return TrustDecl(str(truster.value), str(trustee.value), Position(start.line, start.column))
 
 
 def parse(source: str) -> SpecFile:

@@ -30,7 +30,7 @@ Tokens carry 1-based line/column positions for error reporting.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TokenType(enum.Enum):
@@ -68,8 +68,7 @@ KEYWORDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token with its source position.
 
     ``value`` is the raw text for identifiers/keywords, the unquoted content
@@ -90,4 +89,7 @@ class Token:
             return f"'{self.type.value}'"
         if self.type is TokenType.EOF:
             return "end of input"
+        if self.type is TokenType.AMOUNT:
+            cents = int(self.value)
+            return f"amount ${cents // 100}.{cents % 100:02d}"
         return f"{self.type.value} {self.value!r}"

@@ -109,6 +109,13 @@ class TestErrorsAndPositions:
         assert "identifier" in str(Token(TokenType.IDENT, "x", 1, 1))
         assert str(tokenize("")[0]) == "end of input"
 
+    @pytest.mark.parametrize(
+        "text,shown",
+        [("$12", "amount $12.00"), ("$12.5", "amount $12.50"), ("$0.05", "amount $0.05")],
+    )
+    def test_amount_token_str_shows_dollars(self, text, shown):
+        assert str(tokenize(text)[0]) == shown
+
 
 def _error(source):
     with pytest.raises(SpecSyntaxError) as info:

@@ -51,6 +51,12 @@ class TestPrincipalAndTrusted:
         with pytest.raises(SpecSyntaxError, match="principal name"):
             parse("principal consumer {")
 
+    def test_amount_in_an_error_reads_as_dollars(self):
+        with pytest.raises(
+            SpecSyntaxError, match=r"expected a principal name, found amount \$12\.00$"
+        ):
+            parse("principal broker $12")
+
     def test_trusted_decl(self):
         spec = parse(GOOD)
         assert [d.name for d in spec.trusted] == ["T"]
