@@ -35,6 +35,8 @@ class ActionKind(enum.Enum):
     PAY = "pay"
     NOTIFY = "notify"
 
+    __hash__ = object.__hash__  # singletons: hash by identity, in C
+
 
 @dataclass(frozen=True, order=True)
 class Action:

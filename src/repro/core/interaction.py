@@ -9,7 +9,9 @@ This implementation enriches each edge with the *item the principal provides*
 through that intermediary (a document or a payment), which is what the
 sequencing machinery (§4), indemnity sizing (§6), and the simulator all need.
 A trusted component with exactly two edges mediates one pairwise exchange:
-each side provides its item and expects the counterpart's.
+each side provides its item and expects the counterpart's.  An edge is a
+tuple of its fields (a validated ``NamedTuple``), so the dicts and sets keyed
+by edges here and in every later stage hash and compare it in C.
 
 Resale priorities (the third conjunction type of §4.1 — "a broker will commit
 to obtain a document only if it has a committed buyer") are declared with
@@ -20,16 +22,21 @@ edges in the sequencing graph.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from repro.core.items import Item
 from repro.core.parties import Party, require_principal, require_trusted
 from repro.errors import GraphError
 
 
-@dataclass(frozen=True, order=True)
-class InteractionEdge:
+class _InteractionEdgeFields(NamedTuple):
+    principal: Party
+    trusted: Party
+    provides: Item
+    tag: str
+
+
+class InteractionEdge(_InteractionEdgeFields):
     """One edge ``(principal, trusted)`` of the interaction graph.
 
     ``provides`` is the item the principal deposits with the trusted
@@ -37,34 +44,14 @@ class InteractionEdge:
     between the same pair (rare, but legal in the formalism).
     """
 
-    principal: Party
-    trusted: Party
-    provides: Item
-    tag: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        require_principal(self.principal, "interaction edge")
-        require_trusted(self.trusted, "interaction edge")
-
-    def __hash__(self) -> int:
-        # Cached: interaction edges sit inside every CommitmentNode/SGEdge
-        # hash, so this is the deepest level of the reduction hot loop.  The
-        # cache never survives pickling (per-process str-hash salting).
-        try:
-            return self._hash  # type: ignore[attr-defined]
-        except AttributeError:
-            value = hash((self.principal, self.trusted, self.provides, self.tag))
-            object.__setattr__(self, "_hash", value)
-            return value
-
-    def __getstate__(self) -> dict[str, object]:
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        for key, value in state.items():
-            object.__setattr__(self, key, value)
+    def __new__(
+        cls, principal: Party, trusted: Party, provides: Item, tag: str = ""
+    ) -> InteractionEdge:
+        require_principal(principal, "interaction edge")
+        require_trusted(trusted, "interaction edge")
+        return super().__new__(cls, principal, trusted, provides, tag)
 
     @property
     def label(self) -> str:

@@ -6,26 +6,32 @@ both under a common :class:`Item` interface so ledgers and transfer machinery
 are uniform, while keeping the give/pay distinction for action rendering and
 for the §5 rule that trusted agents release goods before payments.
 
+Items sit inside every action, ledger key and interaction edge, so each
+concrete item is a tuple of its fields (a validated ``NamedTuple``) and
+hashes, compares and orders in C.  :class:`Item` is a field-less mixin that
+carries the shared behaviour and serves ``isinstance`` and annotations.
+
 Money amounts are held in integer *cents* to avoid floating-point drift in
 ledgers and indemnity sums; the constructors accept floats/ints in dollars.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.errors import ModelError
 
 
-@dataclass(frozen=True, order=True)
 class Item:
     """Base class for transferable objects.  Identity is the label."""
 
-    label: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.label:
-            raise ModelError("item label must be non-empty")
+    if TYPE_CHECKING:
+        # Each concrete item's ``label`` is its first tuple field.
+
+        @property
+        def label(self) -> str: ...
 
     @property
     def is_money(self) -> bool:
@@ -36,17 +42,31 @@ class Item:
         return self.label
 
 
-@dataclass(frozen=True, order=True)
-class Document(Item):
+class _DocumentFields(NamedTuple):
+    label: str
+
+
+class Document(_DocumentFields, Item):
     """A digital good: a document, dataset, or computation result.
 
     >>> Document("d1").is_money
     False
     """
 
+    __slots__ = ()
 
-@dataclass(frozen=True, order=True)
-class Money(Item):
+    def __new__(cls, label: str) -> Document:
+        if not label:
+            raise ModelError("item label must be non-empty")
+        return super().__new__(cls, label)
+
+
+class _MoneyFields(NamedTuple):
+    label: str
+    cents: int
+
+
+class Money(_MoneyFields, Item):
     """A dollar amount, stored as integer cents.
 
     The label is derived from the amount so that equal amounts with equal
@@ -59,12 +79,14 @@ class Money(Item):
     '$10.00'
     """
 
-    cents: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.cents < 0:
-            raise ModelError(f"money amount must be non-negative, got {self.cents} cents")
+    def __new__(cls, label: str, cents: int = 0) -> Money:
+        if not label:
+            raise ModelError("item label must be non-empty")
+        if cents < 0:
+            raise ModelError(f"money amount must be non-negative, got {cents} cents")
+        return super().__new__(cls, label, cents)
 
     @property
     def is_money(self) -> bool:

@@ -5,6 +5,10 @@ and brokers — plus *trusted components* (intermediaries).  A party is a named,
 hashable value object; identity is the name, so two ``Party`` objects with the
 same name are interchangeable.
 
+Parties key every graph index and hot-loop set, so ``Party`` is a tuple of
+its fields (a validated ``NamedTuple``): hashing, equality and ordering run
+in C.  ``Role`` hashes by identity, since enum members are singletons.
+
 The principal/trusted distinction matters structurally: interaction graphs are
 bipartite between principals and trusted components (§3), and only trusted
 components may emit ``notify`` actions or reverse transfers they received
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import ModelError
 
@@ -37,14 +41,22 @@ class Role(enum.Enum):
     PRODUCER = "producer"
     TRUSTED = "trusted"
 
+    # Members are singletons compared by identity; hash them the same way,
+    # in C, instead of through Enum.__hash__ (a Python frame per lookup).
+    __hash__ = object.__hash__
+
     @property
     def is_principal(self) -> bool:
         """True for consumer/broker/producer, False for trusted components."""
         return self is not Role.TRUSTED
 
 
-@dataclass(frozen=True, order=True)
-class Party:
+class _PartyFields(NamedTuple):
+    name: str
+    role: Role
+
+
+class Party(_PartyFields):
     """A named participant with a :class:`Role`.
 
     Parties are immutable and hashable; they are used as graph-node keys
@@ -57,35 +69,15 @@ class Party:
     True
     """
 
-    name: str
-    role: Role
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not _NAME_RE.match(self.name):
+    def __new__(cls, name: str, role: Role) -> Party:
+        if not _NAME_RE.match(name):
             raise ModelError(
-                f"invalid party name {self.name!r}: names must start with a "
+                f"invalid party name {name!r}: names must start with a "
                 "letter and contain only letters, digits, '_' or '-'"
             )
-
-    def __hash__(self) -> int:
-        # Parties key every graph index and hot-loop set; cache the hash on
-        # first use.  The cache must not cross process boundaries (str hashes
-        # are per-process salted), so __getstate__ strips it before pickling.
-        try:
-            return self._hash  # type: ignore[attr-defined]
-        except AttributeError:
-            value = hash((self.name, self.role))
-            object.__setattr__(self, "_hash", value)
-            return value
-
-    def __getstate__(self) -> dict[str, object]:
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        for key, value in state.items():
-            object.__setattr__(self, key, value)
+        return super().__new__(cls, name, role)
 
     @property
     def is_principal(self) -> bool:

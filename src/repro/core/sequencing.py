@@ -16,13 +16,16 @@ from an interaction graph is mechanical (:meth:`SequencingGraph.from_interaction
 red edges come from the interaction graph's priority markings, and each
 commitment records whether its trusted-agent role is *played by its own
 principal* (a persona, §4.2.3), which enables clause 2 of Reduction Rule #1.
+
+Commitments, conjunctions and edges are plain ``NamedTuple``s: the reduction
+engine, the §5 execution recovery and the indemnity search key their indices
+by these nodes, and a tuple hashes, compares and orders in C.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from repro.core.interaction import InteractionEdge, InteractionGraph
 from repro.core.parties import Party
@@ -30,8 +33,7 @@ from repro.core.trust import TrustRelation
 from repro.errors import GraphError
 
 
-@dataclass(frozen=True, order=True)
-class CommitmentNode:
+class CommitmentNode(NamedTuple):
     """A commitment node: one per interaction-graph edge (§4.1).
 
     The paper labels these with the two agents of the commitment, e.g.
@@ -39,26 +41,6 @@ class CommitmentNode:
     """
 
     edge: InteractionEdge
-
-    def __hash__(self) -> int:
-        # Commitment nodes key the reduction engine's adjacency indices;
-        # cache the (deep, interaction-edge-recursive) hash.  Stripped on
-        # pickle: str hashes are salted per process.
-        try:
-            return self._hash  # type: ignore[attr-defined]
-        except AttributeError:
-            value = hash((self.edge,))
-            object.__setattr__(self, "_hash", value)
-            return value
-
-    def __getstate__(self) -> dict[str, object]:
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        for key, value in state.items():
-            object.__setattr__(self, key, value)
 
     @property
     def principal(self) -> Party:
@@ -78,28 +60,10 @@ class CommitmentNode:
         return self.label
 
 
-@dataclass(frozen=True, order=True)
-class ConjunctionNode:
+class ConjunctionNode(NamedTuple):
     """A conjunction node ``∧agent``: one per internal interaction node (§4.1)."""
 
     agent: Party
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash  # type: ignore[attr-defined]
-        except AttributeError:
-            value = hash((self.agent,))
-            object.__setattr__(self, "_hash", value)
-            return value
-
-    def __getstate__(self) -> dict[str, object]:
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        for key, value in state.items():
-            object.__setattr__(self, key, value)
 
     @property
     def label(self) -> str:
@@ -115,34 +79,16 @@ class EdgeColor(enum.Enum):
     RED = "red"
     BLACK = "black"
 
+    # Singletons compared by identity: hash them by identity too, in C.
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True, order=True)
-class SGEdge:
+
+class SGEdge(NamedTuple):
     """An edge ``(c, j)`` of the sequencing graph with its color."""
 
     commitment: CommitmentNode
     conjunction: ConjunctionNode
     color: EdgeColor
-
-    def __hash__(self) -> int:
-        # SGEdge is the single hottest hash in the repo (every remaining-set
-        # membership test); without the cache each hash recurses through the
-        # commitment, interaction edge, parties, and items.
-        try:
-            return self._hash  # type: ignore[attr-defined]
-        except AttributeError:
-            value = hash((self.commitment, self.conjunction, self.color))
-            object.__setattr__(self, "_hash", value)
-            return value
-
-    def __getstate__(self) -> dict[str, object]:
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        for key, value in state.items():
-            object.__setattr__(self, key, value)
 
     @property
     def is_red(self) -> bool:

@@ -34,9 +34,12 @@ Rule catalogue (see DESIGN.md §10 for rationale and examples):
   legal way to open a tracing span is the context-manager form
   ``with tracer.span(...):`` (closed on every path, exceptions included).
   Imperative ``.start_span()``/``.end_span()`` calls, and ``.span(...)``
-  used anywhere but as a ``with`` context item, are flagged.  The
-  imperative pair exists for event-driven lifetimes (a message span opens
-  at send, closes at delivery) and is confined to ``repro.obs.messages``.
+  used anywhere but as a ``with`` context item, are flagged — except
+  ``re.Match.span``: a receiver that the same function binds from a regex
+  match (``for m in ….finditer(…)`` or ``m = ….match/search/fullmatch(…)``).
+  The imperative pair exists for event-driven lifetimes (a message span
+  opens at send, closes at delivery) and is confined to
+  ``repro.obs.messages``.
 """
 
 from __future__ import annotations
@@ -442,14 +445,45 @@ class FloatMoneyArithmetic(Rule):
 
 # --------------------------------------------------------------------- OBS001
 
+def _calls_method(node: ast.expr, *methods: str) -> bool:
+    """Whether *node* is a call of an attribute named in *methods*."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in methods
+    )
+
+
+def _regex_match_names(scope: ast.AST) -> set[str]:
+    """Names *scope* binds from a regex match.
+
+    Two forms: the target of ``for NAME in ….finditer(…)``, and
+    ``NAME = ….match(…)`` (or ``search``/``fullmatch``).
+    """
+    names: set[str] = set()
+    for node in ast.walk(scope):
+        if isinstance(node, ast.For) and _calls_method(node.iter, "finditer"):
+            targets = [node.target]
+        elif isinstance(node, ast.Assign) and _calls_method(
+            node.value, "match", "search", "fullmatch"
+        ):
+            targets = node.targets
+        else:
+            continue
+        names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
 @register
 class SpanLifecycleDiscipline(Rule):
     """OBS001: spans opened outside the context-manager discipline.
 
     Narrow by design: matches attribute calls named ``start_span``/
     ``end_span`` anywhere, and attribute calls named ``span`` that are not
-    the context expression of a ``with`` item.  ``repro/obs`` itself is
-    exempt (the imperative pair is implemented and legitimately used there).
+    the context expression of a ``with`` item, unless the receiver is a
+    name the enclosing function binds from a regex match (``re.Match.span``
+    returns offsets and opens nothing).  ``repro/obs`` itself is exempt
+    (the imperative pair is implemented and legitimately used there).
     """
 
     code = "OBS001"
@@ -481,6 +515,11 @@ class SpanLifecycleDiscipline(Rule):
                 if (
                     isinstance(parent, ast.withitem)
                     and parent.context_expr is node
+                ):
+                    continue
+                scope = ctx.enclosing_function(node) or ctx.tree
+                if isinstance(func.value, ast.Name) and (
+                    func.value.id in _regex_match_names(scope)
                 ):
                     continue
                 yield self.finding(

@@ -1,12 +1,21 @@
-"""Property-based tests for the §2 formalism (actions, states, money)."""
+"""Property-based tests for the §2 formalism (actions, states, money) and
+the value types that model it (parties, items, interaction edges, §4.1
+sequencing-graph nodes)."""
 
+import copy
+import pickle
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.actions import transfer
-from repro.core.items import cents, document, money
-from repro.core.parties import Party, Role
+from repro.core.interaction import InteractionEdge
+from repro.core.items import Document, Money, cents, document, money
+from repro.core.parties import Party, Role, trusted
+from repro.core.sequencing import CommitmentNode, ConjunctionNode, EdgeColor, SGEdge
 from repro.core.states import ExchangeState
+from repro.errors import ModelError
 
 names = st.from_regex(r"[A-Za-z][A-Za-z0-9_\-]{0,10}", fullmatch=True)
 principal_roles = st.sampled_from([Role.CONSUMER, Role.BROKER, Role.PRODUCER])
@@ -102,3 +111,199 @@ def test_actions_by_partitions_state(actions):
     for party in parties:
         union |= state.actions_by(party)
     assert union == set(state.actions)
+
+
+# ----------------------------------------------------------------------------
+# Value types: parties, items, interaction edges and sequencing-graph nodes
+# are tuples of their fields.  Each strategy below draws a *factory*, a
+# zero-argument callable that builds a fresh value (nested values included)
+# from the drawn fields, so a test can build one value twice, separately.
+
+all_roles = st.sampled_from(list(Role))
+
+
+@st.composite
+def party_factories(draw, roles=all_roles):
+    name, role = draw(names), draw(roles)
+    return lambda: Party(name, role)
+
+
+@st.composite
+def document_factories(draw):
+    label = draw(names)
+    return lambda: Document(label)
+
+
+@st.composite
+def money_factories(draw):
+    label, amount = draw(names), draw(st.integers(0, 10**6))
+    return lambda: Money(label, amount)
+
+
+@st.composite
+def edge_factories(draw):
+    principal = draw(party_factories(principal_roles))
+    trusted_side = draw(party_factories(st.just(Role.TRUSTED)))
+    provides = draw(st.one_of(document_factories(), money_factories()))
+    tag = draw(st.sampled_from(["", "b"]))
+    return lambda: InteractionEdge(principal(), trusted_side(), provides(), tag)
+
+
+@st.composite
+def commitment_factories(draw):
+    edge = draw(edge_factories())
+    return lambda: CommitmentNode(edge())
+
+
+@st.composite
+def conjunction_factories(draw):
+    agent = draw(party_factories())
+    return lambda: ConjunctionNode(agent())
+
+
+@st.composite
+def sg_edge_factories(draw):
+    commitment, conjunction = draw(commitment_factories()), draw(conjunction_factories())
+    color = draw(st.sampled_from(list(EdgeColor)))
+    return lambda: SGEdge(commitment(), conjunction(), color)
+
+
+# Each value type's fields, in order: the old ``order=True`` dataclasses
+# compared these tuples, and the tuple types must order the same way.
+FIELDS = {
+    Party: ("name", "role"),
+    Document: ("label",),
+    Money: ("label", "cents"),
+    InteractionEdge: ("principal", "trusted", "provides", "tag"),
+    CommitmentNode: ("edge",),
+    ConjunctionNode: ("agent",),
+    SGEdge: ("commitment", "conjunction", "color"),
+}
+SAME_TYPE_FACTORIES = (
+    party_factories(),
+    document_factories(),
+    money_factories(),
+    edge_factories(),
+    commitment_factories(),
+    conjunction_factories(),
+    sg_edge_factories(),
+)
+value_factories = st.one_of(*SAME_TYPE_FACTORIES)
+
+
+@given(make=value_factories)
+@settings(max_examples=100, deadline=None)
+def test_values_built_separately_are_equal_and_hash_equal(make):
+    first, second = make(), make()
+    assert first is not second
+    assert first == second
+    assert hash(first) == hash(second)
+
+
+@given(make=value_factories)
+@settings(max_examples=100, deadline=None)
+def test_pickle_and_copy_return_an_equal_value_of_the_same_class(make):
+    value = make()
+    copies = [
+        pickle.loads(pickle.dumps(value, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    copies += [copy.copy(value), copy.deepcopy(value)]
+    for other in copies:
+        assert type(other) is type(value)
+        assert other == value
+        assert hash(other) == hash(value)
+
+
+def _sorted_or_type_error(values, key=None):
+    try:
+        return sorted(values, key=key)
+    except TypeError:
+        return TypeError
+
+
+@given(makers=st.one_of(*(st.lists(f, max_size=8) for f in SAME_TYPE_FACTORIES)))
+@settings(max_examples=100, deadline=None)
+def test_sorting_matches_sorting_by_field_tuples(makers):
+    values = [make() for make in makers]
+
+    def field_tuple(value):
+        return tuple(getattr(value, name) for name in FIELDS[type(value)])
+
+    # Roles and edge colors do not order, so a tie on every field before one
+    # raises TypeError in both sorts.
+    assert _sorted_or_type_error(values) == _sorted_or_type_error(values, key=field_tuple)
+
+
+def test_a_tie_on_name_with_different_roles_does_not_order():
+    with pytest.raises(TypeError):
+        sorted([Party("x", Role.CONSUMER), Party("x", Role.BROKER)])
+
+
+@given(label=names, amount=st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_a_document_never_equals_money(label, amount):
+    assert Document(label) != Money(label, 0)
+    assert Document(label) != Money(label, amount)
+
+
+@given(edge=edge_factories(), agent=party_factories())
+@settings(max_examples=100, deadline=None)
+def test_no_commitment_equals_a_conjunction(edge, agent):
+    built = edge()
+    commitment = CommitmentNode(built)
+    for party in (agent(), built.principal, built.trusted):
+        assert commitment != ConjunctionNode(party)
+
+
+INVALID_VALUES = {
+    "party name starts with a digit": lambda: Party("1ustomer", Role.CONSUMER),
+    "empty party name": lambda: Party("", Role.TRUSTED),
+    "party name with a space": lambda: Party("a b", Role.BROKER),
+    "empty document label": lambda: Document(""),
+    "empty money label": lambda: Money("", 100),
+    "negative money": lambda: Money("$1.00", -100),
+    "trusted component as principal": lambda: InteractionEdge(
+        trusted("T1"), trusted("T2"), Document("d")
+    ),
+    "principal as trusted component": lambda: InteractionEdge(
+        Party("C", Role.CONSUMER), Party("P", Role.PRODUCER), Document("d")
+    ),
+}
+
+
+@pytest.mark.parametrize("build", INVALID_VALUES.values(), ids=INVALID_VALUES.keys())
+def test_constructor_checks_raise_model_error(build):
+    with pytest.raises(ModelError):
+        build()
+
+
+PICKLE_PROTOCOLS_WITH_NEWOBJ = range(2, pickle.HIGHEST_PROTOCOL + 1)
+
+
+@pytest.mark.parametrize("protocol", PICKLE_PROTOCOLS_WITH_NEWOBJ)
+def test_loading_a_payload_edited_to_an_invalid_name_raises(protocol):
+    customer = Party("Customer", Role.CONSUMER)
+    edge = InteractionEdge(customer, trusted("Escrow"), money(10))
+    for value in (customer, edge, CommitmentNode(edge), ConjunctionNode(customer)):
+        payload = pickle.dumps(value, protocol)
+        assert b"Customer" in payload
+        with pytest.raises(ModelError):
+            pickle.loads(payload.replace(b"Customer", b"1ustomer"))
+
+
+@pytest.mark.parametrize("protocol", PICKLE_PROTOCOLS_WITH_NEWOBJ)
+@pytest.mark.parametrize(
+    "fields",
+    [
+        (Document, ("",)),
+        (Money, ("$1.00", -100)),
+        (InteractionEdge, (trusted("T1"), trusted("T2"), Document("d"), "")),
+    ],
+    ids=["empty document label", "negative money", "trusted component as principal"],
+)
+def test_loading_an_invalid_payload_reruns_the_constructor_checks(protocol, fields):
+    cls, values = fields
+    forged = tuple.__new__(cls, values)  # skips the checks, as a tampered payload would
+    with pytest.raises(ModelError):
+        pickle.loads(pickle.dumps(forged, protocol))

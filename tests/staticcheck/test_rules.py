@@ -233,6 +233,34 @@ class TestRuleHeuristics:
         findings = lint_python_source("m.py", source, default_rules())
         assert [f.rule for f in findings] == ["OBS001"]
 
+    def test_obs001_exempts_regex_match_spans(self):
+        source = (
+            "import re\n"
+            "PATTERN = re.compile(r'(?P<g>a)')\n"
+            "def scan(text):\n"
+            "    for match in PATTERN.finditer(text):\n"
+            "        start, end = match.span('g')\n"
+            "def first(text):\n"
+            "    found = PATTERN.match(text)\n"
+            "    other = re.search('a', text)\n"
+            "    whole = PATTERN.fullmatch(text)\n"
+            "    return found.span('g'), other.span(), whole.span('g')\n"
+        )
+        assert lint_python_source("m.py", source, default_rules()) == []
+
+    def test_obs001_still_flags_tracer_span_beside_a_regex_match(self):
+        source = (
+            "import re\n"
+            "def traced(tracer, text):\n"
+            "    match = re.match('a', text)\n"
+            "    ctx = tracer.span('reduce')\n"
+            "    return match.span(), ctx\n"
+            "def elsewhere(match):\n"
+            "    return match.span('g')\n"
+        )
+        findings = lint_python_source("m.py", source, default_rules())
+        assert [(f.rule, f.line) for f in findings] == [("OBS001", 4), ("OBS001", 7)]
+
     def test_obs001_exempts_the_obs_package(self):
         source = (
             "class Tracer:\n"

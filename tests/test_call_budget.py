@@ -1,15 +1,20 @@
-"""Deterministic guard: per-item Python call budgets of the two hottest loops.
+"""Deterministic guard: per-item Python call budgets of the hottest paths.
 
 The spec front end and the simulator's event loop pay Python object
-overhead per token and per wire attempt.  ``sys.setprofile`` counts Python
-``call`` events (builtins and C methods are not counted) while each loop
-runs, and the count per item must stay within its budget:
+overhead per token and per wire attempt, and every stage pays it per value
+hashed or compared.  ``sys.setprofile`` counts Python ``call`` events
+(builtins and C methods are not counted) while each path runs, and the
+count per item must stay within its budget:
 
 * ``spec.parse`` per token, on a 64-broker resale chain's spec text;
 * ``Simulation.run`` per wire attempt, on the same chain over the reliable
   wire;
 * ``Simulation.run`` per wire attempt, over a fixed set of random problems
-  under random fault plans (drops, duplicates, delays, partitions, crashes).
+  under random fault plans (drops, duplicates, delays, partitions, crashes);
+* one spec-text → safety-verdict exchange (the path
+  ``tests/test_linear_scaling.py`` counts) per sequencing edge, on the same
+  chain: a value type that hashes or compares through a Python method adds
+  calls per lookup in every stage.
 
 Each budget is the count measured when it was set plus 10%.  Counting calls
 rather than timing keeps the guard exact on a shared or loaded host.
@@ -29,10 +34,12 @@ from repro.spec.lexer import tokenize
 from repro.spec.parser import parse
 from repro.workloads import resale_chain
 from repro.workloads.random_graphs import RandomProblemConfig, random_problem
+from tests.test_linear_scaling import _calls as exchange_calls
 
 PARSE_CALLS_PER_TOKEN = 3.1  # 2.82 measured
-CHAIN_CALLS_PER_ATTEMPT = 69.3  # 63.0 measured
-FAULTED_CALLS_PER_ATTEMPT = 95.0  # 86.3 measured
+CHAIN_CALLS_PER_ATTEMPT = 55.0  # 50.0 measured
+FAULTED_CALLS_PER_ATTEMPT = 80.2  # 72.9 measured
+EXCHANGE_CALLS_PER_EDGE = 151.7  # 137.9 measured
 
 RANDOM_PROBLEMS = RandomProblemConfig(n_principals=12, n_exchanges=9, priority_probability=0.5)
 
@@ -91,3 +98,11 @@ def test_faulted_run_calls_per_attempt():
     assert calls / attempts <= FAULTED_CALLS_PER_ATTEMPT, (
         f"{calls} calls for {attempts} attempts over {runs} runs"
     )
+
+
+def test_exchange_calls_per_sequencing_edge():
+    problem = resale_chain(64, retail=1000.0)
+    edges = len(problem.sequencing_graph().edges)
+    assert edges == 258
+    calls = exchange_calls(format_problem(problem))
+    assert calls / edges <= EXCHANGE_CALLS_PER_EDGE, f"{calls} calls for {edges} edges"
