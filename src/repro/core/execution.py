@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.actions import Action, notify, transfer
 from repro.core.constraints import Constraint, possession_constraints
@@ -44,11 +45,21 @@ class StepKind(enum.Enum):
     INDEMNITY_REFUND = "indemnity-refund"
 
 
-@dataclass(frozen=True)
-class ExecutionStep:
-    """One totally ordered step of the distributed transaction."""
+# Bound once for the scheduler: reading ``StepKind.DEPOSIT`` goes through the
+# enum metaclass's ``__getattr__`` hook, several times the cost of a global.
+_DEPOSIT = StepKind.DEPOSIT
+_NOTIFY = StepKind.NOTIFY
+_RELEASE = StepKind.RELEASE
 
-    index: int
+
+class ExecutionStep(NamedTuple):
+    """One totally ordered step of the distributed transaction.
+
+    A step is a tuple of its fields: building one sets no attribute, and it
+    hashes and compares in C.
+    """
+
+    index: int  # type: ignore[assignment]  # shadows tuple.index; no step is searched
     kind: StepKind
     action: Action
     commitment: CommitmentNode | None = None
@@ -105,14 +116,6 @@ class ExecutionSequence:
 
     def __str__(self) -> str:
         return "\n".join(self.describe())
-
-
-def _resequence(steps: list[ExecutionStep]) -> tuple[ExecutionStep, ...]:
-    """Renumber steps 1..n preserving order."""
-    return tuple(
-        ExecutionStep(index=i + 1, kind=s.kind, action=s.action, commitment=s.commitment)
-        for i, s in enumerate(steps)
-    )
 
 
 def execution_order(trace: ReductionTrace) -> tuple[CommitmentNode, ...]:
@@ -183,6 +186,7 @@ def recover_execution(
     # ``ready`` is a heap of order positions; a commitment found blocked is
     # parked on its blocker — the ``(principal, item)`` it waits to hold, or
     # an unexecuted gate commitment — and re-queued when that resolves.
+    # Steps are numbered 1..n as they are appended.
     ready = list(range(len(order)))
     waiting: dict[object, list[int]] = {}
     executed: set[CommitmentNode] = set()
@@ -204,7 +208,7 @@ def recover_execution(
         deposit = transfer(edge.principal, edge.trusted, edge.provides)
         if not edge.provides.is_money:
             possession[edge.principal].discard(edge.provides)
-        steps.append(ExecutionStep(0, StepKind.DEPOSIT, deposit, commitment))
+        steps.append(ExecutionStep(len(steps) + 1, _DEPOSIT, deposit, commitment))
         executed.add(commitment)
         wake(commitment)
         siblings = commitments_at[edge.trusted]
@@ -213,11 +217,11 @@ def recover_execution(
             (last,) = (c for c in siblings if c not in executed)
             steps.append(
                 ExecutionStep(
-                    0, StepKind.NOTIFY, notify(edge.trusted, last.principal), commitment
+                    len(steps) + 1, _NOTIFY, notify(edge.trusted, last.principal), commitment
                 )
             )
         elif not outstanding[edge.trusted]:
-            releases = _release_steps(entitled, edge.trusted, siblings)
+            releases = _release_steps(entitled, edge.trusted, siblings, len(steps) + 1)
             for release in releases:
                 item = release.action.item
                 assert item is not None
@@ -232,7 +236,7 @@ def recover_execution(
             "be funded and bundle-assured; the reduction order admits no "
             "§2.3-protective total order"
         )
-    return ExecutionSequence(_resequence(steps))
+    return ExecutionSequence(tuple(steps))
 
 
 def _bundle_gates(
@@ -302,22 +306,20 @@ def _release_steps(
     entitled: dict[InteractionEdge, Item],
     trusted: Party,
     siblings: list[CommitmentNode],
+    first: int,
 ) -> list[ExecutionStep]:
-    """Outbound transfers when a trusted component holds every piece.
+    """Outbound transfers when a trusted component holds every piece, as
+    steps numbered from *first*.
 
     Each principal receives what its counterpart(s) provided.  Goods are
     released before payments (matching steps 6–7 and 9–10 of the paper's §5
     listing); ties break on recipient name for determinism.
     """
-    releases: list[ExecutionStep] = []
-    for receiver in siblings:
-        item = entitled[receiver.edge]
-        outbound = transfer(trusted, receiver.principal, item)
-        releases.append(ExecutionStep(0, StepKind.RELEASE, outbound, receiver))
-    releases.sort(
-        key=lambda s: (
-            s.action.item.is_money if s.action.item is not None else True,
-            s.action.recipient.name,
-        )
+    receivers = sorted(
+        siblings, key=lambda receiver: (entitled[receiver.edge].is_money, receiver.principal.name)
     )
+    releases: list[ExecutionStep] = []
+    for index, receiver in enumerate(receivers, first):
+        outbound = transfer(trusted, receiver.principal, entitled[receiver.edge])
+        releases.append(ExecutionStep(index, _RELEASE, outbound, receiver))
     return releases

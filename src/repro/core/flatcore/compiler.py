@@ -2,7 +2,7 @@
 
 The compiled form is the whole trick: once commitments, conjunctions, and
 edges are dense integer ids, the §4.2 reduction rules become comparisons on
-list counters instead of hash lookups on frozen dataclasses.  The compiler
+list counters instead of hash lookups on node and edge values.  The compiler
 runs once per graph (O(V + E)); the step-recording loop in
 :mod:`repro.core.reduction` and the free-order verdict loop in
 :mod:`repro.core.flatcore.runtime` both consume its output.

@@ -300,15 +300,13 @@ def apply_plan(plan: IndemnityPlan, execution: ExecutionSequence) -> ExecutionSe
     """
     if not plan.feasible:
         raise IndemnityError("cannot execute an exchange whose plan is not feasible")
-    steps: list[ExecutionStep] = []
-    for offer in plan.offers:
-        steps.append(ExecutionStep(0, StepKind.INDEMNITY_DEPOSIT, offer.deposit_action()))
+    steps = [
+        ExecutionStep(0, StepKind.INDEMNITY_DEPOSIT, offer.deposit_action())
+        for offer in plan.offers
+    ]
+    steps.extend(execution.steps)
     steps.extend(
-        ExecutionStep(0, step.kind, step.action, step.commitment) for step in execution.steps
+        ExecutionStep(0, StepKind.INDEMNITY_REFUND, offer.refund_action())
+        for offer in plan.offers
     )
-    for offer in plan.offers:
-        steps.append(ExecutionStep(0, StepKind.INDEMNITY_REFUND, offer.refund_action()))
-    renumbered = tuple(
-        ExecutionStep(i + 1, s.kind, s.action, s.commitment) for i, s in enumerate(steps)
-    )
-    return ExecutionSequence(renumbered)
+    return ExecutionSequence(tuple(step._replace(index=i) for i, step in enumerate(steps, 1)))

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from repro.errors import ModelError
 
-_NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_\-]*$")
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_\-]*")
 
 
 class Role(enum.Enum):
@@ -48,7 +48,12 @@ class Role(enum.Enum):
     @property
     def is_principal(self) -> bool:
         """True for consumer/broker/producer, False for trusted components."""
-        return self is not Role.TRUSTED
+        return self is not _TRUSTED
+
+
+# Bound once: reading ``Role.TRUSTED`` goes through the enum metaclass's
+# ``__getattr__`` hook, several times the cost of a module global.
+_TRUSTED = Role.TRUSTED
 
 
 class _PartyFields(NamedTuple):
@@ -72,7 +77,7 @@ class Party(_PartyFields):
     __slots__ = ()
 
     def __new__(cls, name: str, role: Role) -> Party:
-        if not _NAME_RE.match(name):
+        if not _NAME_RE.fullmatch(name):
             raise ModelError(
                 f"invalid party name {name!r}: names must start with a "
                 "letter and contain only letters, digits, '_' or '-'"
@@ -82,12 +87,12 @@ class Party(_PartyFields):
     @property
     def is_principal(self) -> bool:
         """Whether this party is a principal (non-trusted) participant."""
-        return self.role.is_principal
+        return self.role is not _TRUSTED
 
     @property
     def is_trusted(self) -> bool:
         """Whether this party is a trusted component."""
-        return self.role is Role.TRUSTED
+        return self.role is _TRUSTED
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.name

@@ -36,6 +36,11 @@ from repro.core.parties import Party
 from repro.core.problem import ExchangeProblem
 from repro.errors import ProtocolError
 
+# The steps a principal sends, bound once: reading ``StepKind.DEPOSIT`` goes
+# through the enum metaclass's ``__getattr__`` hook, several times the cost of
+# a module global.
+_PRINCIPAL_SENDS = (StepKind.DEPOSIT, StepKind.INDEMNITY_DEPOSIT)
+
 
 @dataclass(frozen=True)
 class SendInstruction:
@@ -162,7 +167,7 @@ def synthesize_protocol(
     # so far, in sequence order; step indices ascend along the sequence.
     observed: dict[Party, list[Action]] = {}
     for step in sequence.steps:
-        if step.kind in (StepKind.DEPOSIT, StepKind.INDEMNITY_DEPOSIT):
+        if step.kind in _PRINCIPAL_SENDS:
             sender = step.action.sender
             if not sender.is_principal:
                 raise ProtocolError(

@@ -52,6 +52,7 @@ import enum
 import heapq
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.flatcore.compiler import CompiledGraph, compile_graph
 from repro.core.sequencing import (
@@ -72,17 +73,17 @@ class Rule(enum.IntEnum):
     CONJUNCTION_FRINGE = 2
 
 
-@dataclass(frozen=True, slots=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     """One edge removal: which rule, which edge, and what it disconnected.
 
     ``via_persona`` is True when Rule #1 fired through clause 2 (direct
     trust).  ``commitment_disconnected``/``conjunction_disconnected`` are set
     when this removal left that node with no remaining edges — the events
-    that drive execution-sequence recovery (§5).
+    that drive execution-sequence recovery (§5).  A step is a tuple of its
+    fields: building one sets no attribute, and it hashes and compares in C.
     """
 
-    index: int
+    index: int  # type: ignore[assignment]  # shadows tuple.index; no step is searched
     rule: Rule
     edge: SGEdge
     via_persona: bool = False

@@ -83,6 +83,12 @@ class EdgeColor(enum.Enum):
     __hash__ = object.__hash__
 
 
+# Bound once: reading ``EdgeColor.RED`` goes through the enum metaclass's
+# ``__getattr__`` hook, several times the cost of a module global.
+_RED = EdgeColor.RED
+_BLACK = EdgeColor.BLACK
+
+
 class SGEdge(NamedTuple):
     """An edge ``(c, j)`` of the sequencing graph with its color."""
 
@@ -92,7 +98,7 @@ class SGEdge(NamedTuple):
 
     @property
     def is_red(self) -> bool:
-        return self.color is EdgeColor.RED
+        return self.color is _RED
 
     def __str__(self) -> str:
         return f"{self.commitment.label} ={self.color.value}= {self.conjunction.label}"
@@ -154,11 +160,7 @@ class SequencingGraph:
                 conjunction = conjunctions.get(endpoint)
                 if conjunction is None:
                     continue
-                color = (
-                    EdgeColor.RED
-                    if endpoint == edge.principal and edge in priority
-                    else EdgeColor.BLACK
-                )
+                color = _RED if endpoint == edge.principal and edge in priority else _BLACK
                 edges.append(SGEdge(commitment, conjunction, color))
 
         personas: list[CommitmentNode] = []

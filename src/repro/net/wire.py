@@ -39,7 +39,7 @@ from typing import Any
 from repro.core.actions import Action, ActionKind
 from repro.core.items import Document, Item, Money
 from repro.core.parties import Party, Role
-from repro.errors import ReproError
+from repro.errors import ModelError, ReproError
 
 
 class WireError(ReproError):
@@ -63,7 +63,7 @@ def party_to_json(party: Party) -> dict[str, Any]:
 def party_from_json(data: dict[str, Any]) -> Party:
     try:
         return Party(data["name"], Role(data["role"]))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ModelError) as exc:
         raise WireError(f"bad party payload {data!r}") from exc
 
 
@@ -83,7 +83,7 @@ def item_from_json(data: dict[str, Any] | None) -> Item | None:
             return Money(data["label"], data["cents"])
         if data["kind"] == "document":
             return Document(data["label"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ModelError) as exc:
         raise WireError(f"bad item payload {data!r}") from exc
     raise WireError(f"unknown item kind in {data!r}")
 
@@ -111,7 +111,7 @@ def action_from_json(data: dict[str, Any]) -> Action:
         )
     except WireError:
         raise
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ModelError) as exc:
         raise WireError(f"bad action payload {data!r}") from exc
 
 

@@ -47,6 +47,10 @@ from repro.sim.faults import RetryPolicy
 
 Record = tuple[Any, ...]
 
+# Bound once: reading ``ActionKind.NOTIFY`` goes through the enum metaclass's
+# ``__getattr__`` hook, several times the cost of a module global.
+_NOTIFY = ActionKind.NOTIFY
+
 
 @dataclass(slots=True)
 class Log:
@@ -476,7 +480,7 @@ class TrustedDriver(PartyDriver):
             self.notified.add(last)
             # §2.5: the notice carries the earliest expiry of the pieces held.
             expiry = self.expiry if self.armed else None
-            self._emit(now, Action(ActionKind.NOTIFY, self.party, last, deadline=expiry), out)
+            self._emit(now, Action(_NOTIFY, self.party, last, deadline=expiry), out)
 
     def _complete(self, now: float, out: list[Command]) -> None:
         """Every deposit is in: disarm, then release goods before money,

@@ -37,7 +37,7 @@ import enum
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.core.actions import Action
 from repro.core.parties import Party
@@ -48,8 +48,7 @@ from repro.sim.events import EventQueue
 from repro.sim.faults import FaultPlan
 
 
-@dataclass(frozen=True, slots=True)
-class Delivery:
+class Delivery(NamedTuple):
     """One entry of the wire's ordered log: an envelope's first delivery."""
 
     seq: int
@@ -102,6 +101,14 @@ class Arrival(enum.Enum):
     PARKED = "parked"  # for a down recipient: delivered, its handling waits
     DUPLICATE = "duplicate"  # a later copy: hand it over if the recipient is up
     BOUNCED = "bounced"  # the envelope was abandoned: the copy vanishes
+
+
+# Bound once: reading ``Arrival.FIRST`` goes through the enum metaclass's
+# ``__getattr__`` hook, several times the cost of a module global.
+_FIRST = Arrival.FIRST
+_PARKED = Arrival.PARKED
+_DUPLICATE = Arrival.DUPLICATE
+_BOUNCED = Arrival.BOUNCED
 
 
 class TransportCore:
@@ -224,17 +231,17 @@ class TransportCore:
         """One copy of *envelope* reaches its recipient, whose process is
         *down* (crashed, or unreachable) or not."""
         if envelope.abandoned:
-            return Arrival.BOUNCED  # a late copy of a message the wire bounced
+            return _BOUNCED  # a late copy of a message the wire bounced
         if envelope.arrived:
             self.stats.duplicate_deliveries += 1
             if self.obs is not None:
                 self.obs.duplicate_delivery(envelope.obs_key, now)
-            return Arrival.DUPLICATE
+            return _DUPLICATE
         envelope.arrived = True
         if down:
             self.park(now, envelope)
-            return Arrival.PARKED
-        return Arrival.FIRST
+            return _PARKED
+        return _FIRST
 
     def deliver(self, now: float, envelope: Envelope) -> bool:
         """The recipient took *envelope*'s first copy: log the delivery.
@@ -420,14 +427,14 @@ class Network:
         plan = self.fault_plan
         down = plan is not None and plan.is_crashed(envelope.recipient, now)
         arrival = self.core.arrive(now, envelope, down)
-        if arrival is Arrival.FIRST:
+        if arrival is _FIRST:
             self.core.deliver(now, envelope)  # a simulated process takes it at once
             self.first_delivery_hook(envelope)
             self._dispatch(envelope)
-        elif arrival is Arrival.PARKED:
+        elif arrival is _PARKED:
             self.first_delivery_hook(envelope)
             self._mailbox.setdefault(envelope.recipient, []).append(envelope)
-        elif arrival is Arrival.DUPLICATE and not down:
+        elif arrival is _DUPLICATE and not down:
             self._dispatch(envelope)
 
     def _dispatch(self, envelope: Envelope) -> None:

@@ -38,6 +38,10 @@ from repro.errors import ReproError, SpecSemanticError
 from repro.spec.ast import ClauseKind, ExchangeDecl, MemberClause, Position, SpecFile
 from repro.staticcheck.model import Finding, Severity
 
+# Bound once: reading ``ClauseKind.PAYS`` goes through the enum metaclass's
+# ``__getattr__`` hook, several times the cost of a module global.
+_PAYS = ClauseKind.PAYS
+
 
 def analyze(spec: SpecFile) -> SpecFile:
     """Validate *spec*; returns it unchanged on success."""
@@ -94,7 +98,7 @@ def _check_exchanges(spec: SpecFile) -> None:
                 )
             members.add(clause.party)
             signature: tuple[object, ...]
-            if clause.kind is ClauseKind.PAYS:
+            if clause.kind is _PAYS:
                 signature = ("pays", clause.amount_cents, clause.tag)
             else:
                 signature = ("gives", clause.item, clause.tag)
@@ -131,7 +135,7 @@ def _check_expects(exchange: ExchangeDecl) -> None:
         )
 
     def provision_signature(clause: MemberClause) -> tuple[object, ...]:
-        if clause.kind is ClauseKind.PAYS:
+        if clause.kind is _PAYS:
             return ("pays", clause.amount_cents, clause.tag)
         return ("gives", clause.item, clause.tag)
 

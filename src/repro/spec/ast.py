@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Position:
-    """1-based source location of a node."""
+class Position(NamedTuple):
+    """1-based source location of a node (a tuple of its fields)."""
 
     line: int
     column: int

@@ -23,11 +23,15 @@ _ROLE_OF_KIND = {
     PrincipalKind.BROKER: Role.BROKER,
     PrincipalKind.PRODUCER: Role.PRODUCER,
 }
+# Bound once: reading ``Role.TRUSTED`` goes through the enum metaclass's
+# ``__getattr__`` hook, several times the cost of a module global.
+_TRUSTED = Role.TRUSTED
+_PAYS = ClauseKind.PAYS
 
 
 def _clause_item(clause: MemberClause) -> Item:
     """The Item a member clause deposits."""
-    if clause.kind is ClauseKind.PAYS:
+    if clause.kind is _PAYS:
         assert clause.amount_cents is not None
         return cents(clause.amount_cents, tag=clause.tag)
     assert clause.item is not None
@@ -64,7 +68,7 @@ def compile_spec(spec: SpecFile, validate: bool = True) -> ExchangeProblem:
         parties[decl.name] = party
         graph.add_principal(party)
     for decl in spec.trusted:
-        party = Party(decl.name, Role.TRUSTED)
+        party = Party(decl.name, _TRUSTED)
         parties[decl.name] = party
         graph.add_trusted(party)
 

@@ -43,6 +43,14 @@ _SCANNER = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 _PUNCTUATION = {"arrow": TokenType.ARROW, "lbrace": TokenType.LBRACE, "rbrace": TokenType.RBRACE}
+# Bound once: reading ``TokenType.IDENT`` goes through the enum metaclass's
+# ``__getattr__`` hook, several times the cost of a module global.
+_KEYWORD = TokenType.KEYWORD
+_IDENT = TokenType.IDENT
+_AMOUNT = TokenType.AMOUNT
+_NUMBER = TokenType.NUMBER
+_STRING = TokenType.STRING
+_EOF = TokenType.EOF
 
 
 def tokenize(source: str) -> list[Token]:
@@ -64,19 +72,19 @@ def tokenize(source: str) -> list[Token]:
         column = start - line_start + 1
         if kind == "word":
             text = match.group("word")
-            word_type = TokenType.KEYWORD if text in KEYWORDS else TokenType.IDENT
+            word_type = _KEYWORD if text in KEYWORDS else _IDENT
             append(Token(word_type, text, line, column))
         elif kind in _PUNCTUATION:
             append(Token(_PUNCTUATION[kind], match.group(kind), line, column))
         elif kind == "amount":
-            append(Token(TokenType.AMOUNT, _cents(match, line, column), line, column))
+            append(Token(_AMOUNT, _cents(match, line, column), line, column))
         elif kind == "number":
-            append(Token(TokenType.NUMBER, int(match.group("number")), line, column))
+            append(Token(_NUMBER, int(match.group("number")), line, column))
         elif kind == "string":
             text = match.group("string")
             if len(text) < 2 or not text.endswith('"'):
                 raise SpecSyntaxError("unterminated string", line=line, column=column)
-            append(Token(TokenType.STRING, text[1:-1], line, column))
+            append(Token(_STRING, text[1:-1], line, column))
         elif kind == "eof":
             break
         elif match.group("other") == "-":
@@ -85,7 +93,7 @@ def tokenize(source: str) -> list[Token]:
             raise SpecSyntaxError(
                 f"unexpected character {match.group('other')!r}", line=line, column=column
             )
-    append(Token(TokenType.EOF, "", line, column))
+    append(Token(_EOF, "", line, column))
     return tokens
 
 

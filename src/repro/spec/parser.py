@@ -37,6 +37,19 @@ from repro.spec.lexer import tokenize
 from repro.spec.tokens import Token, TokenType
 
 _PRINCIPAL_KINDS = {kind.value: kind for kind in PrincipalKind}
+# Bound once: reading ``TokenType.IDENT`` goes through the enum metaclass's
+# ``__getattr__`` hook, several times the cost of a module global.
+_EOF = TokenType.EOF
+_KEYWORD = TokenType.KEYWORD
+_IDENT = TokenType.IDENT
+_STRING = TokenType.STRING
+_NUMBER = TokenType.NUMBER
+_AMOUNT = TokenType.AMOUNT
+_LBRACE = TokenType.LBRACE
+_RBRACE = TokenType.RBRACE
+_ARROW = TokenType.ARROW
+_PAYS = ClauseKind.PAYS
+_GIVES = ClauseKind.GIVES
 
 
 class Parser:
@@ -50,7 +63,7 @@ class Parser:
 
     def _advance(self) -> Token:
         token = self._tokens[self._index]
-        if token.type is not TokenType.EOF:
+        if token.type is not _EOF:
             self._index += 1
         return token
 
@@ -61,20 +74,20 @@ class Parser:
     def _accept(self, word: str) -> bool:
         """Consume the next token if it is the keyword *word*."""
         token = self._tokens[self._index]
-        if token.type is TokenType.KEYWORD and token.value == word:
+        if token.type is _KEYWORD and token.value == word:
             self._index += 1
             return True
         return False
 
     def _expect_keyword(self, word: str) -> None:
         token = self._tokens[self._index]
-        if token.type is not TokenType.KEYWORD or token.value != word:
+        if token.type is not _KEYWORD or token.value != word:
             raise self._error(f"expected '{word}', found {token}", token)
         self._index += 1
 
     def _expect_ident(self, what: str) -> Token:
         token = self._tokens[self._index]
-        if token.type is not TokenType.IDENT:
+        if token.type is not _IDENT:
             raise self._error(f"expected {what}, found {token}", token)
         self._index += 1
         return token
@@ -99,8 +112,8 @@ class Parser:
             "trust": (self._parse_trust, trusts),
         }
         tokens = self._tokens
-        while (token := tokens[self._index]).type is not TokenType.EOF:
-            if token.type is not TokenType.KEYWORD or token.value not in statements:
+        while (token := tokens[self._index]).type is not _EOF:
+            if token.type is not _KEYWORD or token.value not in statements:
                 raise self._error(
                     f"expected a statement keyword (principal/trusted/exchange/"
                     f"priority/trust), found {token}",
@@ -122,13 +135,13 @@ class Parser:
         if not self._accept("problem"):
             return "unnamed"
         token = self._advance()
-        if token.type not in (TokenType.STRING, TokenType.IDENT):
+        if token.type not in (_STRING, _IDENT):
             raise self._error("expected a problem name after 'problem'", token)
         return str(token.value)
 
     def _parse_principal(self, start: Token) -> PrincipalDecl:
         kind_token = self._advance()
-        if kind_token.type is not TokenType.KEYWORD or kind_token.value not in _PRINCIPAL_KINDS:
+        if kind_token.type is not _KEYWORD or kind_token.value not in _PRINCIPAL_KINDS:
             raise self._error(
                 "expected 'consumer', 'broker' or 'producer' after 'principal'",
                 kind_token,
@@ -150,16 +163,16 @@ class Parser:
         deadline: int | None = None
         if self._accept("deadline"):
             number = self._advance()
-            if number.type is not TokenType.NUMBER:
+            if number.type is not _NUMBER:
                 raise self._error("expected a number after 'deadline'", number)
             deadline = int(number.value)
         brace = self._advance()
-        if brace.type is not TokenType.LBRACE:
+        if brace.type is not _LBRACE:
             raise self._error("expected '{' opening the exchange block", brace)
         clauses: list[MemberClause] = []
         tokens = self._tokens
-        while (token := tokens[self._index]).type is not TokenType.RBRACE:
-            if token.type is TokenType.EOF:
+        while (token := tokens[self._index]).type is not _RBRACE:
+            if token.type is _EOF:
                 raise self._error("unterminated exchange block (missing '}')", token)
             clauses.append(self._parse_clause())
         self._index += 1  # consume '}'
@@ -172,18 +185,18 @@ class Parser:
     def _parse_clause(self) -> MemberClause:
         party = self._expect_ident("a participant name")
         verb = self._advance()
-        word = verb.value if verb.type is TokenType.KEYWORD else None
+        word = verb.value if verb.type is _KEYWORD else None
         amount_cents: int | None = None
         item: str | None = None
         if word == "pays":
             amount = self._advance()
-            if amount.type is not TokenType.AMOUNT:
+            if amount.type is not _AMOUNT:
                 raise self._error("expected a '$' amount after 'pays'", amount)
             amount_cents = int(amount.value)
-            kind = ClauseKind.PAYS
+            kind = _PAYS
         elif word == "gives":
             item = str(self._expect_ident("an item name").value)
-            kind = ClauseKind.GIVES
+            kind = _GIVES
         else:
             raise self._error(f"expected 'pays' or 'gives', found {verb}", verb)
         tag = str(self._expect_ident("a tag name").value) if self._accept("tag") else ""
@@ -192,9 +205,9 @@ class Parser:
         expects_tag = ""
         if self._accept("expects"):
             target = self._advance()
-            if target.type is TokenType.AMOUNT:
+            if target.type is _AMOUNT:
                 expects_amount = int(target.value)
-            elif target.type is TokenType.IDENT:
+            elif target.type is _IDENT:
                 expects_item = str(target.value)
             else:
                 raise self._error(
@@ -225,7 +238,7 @@ class Parser:
     def _parse_trust(self, start: Token) -> TrustDecl:
         truster = self._expect_ident("a party name")
         arrow = self._advance()
-        if arrow.type is not TokenType.ARROW:
+        if arrow.type is not _ARROW:
             raise self._error("expected '->' in trust statement", arrow)
         trustee = self._expect_ident("a party name")
         return TrustDecl(str(truster.value), str(trustee.value), Position(start.line, start.column))

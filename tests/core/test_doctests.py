@@ -8,10 +8,12 @@ import doctest
 
 import pytest
 
-from repro.core import items, parties, states, trust
+from repro.core import actions, items, parties, states, trust
 
 
-@pytest.mark.parametrize("module", [parties, items, states, trust], ids=lambda m: m.__name__)
+@pytest.mark.parametrize(
+    "module", [parties, items, actions, states, trust], ids=lambda m: m.__name__
+)
 def test_docstring_examples_pass(module):
     results = doctest.testmod(module, verbose=False)
     assert results.attempted > 0

@@ -59,6 +59,12 @@ class TestParty:
         with pytest.raises(ModelError):
             Party(bad, Role.CONSUMER)
 
+    def test_a_name_ending_in_newlines_is_rejected(self):
+        # The whole name must match: ``$`` alone would accept a final "\n".
+        for bad in ("abc\n", "abc\n\n"):
+            with pytest.raises(ModelError, match="invalid party name"):
+                Party(bad, Role.CONSUMER)
+
     @pytest.mark.parametrize("good", ["a", "Broker1", "t-1", "x_y", "Z9"])
     def test_valid_names_accepted(self, good):
         assert Party(good, Role.BROKER).name == good

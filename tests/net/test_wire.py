@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import struct
-from dataclasses import replace
 
 import pytest
 
 from repro.core.actions import notify, transfer
 from repro.core.items import document, money
 from repro.core.parties import consumer, producer, trusted
+from repro.errors import ModelError
 from repro.net.wire import (
     MAX_FRAME_BYTES,
     WireError,
@@ -46,7 +46,7 @@ def test_item_round_trip():
         transfer(PRODUCER, TRUSTED, document("d")),
         transfer(CUSTOMER, TRUSTED, money(10)).inverse(),
         notify(TRUSTED, PRODUCER),
-        replace(notify(TRUSTED, PRODUCER), deadline=42.5),
+        notify(TRUSTED, PRODUCER)._replace(deadline=42.5),
     ],
 )
 def test_action_round_trip(action):
@@ -98,3 +98,28 @@ def test_bad_payloads_raise_wire_error():
         item_from_json({"kind": "gold-bar", "label": "g"})
     with pytest.raises(WireError):
         action_from_json({"kind": "pay"})
+
+
+@pytest.mark.parametrize(
+    ("decode", "payload"),
+    [
+        (party_from_json, {"name": "1bad", "role": "consumer"}),
+        (item_from_json, {"kind": "money", "label": "$1.00", "cents": -5}),
+        (
+            action_from_json,
+            {
+                "kind": "notify",
+                "sender": party_to_json(CUSTOMER),
+                "recipient": party_to_json(PRODUCER),
+                "item": None,
+                "inverted": False,
+                "deadline": None,
+            },
+        ),
+    ],
+    ids=["party name starts with a digit", "negative money", "notify sent by a principal"],
+)
+def test_a_well_formed_payload_with_an_invalid_value_raises_wire_error(decode, payload):
+    with pytest.raises(WireError) as raised:
+        decode(payload)
+    assert isinstance(raised.value.__cause__, ModelError)

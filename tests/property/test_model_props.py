@@ -1,6 +1,7 @@
 """Property-based tests for the §2 formalism (actions, states, money) and
-the value types that model it (parties, items, interaction edges, §4.1
-sequencing-graph nodes)."""
+the value types that model it (parties, items, actions, interaction edges,
+§4.1 sequencing-graph nodes, and the per-step records of reduction,
+execution, the wire and the spec)."""
 
 import copy
 import pickle
@@ -9,13 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.actions import transfer
+from repro.core.actions import Action, ActionKind, give, notify, pay, transfer
 from repro.core.interaction import InteractionEdge
 from repro.core.items import Document, Money, cents, document, money
 from repro.core.parties import Party, Role, trusted
 from repro.core.sequencing import CommitmentNode, ConjunctionNode, EdgeColor, SGEdge
 from repro.core.states import ExchangeState
 from repro.errors import ModelError
+from repro.sim.runtime import Simulation
+from repro.spec import parse
+from repro.spec.formatter import format_problem
+from repro.workloads import example1
 
 names = st.from_regex(r"[A-Za-z][A-Za-z0-9_\-]{0,10}", fullmatch=True)
 principal_roles = st.sampled_from([Role.CONSUMER, Role.BROKER, Role.PRODUCER])
@@ -307,3 +312,198 @@ def test_loading_an_invalid_payload_reruns_the_constructor_checks(protocol, fiel
     forged = tuple.__new__(cls, values)  # skips the checks, as a tampered payload would
     with pytest.raises(ModelError):
         pickle.loads(pickle.dumps(forged, protocol))
+
+
+# ----------------------------------------------------------------------------
+# Actions are validated tuples of their fields too, like parties.
+
+ACTION_FIELDS = ("kind", "sender", "recipient", "item", "inverted", "deadline")
+action_kinds = st.sampled_from(list(ActionKind))
+deadlines = st.none() | st.floats(0, 1e6)
+
+
+@st.composite
+def action_factories(draw, kinds=action_kinds):
+    kind = draw(kinds)
+    deadline = draw(deadlines)
+    if kind is ActionKind.NOTIFY:
+        sender = draw(party_factories(st.just(Role.TRUSTED)))
+        recipient = draw(party_factories(principal_roles))
+        return lambda: Action(kind, sender(), recipient(), deadline=deadline)
+    a = draw(names)
+    b = draw(names.filter(lambda n: n != a))
+    roles = (draw(all_roles), draw(all_roles))
+    item = draw(document_factories() if kind is ActionKind.GIVE else money_factories())
+    inverted = draw(st.booleans())
+    return lambda: Action(
+        kind, Party(a, roles[0]), Party(b, roles[1]), item(), inverted, deadline
+    )
+
+
+@given(make=action_factories())
+@settings(max_examples=100, deadline=None)
+def test_actions_built_separately_are_equal_and_hash_as_their_field_tuple(make):
+    first, second = make(), make()
+    assert first is not second
+    assert first == second
+    # A frozen dataclass hashed the tuple of its fields: the tuple type keeps
+    # that hash, so set and dict orders over actions do not move.
+    fields = tuple(getattr(first, name) for name in ACTION_FIELDS)
+    assert hash(first) == hash(second) == hash(tuple(first)) == hash(fields)
+
+
+@given(make=action_factories())
+@settings(max_examples=100, deadline=None)
+def test_pickle_and_copy_return_an_equal_action(make):
+    action = make()
+    copies = [
+        pickle.loads(pickle.dumps(action, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    copies += [copy.copy(action), copy.deepcopy(action)]
+    for other in copies:
+        assert type(other) is Action
+        assert other == action
+        assert hash(other) == hash(action)
+
+
+@given(kind=action_kinds, data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_sorting_actions_of_one_kind_matches_sorting_by_field_tuples(kind, data):
+    makers = data.draw(st.lists(action_factories(st.just(kind)), max_size=8))
+    actions = [make() for make in makers]
+
+    def field_tuple(action):
+        return tuple(getattr(action, name) for name in ACTION_FIELDS)
+
+    # Roles do not order, nor a deadline against None: a tie on every field
+    # before one raises TypeError in both sorts.
+    assert _sorted_or_type_error(actions) == _sorted_or_type_error(actions, key=field_tuple)
+
+
+CONSUMER, PRODUCER, ESCROW = Party("C", Role.CONSUMER), Party("P", Role.PRODUCER), trusted("T")
+INVALID_ACTIONS = {
+    "notify actions carry no item": lambda: Action(
+        ActionKind.NOTIFY, ESCROW, CONSUMER, Document("d")
+    ),
+    "notify actions cannot be inverted": lambda: Action(
+        ActionKind.NOTIFY, ESCROW, CONSUMER, inverted=True
+    ),
+    "only trusted components may notify; C is a principal": lambda: Action(
+        ActionKind.NOTIFY, CONSUMER, PRODUCER
+    ),
+    "give actions require an item": lambda: Action(ActionKind.GIVE, PRODUCER, CONSUMER),
+    "pay actions must transfer Money": lambda: Action(
+        ActionKind.PAY, CONSUMER, PRODUCER, Document("d")
+    ),
+    "money transfers must use pay, not give": lambda: Action(
+        ActionKind.GIVE, CONSUMER, PRODUCER, money(1)
+    ),
+    "C cannot perform an action on itself": lambda: pay(CONSUMER, CONSUMER, money(1)),
+    "deadlines must be non-negative": lambda: give(PRODUCER, ESCROW, Document("d"), deadline=-1.0),
+}
+
+
+@pytest.mark.parametrize(
+    ("message", "build"), INVALID_ACTIONS.items(), ids=INVALID_ACTIONS.keys()
+)
+def test_action_checks_raise_model_error_with_their_message(message, build):
+    with pytest.raises(ModelError) as raised:
+        build()
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("protocol", PICKLE_PROTOCOLS_WITH_NEWOBJ)
+@pytest.mark.parametrize(
+    "fields",
+    [
+        (ActionKind.NOTIFY, ESCROW, CONSUMER, Document("d"), False, None),
+        (ActionKind.GIVE, PRODUCER, ESCROW, Document("d"), False, -1.0),
+    ],
+    ids=["notify carrying an item", "negative deadline"],
+)
+def test_loading_an_invalid_action_payload_reruns_the_checks(protocol, fields):
+    forged = tuple.__new__(Action, fields)  # skips the checks, as a tampered payload would
+    with pytest.raises(ModelError):
+        pickle.loads(pickle.dumps(forged, protocol))
+
+
+def test_replace_checks_the_copy():
+    deposit = give(PRODUCER, ESCROW, Document("d"))
+    assert deposit._replace(deadline=5.0) == give(PRODUCER, ESCROW, Document("d"), deadline=5.0)
+    with pytest.raises(ModelError, match="deadlines must be non-negative"):
+        deposit._replace(deadline=-1.0)
+    with pytest.raises(ValueError, match="unexpected field names"):
+        deposit._replace(price=1)
+
+
+@pytest.mark.parametrize(
+    ("action", "text", "shown"),
+    [
+        (
+            give(PRODUCER, ESCROW, Document("d")),
+            "Action(kind=<ActionKind.GIVE: 'give'>, "
+            "sender=Party(name='P', role=<Role.PRODUCER: 'producer'>), "
+            "recipient=Party(name='T', role=<Role.TRUSTED: 'trusted'>), "
+            "item=Document(label='d'), inverted=False, deadline=None)",
+            "give[P->T](d)",
+        ),
+        (
+            pay(CONSUMER, ESCROW, money(12)).inverse(),
+            "Action(kind=<ActionKind.PAY: 'pay'>, "
+            "sender=Party(name='C', role=<Role.CONSUMER: 'consumer'>), "
+            "recipient=Party(name='T', role=<Role.TRUSTED: 'trusted'>), "
+            "item=Money(label='$12.00', cents=1200), inverted=True, deadline=None)",
+            "pay^-1[C->T]($12.00)",
+        ),
+        (
+            notify(ESCROW, CONSUMER),
+            "Action(kind=<ActionKind.NOTIFY: 'notify'>, "
+            "sender=Party(name='T', role=<Role.TRUSTED: 'trusted'>), "
+            "recipient=Party(name='C', role=<Role.CONSUMER: 'consumer'>), "
+            "item=None, inverted=False, deadline=None)",
+            "notify[T](C)",
+        ),
+    ],
+    ids=["give", "pay^-1", "notify"],
+)
+def test_action_repr_and_str_are_pinned(action, text, shown):
+    assert repr(action) == text
+    assert str(action) == shown
+
+
+# ----------------------------------------------------------------------------
+# The per-step records are plain tuples of their fields.
+
+
+def _example1_records():
+    """Freshly built records of every per-step type, from one run of Example 1."""
+    problem = example1()
+    simulation = Simulation.from_problem(problem, deadline=100.0)
+    simulation.run()
+    spec = parse(format_problem(problem))
+    return (
+        list(problem.reduce().steps)
+        + list(problem.execution_sequence().steps)
+        + list(simulation.network.log)
+        + [decl.position for decl in spec.principals + spec.trusted]
+    )
+
+
+def test_records_built_separately_are_equal_hash_equal_and_pickle():
+    first, second = _example1_records(), _example1_records()
+    assert {type(record).__name__ for record in first} == {
+        "ReductionStep",
+        "ExecutionStep",
+        "Delivery",
+        "Position",
+    }
+    for a, b in zip(first, second):
+        assert a is not b
+        assert a == b
+        assert hash(a) == hash(b)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            loaded = pickle.loads(pickle.dumps(a, protocol))
+            assert type(loaded) is type(a)
+            assert loaded == a
+            assert hash(loaded) == hash(a)

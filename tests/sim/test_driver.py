@@ -4,8 +4,6 @@ principal's walk of its synthesized role."""
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from repro.core.actions import give, notify, pay
@@ -171,7 +169,7 @@ class TestPrincipal:
         runtime = _role_player(example1(), "Broker")
         first = runtime.driver.role.instructions[0]
         for precondition in first.preconditions:
-            runtime.deliver(replace(precondition, deadline=42.0))  # a live §2.5 stamp
+            runtime.deliver(precondition._replace(deadline=42.0))  # a live §2.5 stamp
         assert runtime.out == [first.action]
         assert all(action.deadline is None for action in runtime.driver.observed)
 
@@ -241,7 +239,7 @@ class TestDeadline:
         assert kinds == ["Log", "Got", "Log", "Timer", "Send", "Timer"]
         assert commands[2] == Log(("armed", 7.0))
         assert commands[3] == Timer("deadline", 7.0)
-        assert commands[4].action == replace(notify(T, P), deadline=7.0)
+        assert commands[4].action == notify(T, P)._replace(deadline=7.0)
 
     def test_an_escrow_without_a_deadline_notifies_unstamped(self):
         runtime = _escrow(deadline=None)

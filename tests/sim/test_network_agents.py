@@ -1,7 +1,5 @@
 """Unit tests for the network transport and the principal's driver."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.core.actions import give, notify, pay
@@ -118,7 +116,7 @@ class TestPrincipalAgent:
     def test_observation_with_deadline_still_matches_guard(self):
         runtime = _principal()
         runtime.start()
-        stamped = replace(notify(T, C), deadline=42.0)
+        stamped = notify(T, C)._replace(deadline=42.0)
         runtime.deliver(stamped)
         assert len(runtime.out) == 2
 

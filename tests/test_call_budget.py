@@ -16,6 +16,19 @@ count per item must stay within its budget:
   chain: a value type that hashes or compares through a Python method adds
   calls per lookup in every stage.
 
+Two per-item costs reach no profiler, so two more counters watch the same
+exchange, per sequencing edge:
+
+* reads of enum class attributes such as ``ActionKind.NOTIFY``: the enum
+  metaclass routes each one through its ``__getattr__`` slot hook, about ten
+  times the cost of a module global, yet no ``call`` event is reported.  A
+  counting ``__getattribute__`` set on the metaclass for the run sees them;
+* ``__init__`` frames of frozen dataclasses: the generated ``__init__`` sets
+  each field through the ``object.__setattr__`` slot wrapper, which the
+  profiler never reports, so a record built as a frozen dataclass costs
+  several times the one call counted for it.  A global ``sys.settrace``
+  function sees each such frame.
+
 Each budget is the count measured when it was set plus 10%.  Counting calls
 rather than timing keeps the guard exact on a shared or loaded host.
 """
@@ -27,6 +40,7 @@ import random
 import sys
 from typing import Any, Callable
 
+from repro.core.parties import Role
 from repro.sim.faults import FaultConfig, random_fault_plan
 from repro.sim.runtime import Simulation
 from repro.spec.formatter import format_problem
@@ -40,6 +54,8 @@ PARSE_CALLS_PER_TOKEN = 3.1  # 2.82 measured
 CHAIN_CALLS_PER_ATTEMPT = 55.0  # 50.0 measured
 FAULTED_CALLS_PER_ATTEMPT = 80.2  # 72.9 measured
 EXCHANGE_CALLS_PER_EDGE = 151.7  # 137.9 measured
+ENUM_READS_PER_EDGE = 0.0086  # 0.0078 measured: 2 reads, both of the verdict
+FROZEN_INITS_PER_EDGE = 4.23  # 3.84 measured
 
 RANDOM_PROBLEMS = RandomProblemConfig(n_principals=12, n_exchanges=9, priority_probability=0.5)
 
@@ -106,3 +122,64 @@ def test_exchange_calls_per_sequencing_edge():
     assert edges == 258
     calls = exchange_calls(format_problem(problem))
     assert calls / edges <= EXCHANGE_CALLS_PER_EDGE, f"{calls} calls for {edges} edges"
+
+
+def _enum_reads(run: Callable[[], Any]) -> int:
+    """Class-attribute reads on enum classes while *run* runs."""
+    metaclass = type(Role)  # EnumMeta on 3.10, EnumType from 3.11
+    assert "__getattribute__" not in vars(metaclass)  # the counter below must not replace one
+    reads = 0
+
+    def counting(cls: type, name: str) -> Any:
+        nonlocal reads
+        reads += 1
+        return type.__getattribute__(cls, name)
+
+    metaclass.__getattribute__ = counting
+    try:
+        run()
+    finally:
+        del metaclass.__getattribute__
+    return reads
+
+
+def _frozen_dataclass_inits(run: Callable[[], Any]) -> int:
+    """Frozen-dataclass ``__init__`` frames entered while *run* runs.
+
+    A dataclass's generated ``__init__`` is compiled from ``<string>``.  The
+    global trace function sees every frame's ``call`` event; it sits beside
+    any ``sys.setprofile`` counter and restores the tracer it displaced.
+    """
+    inits = 0
+
+    def trace(frame, event, arg):
+        nonlocal inits
+        code = frame.f_code
+        if code.co_name == "__init__" and code.co_filename == "<string>":
+            params = getattr(type(frame.f_locals.get("self")), "__dataclass_params__", None)
+            if params is not None and params.frozen:
+                inits += 1
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return inits
+
+
+def test_exchange_enum_reads_per_sequencing_edge():
+    problem = resale_chain(64, retail=1000.0)
+    edges = len(problem.sequencing_graph().edges)
+    text = format_problem(problem)
+    reads = _enum_reads(lambda: exchange_calls(text))
+    assert reads / edges <= ENUM_READS_PER_EDGE, f"{reads} reads for {edges} edges"
+
+
+def test_exchange_frozen_dataclass_inits_per_sequencing_edge():
+    problem = resale_chain(64, retail=1000.0)
+    edges = len(problem.sequencing_graph().edges)
+    text = format_problem(problem)
+    inits = _frozen_dataclass_inits(lambda: exchange_calls(text))
+    assert inits / edges <= FROZEN_INITS_PER_EDGE, f"{inits} frames for {edges} edges"
