@@ -214,23 +214,17 @@ def _run_scenario(scenario: ChaosScenario) -> ChaosVerdict:
         # function of the seeds, so the replay reproduces the run exactly
         # and the causal envelope log explains what the wire did to it.
         with tracing():
-            replay_plan = random_fault_plan(
-                principals=[p.name for p in problem.interaction.principals],
-                trusted=[t.name for t in problem.interaction.trusted_components],
-                seed=scenario.fault_seed,
-                config=cfg.faults,
-            )
             replay = Simulation.from_problem(
                 problem,
                 latency=cfg.latency,
                 deadline=cfg.deadline,
                 working_capital_cents=cfg.working_capital_cents,
-                fault_plan=replay_plan,
+                fault_plan=plan,
                 seed=scenario.problem_seed,
             )
             replay.run(max_time=cfg.max_time)
-            if replay.network.core.obs is not None:
-                message_trace = replay.network.core.obs.trace_lines()
+            if replay.core.obs is not None:
+                message_trace = replay.core.obs.trace_lines()
     return ChaosVerdict(
         index=scenario.index,
         problem_seed=scenario.problem_seed,

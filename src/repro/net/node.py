@@ -32,7 +32,7 @@ from typing import Any, Callable
 from repro.core.protocol import derive_protocol
 from repro.errors import NetRuntimeError
 from repro.net import wal
-from repro.net.wire import action_from_json, action_to_json, read_frame, write_frame
+from repro.net.wire import WireError, action_from_json, action_to_json, read_frame, write_frame
 from repro.sim.agents import withholder
 from repro.sim.driver import (
     Abandon,
@@ -79,17 +79,27 @@ def record_to_json(record: Record) -> dict[str, Any]:
 
 
 def record_from_json(raw: dict[str, Any]) -> Record:
-    """The inverse of :func:`record_to_json`."""
+    """The inverse of :func:`record_to_json`.
+
+    Raises :class:`NetRuntimeError` naming the record for a kind the driver
+    never logs, or for a known kind with a missing or mistyped field: a
+    record replay would skip or misread must stop the node instead.
+    """
     kind = raw["rec"]
-    if kind in ("send", "recv"):
-        return (kind, str(raw["key"]), action_from_json(raw["action"]))
-    if kind in ("ack", "abandon"):
-        return (kind, str(raw["key"]))
-    if kind == "armed":
-        return (kind, float(raw["expiry"]))
-    if kind == "endow":
-        return (kind, int(raw["balance"]), tuple(raw["docs"]))
-    return (kind,)
+    try:
+        if kind in ("send", "recv"):
+            return (kind, str(raw["key"]), action_from_json(raw["action"]))
+        if kind in ("ack", "abandon"):
+            return (kind, str(raw["key"]))
+        if kind == "armed":
+            return (kind, float(raw["expiry"]))
+        if kind == "endow":
+            return (kind, int(raw["balance"]), tuple(raw["docs"]))
+    except (KeyError, TypeError, ValueError, WireError) as exc:
+        raise NetRuntimeError(f"malformed WAL record {raw!r}") from exc
+    if kind == "deadline":
+        return (kind,)
+    raise NetRuntimeError(f"unknown WAL record kind {kind!r} in {raw!r}")
 
 
 class ExchangeNode:

@@ -2,7 +2,7 @@
 
 Every node connects to this asyncio TCP server, and every envelope a node
 offers crosses :class:`~repro.sim.network.TransportCore`, the sans-I/O wire
-the simulator's :class:`~repro.sim.network.Network` interprets too: it
+the simulator's :class:`~repro.sim.runtime.Simulation` interprets too: it
 decides each attempt's fate, clamps each directed link FIFO and keeps the
 statistics, the delivery log and the abandons, so one plan gives an
 envelope the same fate on every attempt in both runtimes.  The proxy keeps
@@ -273,7 +273,7 @@ class NetFaultProxy:
             # Flush mail parked while the party's process was down: these
             # were already marked delivered (the host accepted them); the
             # restarted process now gets to run its handler, as in
-            # Network._drain_mailbox.
+            # Simulation._drain_mailbox.
             for env in self._mailbox.pop(party, []):
                 self._forward(env)
             await writer.drain()

@@ -317,17 +317,13 @@ async def _run(
         for party in protocol.trusted_specs
         if proxy.reports.get(party.name, {}).get("phase") == "reversed"
     )
-    provenance = RunProvenance(
-        problem_name=problem.name,
-        seed=seed,
-        fault_seed=fault_plan.seed if fault_plan is not None else None,
-        fault_digest=fault_plan.digest() if fault_plan is not None else None,
-        latency=config.latency,
-        deadline=max(
-            (s.deadline for s in protocol.trusted_specs.values() if s.deadline),
-            default=None,
-        ),
-        working_capital_cents=config.working_capital_cents,
+    provenance = RunProvenance.of(
+        problem.name,
+        protocol,
+        fault_plan,
+        config.latency,
+        config.working_capital_cents,
+        seed,
     )
     result = SimulationResult(
         problem_name=problem.name,

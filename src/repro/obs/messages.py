@@ -68,8 +68,8 @@ class MessageObs:
 
     def finish(self, now: float) -> None:
         """Close any message spans still open (defensive; quiescence and
-        :meth:`~repro.sim.network.Network.resolve_stranded` normally close
-        everything)."""
+        :meth:`~repro.sim.network.TransportCore.resolve_stranded` normally
+        close everything)."""
         for key in sorted(self._spans):
             self._tracer.end_span(self._spans[key], {"fate": "unresolved", "at": now})
             self._note(now, "unresolved", key)

@@ -22,7 +22,7 @@ from repro.sim.faults import (
     random_fault_plan,
 )
 from repro.sim.ledger import WIRE, Ledger, LedgerSnapshot, endow_from_interaction, initial_ledger
-from repro.sim.network import Delivery, Envelope, Network, NetworkStats, TimerHandle
+from repro.sim.network import Delivery, Envelope, NetworkStats
 from repro.sim.runtime import RunProvenance, Simulation, SimulationResult, simulate
 from repro.sim.safety import (
     EdgeOutcome,
@@ -55,9 +55,7 @@ __all__ = [
     "initial_ledger",
     "Delivery",
     "Envelope",
-    "Network",
     "NetworkStats",
-    "TimerHandle",
     "RunProvenance",
     "Simulation",
     "SimulationResult",

@@ -3,7 +3,7 @@
 The paper's failure model is "parties renege, wires do not": misbehaviour
 lives in the agents, the transport is perfect.  This module supplies the
 other half — a seeded, replayable description of *transport* and *process*
-faults that the simulator's :class:`~repro.sim.network.Network` and the
+faults that the simulator's :class:`~repro.sim.runtime.Simulation` and the
 socket runtime's :class:`~repro.net.proxy.NetFaultProxy` both enact:
 
 * :class:`LinkFault` — per-link message faults: drop and duplication

@@ -1,4 +1,4 @@
-"""The wire both runtimes share, and the simulator's interpreter of it.
+"""The wire both runtimes share, without I/O.
 
 Every communication in the model *is* an action (a transfer or a notify), so
 the wire carries :class:`~repro.core.actions.Action` payloads, one
@@ -7,10 +7,11 @@ the wire carries :class:`~repro.core.actions.Action` payloads, one
 envelope table, :class:`NetworkStats` and the message spans, each
 attempt's fate (:meth:`FaultPlan.fate <repro.sim.faults.FaultPlan.fate>`),
 the per-link FIFO floor, first versus duplicate deliveries, the ordered
-delivery log, abandons and stranded envelopes.  :class:`Network` interprets
-it on the simulator's event queue and
-:class:`~repro.net.proxy.NetFaultProxy` on real sockets, so one fault plan
-gives an envelope the same fate on every attempt in both runtimes.
+delivery log, abandons and stranded envelopes.
+:class:`~repro.sim.runtime.Simulation` interprets it on the simulator's
+event queue and :class:`~repro.net.proxy.NetFaultProxy` on real sockets, so
+one fault plan gives an envelope the same fate on every attempt in both
+runtimes.
 
 * **Reliable** (no fault plan — the paper's assumption, "parties renege,
   wires do not"): every attempt arrives once after a fixed latency, FIFO per
@@ -19,13 +20,12 @@ gives an envelope the same fate on every attempt in both runtimes.
   each attempt runs the plan's gauntlet, and senders drive retransmission
   (the party drivers own the timeout/backoff policy).  The first copy to
   arrive is the delivery: it is logged, and the runtime acknowledges it to
-  the sender; later copies reach a live handler with the same key and no
-  asset effect.  A first copy for a *crashed* party still lands (the host
-  accepts the asset) but its handling is parked in a mailbox replayed at
-  restart (never, for permanent silence); a later copy for a crashed party
-  is dropped.  Per-link arrival times are clamped monotone, so delay jitter
-  alone cannot reorder one sender's messages (the property suite holds the
-  transport to this).
+  the sender; later copies are duplicates with no asset effect.  A first
+  copy for a *down* recipient is parked (:meth:`TransportCore.park`): the
+  host accepts the asset, and the runtime holds its handling until the
+  party is back.  Per-link arrival times are clamped monotone, so delay
+  jitter alone cannot reorder one sender's messages (the property suite
+  holds the transport to this).
 
 Message spans and the causal log number envelopes by a wire-wide counter
 (``Envelope.obs_key``), so traces read the same whatever the keys.
@@ -34,17 +34,15 @@ Message spans and the causal log number envelopes by a wire-wide counter
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from repro.core.actions import Action
 from repro.core.parties import Party
 from repro.errors import SimulationError
 from repro.obs.messages import MessageObs
 from repro.obs.runtime import active as _active_tracer
-from repro.sim.events import EventQueue
 from repro.sim.faults import FaultPlan
 
 
@@ -123,6 +121,8 @@ class TransportCore:
     """
 
     def __init__(self, latency: float = 1.0, plan: FaultPlan | None = None) -> None:
+        if latency < 0:
+            raise SimulationError(f"latency must be non-negative, got {latency}")
         self.latency = latency
         self.plan = plan
         self.stats = NetworkStats()
@@ -311,163 +311,3 @@ class TransportCore:
         for envelope in stranded:
             self.abandon(now, envelope.key)
         return stranded
-
-
-def _unhooked(envelope: Envelope) -> None:
-    """The reliable wire's hooks: no custody to move, no acknowledgement."""
-
-
-class TimerHandle:
-    """A cancellable, crash-deferrable timer returned by ``schedule_for``.
-
-    Duck-types the slice of :class:`~repro.sim.events.Event` a runtime uses
-    (``time`` and ``cancel``) while surviving re-scheduling across a crash
-    window, which a bare event cannot.
-    """
-
-    def __init__(self, time: float) -> None:
-        self.time = time
-        self.cancelled = False
-        self._event = None
-
-    def cancel(self) -> None:
-        self.cancelled = True
-        if self._event is not None:
-            self._event.cancel()
-
-
-class Network:
-    """The simulator's interpreter of the wire: each copy is an event.
-
-    It schedules the arrivals :class:`TransportCore` computes on the shared
-    queue, dispatches them to the registered handlers, parks first
-    deliveries for a crashed party in a mailbox drained at its restart, and
-    defers a crashed party's timers.
-    """
-
-    def __init__(
-        self,
-        queue: EventQueue,
-        latency: float = 1.0,
-        fault_plan: FaultPlan | None = None,
-    ) -> None:
-        if latency < 0:
-            raise SimulationError("latency must be non-negative")
-        self.queue = queue
-        self.fault_plan = fault_plan.validate() if fault_plan is not None else None
-        self.core = TransportCore(latency, self.fault_plan)
-        self.stats = self.core.stats
-        self.log = self.core.log  # first deliveries, in order
-        self._handlers: dict[Party, Callable[..., None]] = {}
-        self._mailbox: dict[str, list[Envelope]] = {}
-        # The runtime installs these: the first delivery of an envelope
-        # acknowledges it (and releases wire custody); an abandon returns
-        # custody to the sender.
-        self.first_delivery_hook: Callable[[Envelope], None] = _unhooked
-        self.custody_return_hook: Callable[[Envelope], None] = _unhooked
-        if self.fault_plan is not None:
-            for fault in self.fault_plan.parties:
-                if fault.restart_at is not None:
-                    queue.schedule_at(
-                        fault.restart_at, functools.partial(self._drain_mailbox, fault.party)
-                    )
-
-    @property
-    def in_flight(self) -> list[Envelope]:
-        return self.core.in_flight
-
-    def register(self, party: Party, handler: Callable[..., None]) -> None:
-        """Attach the node that receives messages addressed to *party*."""
-        if party in self._handlers:
-            raise SimulationError(f"{party.name} is already registered on the network")
-        self._handlers[party] = handler
-
-    # -------------------------------------------------------------------- send
-
-    def send(self, action: Action, key: str | None = None) -> Envelope:
-        """Send *action* to its effective recipient; returns the envelope."""
-        recipient = action.effective_recipient
-        if recipient not in self._handlers:
-            raise SimulationError(f"no node registered for {recipient.name}")
-        envelope, arrivals = self.core.send(self.queue.now, action, key)
-        self._schedule(envelope, arrivals)
-        return envelope
-
-    def retransmit(self, key: str) -> bool:
-        """Re-offer envelope *key*; ``False`` once it is abandoned."""
-        arrivals = self.core.retransmit(self.queue.now, key)
-        if arrivals is None:
-            return False
-        self._schedule(self.core.envelopes[key], arrivals)
-        return True
-
-    def abandon(self, key: str) -> bool:
-        """Give up on an envelope: the wire returns custody to the sender."""
-        envelope = self.core.abandon(self.queue.now, key)
-        if envelope is None:
-            return False
-        self.custody_return_hook(envelope)
-        return True
-
-    def resolve_stranded(self) -> list[Envelope]:
-        """Abandon every still-undelivered envelope, returning custody."""
-        stranded = self.core.resolve_stranded(self.queue.now)
-        for envelope in stranded:
-            self.custody_return_hook(envelope)
-        return stranded
-
-    # ---------------------------------------------------------------- arrival
-
-    def _schedule(self, envelope: Envelope, arrivals: list[float]) -> None:
-        for time in arrivals:
-            self.queue.schedule_at(time, functools.partial(self._arrive, envelope))
-
-    def _arrive(self, envelope: Envelope) -> None:
-        now = self.queue.now
-        plan = self.fault_plan
-        down = plan is not None and plan.is_crashed(envelope.recipient, now)
-        arrival = self.core.arrive(now, envelope, down)
-        if arrival is _FIRST:
-            self.core.deliver(now, envelope)  # a simulated process takes it at once
-            self.first_delivery_hook(envelope)
-            self._dispatch(envelope)
-        elif arrival is _PARKED:
-            self.first_delivery_hook(envelope)
-            self._mailbox.setdefault(envelope.recipient, []).append(envelope)
-        elif arrival is _DUPLICATE and not down:
-            self._dispatch(envelope)
-
-    def _dispatch(self, envelope: Envelope) -> None:
-        action = envelope.action
-        self._handlers[action.effective_recipient](action, envelope.key)
-
-    def _drain_mailbox(self, name: str) -> None:
-        """Hand over the first deliveries parked while the process was down."""
-        for envelope in self._mailbox.pop(name, []):
-            self._dispatch(envelope)
-
-    # ----------------------------------------------------------------- timers
-
-    def schedule_for(self, party: Party, at: float, callback: Callable[[], None]) -> TimerHandle:
-        """Schedule a timer owned by *party*'s process, due at sim time *at*.
-
-        While the party is crashed the timer defers to its restart instant;
-        if the party never restarts the timer dies with it.  On the reliable
-        transport this is a plain callback at *at*.
-        """
-        handle = TimerHandle(at)
-
-        def fire() -> None:
-            if handle.cancelled:
-                return
-            plan = self.fault_plan
-            if plan is not None and plan.is_crashed(party.name, self.queue.now):
-                restart = plan.restart_time(party.name)
-                if restart is None:
-                    return  # the process never comes back; neither does this
-                handle._event = self.queue.schedule_at(restart, fire)
-                return
-            callback()
-
-        handle._event = self.queue.schedule_at(at, fire)
-        return handle

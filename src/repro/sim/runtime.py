@@ -1,10 +1,10 @@
 """Simulation runtime: wire a synthesized protocol to party drivers and run it.
 
 :class:`Simulation` builds the whole apparatus for one exchange problem —
-event queue, network, ledger with endowments, one driver per party
-(:mod:`repro.sim.driver`) — runs to quiescence, and returns a
-:class:`SimulationResult` with the delivery log, ledger snapshots, and
-network statistics.
+event queue, wire (:class:`~repro.sim.network.TransportCore`), ledger with
+endowments, one driver per party (:mod:`repro.sim.driver`) — runs to
+quiescence, and returns a :class:`SimulationResult` with the delivery log,
+ledger snapshots, and network statistics.
 
 Asset semantics depend on the transport.  On the reliable wire (no fault
 plan) movements are applied to the ledger at *send* time — an asset is never
@@ -13,6 +13,10 @@ injection a send only moves the asset into the wire's custody account
 (:data:`repro.sim.ledger.WIRE`); the first delivery releases it to the
 recipient, and an abandoned message returns it to the sender.  Conservation
 is checked after every movement in both regimes.
+
+A crash stops a party's process, not its host: a first delivery for it
+still lands, but the party handles it only at its restart, and its timers
+wait for the restart too (:class:`Simulation` has the details).
 
 Quiescence is more than an empty event queue: a run can drain its timers
 while messages are still undelivered (a permanently silent sender's retry
@@ -50,10 +54,15 @@ from repro.sim.driver import (
     Timer,
     driver_for,
 )
-from repro.sim.events import EventQueue
+from repro.sim.events import Event, EventQueue
 from repro.sim.faults import FaultPlan, check_adversaries
 from repro.sim.ledger import LedgerSnapshot, initial_ledger
-from repro.sim.network import Envelope, Network, NetworkStats, TimerHandle
+from repro.sim.network import Arrival, Envelope, NetworkStats, TransportCore
+
+# Bound once: reading ``Arrival.FIRST`` goes through the enum metaclass.
+_FIRST = Arrival.FIRST
+_PARKED = Arrival.PARKED
+_DUPLICATE = Arrival.DUPLICATE
 
 
 @dataclass(frozen=True)
@@ -67,6 +76,33 @@ class RunProvenance:
     latency: float = 1.0
     deadline: float | None = None
     working_capital_cents: int = 0
+
+    @classmethod
+    def of(
+        cls,
+        problem_name: str,
+        protocol: Protocol,
+        fault_plan: FaultPlan | None,
+        latency: float,
+        working_capital_cents: int,
+        seed: "int | float | None",
+    ) -> "RunProvenance":
+        """The provenance of one run of *protocol*, in either runtime.
+
+        The run's deadline is the latest trusted-component deadline.
+        """
+        return cls(
+            problem_name=problem_name,
+            seed=seed,
+            fault_seed=fault_plan.seed if fault_plan is not None else None,
+            fault_digest=fault_plan.digest() if fault_plan is not None else None,
+            latency=latency,
+            deadline=max(
+                (s.deadline for s in protocol.trusted_specs.values() if s.deadline),
+                default=None,
+            ),
+            working_capital_cents=working_capital_cents,
+        )
 
 
 @dataclass
@@ -104,13 +140,31 @@ class SimulationResult:
 class Simulation:
     """One runnable instance of an exchange protocol.
 
-    A discrete-event interpreter of the party drivers' commands
-    (:mod:`repro.sim.driver`): ``Send`` moves custody on the ledger and puts
-    the envelope on the :class:`Network` under the driver's key, ``Timer``
-    becomes a crash-aware :meth:`Network.schedule_for` timer, and every
-    logged record is kept in memory, per party, in :attr:`logs`.  A crash
-    pauses a party: its deliveries wait in the network's mailbox and its
-    timers wait for the restart.
+    The simulator's discrete-event interpreter, on one
+    :class:`~repro.sim.events.EventQueue`, of the party drivers' commands
+    (:mod:`repro.sim.driver`) and of the wire they share with the socket
+    runtime (:class:`~repro.sim.network.TransportCore`, held as
+    :attr:`core`):
+
+    * ``Send`` moves custody on the ledger and opens the envelope under the
+      driver's key (a retry re-offers it); each copy the core lets through
+      becomes an arrival event.  A first copy for a live party is
+      delivered at once and handed to the party's driver; under faults it
+      first releases wire custody to the recipient and acknowledges the
+      sender.  A later copy reaches a live party with the same key.
+    * A crash stops the process, not the host.  A first copy for a crashed
+      party still lands (delivered, custody released, sender acknowledged)
+      but its handling waits in a mailbox replayed at the restart (never,
+      for permanent silence); a later copy for a crashed party is dropped.
+    * ``Timer`` schedules a queue event kept per party.  A timer that falls
+      due while its party is crashed re-arms at the restart, and dies with
+      a party that never restarts; ``Timer(name, None)`` cancels it.
+    * ``Abandon`` gives the envelope up: custody returns to the sender.
+    * Every logged record is kept in memory, per party, in :attr:`logs`.
+
+    An event refers back to the simulation only while it waits in the
+    queue, and :meth:`run` drains the queue, so a finished run holds no
+    reference cycle: reference counting alone frees it.
     """
 
     def __init__(
@@ -135,7 +189,15 @@ class Simulation:
             )
         adversaries = adversaries or {}
         check_adversaries(adversaries, (p.name for p in principals))
-        self.network = Network(self.queue, latency=latency, fault_plan=fault_plan)
+        self.core = TransportCore(latency, fault_plan)
+        #: Per party name: first deliveries parked while its process was down.
+        self._mailbox: dict[str, list[Envelope]] = {}
+        if fault_plan is not None:
+            for fault in fault_plan.validate().parties:
+                if fault.restart_at is not None:
+                    self.queue.schedule_at(
+                        fault.restart_at, functools.partial(self._drain_mailbox, fault.party)
+                    )
         self.ledger = initial_ledger(problem.interaction, protocol, working_capital_cents)
         for party in principals:
             strategy = adversaries.get(party.name)
@@ -160,7 +222,6 @@ class Simulation:
                 retransmit=fault_plan is not None,
             )
             slot = self._slots[party] = _Slot(party, driver)
-            self.network.register(party, functools.partial(self._delivered, slot))
             self._apply(slot, driver.recover(()))
         self.drivers: dict[Party, PartyDriver] = {
             party: slot.driver for party, slot in self._slots.items()
@@ -169,22 +230,8 @@ class Simulation:
         self.logs: dict[Party, list[Record]] = {
             party: slot.log for party, slot in self._slots.items()
         }
-
-        if fault_plan is not None:
-            self.network.first_delivery_hook = self._first_delivery
-            self.network.custody_return_hook = self._return_custody
-
-        self.provenance = RunProvenance(
-            problem_name=problem.name,
-            seed=seed,
-            fault_seed=fault_plan.seed if fault_plan is not None else None,
-            fault_digest=fault_plan.digest() if fault_plan is not None else None,
-            latency=latency,
-            deadline=max(
-                (s.deadline for s in protocol.trusted_specs.values() if s.deadline),
-                default=None,
-            ),
-            working_capital_cents=working_capital_cents,
+        self.provenance = RunProvenance.of(
+            problem.name, protocol, fault_plan, latency, working_capital_cents, seed
         )
 
     # ----------------------------------------------------------- construction
@@ -250,10 +297,16 @@ class Simulation:
         for command in commands:
             if type(command) is Send:
                 if command.record is None:
-                    self.network.retransmit(command.key)
+                    arrivals = self.core.retransmit(self.queue.now, command.key)
+                    if arrivals:
+                        self._schedule(self.core.envelopes[command.key], arrivals)
                     continue
                 slot.log.append(command.record)
                 action = command.action
+                if action.effective_recipient not in self._slots:
+                    raise SimulationError(
+                        f"no party {action.effective_recipient.name} in this run"
+                    )
                 # On the reliable wire the asset moves at send time; under
                 # faults it waits in the wire's custody until delivery.
                 if self.fault_plan is not None:
@@ -261,7 +314,8 @@ class Simulation:
                 else:
                     self.ledger.apply(action)
                 self.ledger.check()
-                self.network.send(action, command.key)
+                envelope, arrivals = self.core.send(self.queue.now, action, command.key)
+                self._schedule(envelope, arrivals)
             elif type(command) is Log:
                 slot.log.append(command.record)
             elif type(command) is Timer:
@@ -269,26 +323,53 @@ class Simulation:
                 if previous is not None:
                     previous.cancel()
                 if command.at is not None:
-                    slot.timers[command.name] = self.network.schedule_for(
-                        slot.party,
-                        command.at,
-                        functools.partial(self._fired, slot, command.name),
+                    slot.timers[command.name] = self.queue.schedule_at(
+                        command.at, functools.partial(self._fired, slot, command.name)
                     )
             elif type(command) is Abandon:
                 slot.log.append(command.record)
-                self.network.abandon(command.key)
+                # Only a retry gives up, and only the faulty wire retries.
+                envelope = self.core.abandon(self.queue.now, command.key)
+                if envelope is not None:
+                    self._return_custody(envelope)
             # A Got needs nothing: this wire needs no confirmation that a
             # delivery is logged.
 
-    def _fired(self, slot: _Slot, name: str) -> None:
-        del slot.timers[name]
-        self._apply(slot, slot.driver.fired(self.queue.now, name))
+    def _schedule(self, envelope: Envelope, arrivals: list[float]) -> None:
+        for time in arrivals:
+            self.queue.schedule_at(time, functools.partial(self._arrive, envelope))
 
-    def _delivered(self, slot: _Slot, action: Action, key: str) -> None:
-        self._apply(slot, slot.driver.delivered(self.queue.now, key, action))
+    def _arrive(self, envelope: Envelope) -> None:
+        """One copy of *envelope* reaches its recipient."""
+        now = self.queue.now
+        plan = self.fault_plan
+        down = plan is not None and plan.is_crashed(envelope.recipient, now)
+        arrival = self.core.arrive(now, envelope, down)
+        if arrival is _FIRST:
+            self.core.deliver(now, envelope)  # a simulated process takes it at once
+            if plan is not None:
+                self._acknowledge(envelope)
+            self._dispatch(envelope)
+        elif arrival is _PARKED:
+            self._acknowledge(envelope)
+            self._mailbox.setdefault(envelope.recipient, []).append(envelope)
+        elif arrival is _DUPLICATE and not down:
+            self._dispatch(envelope)
 
-    def _first_delivery(self, envelope: Envelope) -> None:
-        """Under faults: release wire custody and acknowledge the sender."""
+    def _dispatch(self, envelope: Envelope) -> None:
+        """Hand *envelope* to its recipient's driver."""
+        action = envelope.action
+        slot = self._slots[action.effective_recipient]
+        self._apply(slot, slot.driver.delivered(self.queue.now, envelope.key, action))
+
+    def _drain_mailbox(self, name: str) -> None:
+        """Hand over the first deliveries parked while the process was down."""
+        for envelope in self._mailbox.pop(name, []):
+            self._dispatch(envelope)
+
+    def _acknowledge(self, envelope: Envelope) -> None:
+        """Under faults, a first delivery releases wire custody to the
+        recipient and acknowledges the sender."""
         action = envelope.action
         self.ledger.release_from_transit(action)
         self.ledger.check()
@@ -300,6 +381,23 @@ class Simulation:
     def _return_custody(self, envelope: Envelope) -> None:
         self.ledger.return_from_transit(envelope.action)
         self.ledger.check()
+
+    def _fired(self, slot: _Slot, name: str) -> None:
+        now = self.queue.now
+        plan = self.fault_plan
+        if plan is not None and plan.is_crashed(slot.party.name, now):
+            # Due while the party is down: the timer waits for the restart,
+            # or dies with a party that never comes back.
+            restart = plan.restart_time(slot.party.name)
+            if restart is None:
+                del slot.timers[name]
+            else:
+                slot.timers[name] = self.queue.schedule_at(
+                    restart, functools.partial(self._fired, slot, name)
+                )
+            return
+        del slot.timers[name]
+        self._apply(slot, slot.driver.fired(now, name))
 
     def run(self, max_time: float = math.inf) -> SimulationResult:
         """Run to quiescence (or *max_time*) and summarize."""
@@ -337,16 +435,20 @@ class Simulation:
             if event is None:
                 break
             event.callback()
-        stranded = self.network.resolve_stranded() if self.fault_plan else []
-        if self.network.core.obs is not None:
-            self.network.core.obs.finish(self.queue.now)
+        stranded: list[Envelope] = []
+        if self.fault_plan is not None:
+            stranded = self.core.resolve_stranded(self.queue.now)
+            for envelope in stranded:
+                self._return_custody(envelope)
+        if self.core.obs is not None:
+            self.core.obs.finish(self.queue.now)
         return SimulationResult(
             problem_name=self.problem.name,
             duration=self.queue.now,
             initial=self.initial,
             final=self.ledger.snapshot(),
-            stats=self.network.stats,
-            delivered=[delivery.action for delivery in self.network.log],
+            stats=self.core.stats,
+            delivered=[delivery.action for delivery in self.core.log],
             completed_agents=frozenset(
                 p for p in self.protocol.trusted_specs if self.drivers[p].phase() == "completed"
             ),
@@ -360,7 +462,8 @@ class Simulation:
 
 
 class _Slot:
-    """One party in the simulator: its driver, its log and its timers."""
+    """One party in the simulator: its driver, its log and its timers'
+    pending events, by timer name."""
 
     __slots__ = ("party", "driver", "log", "timers")
 
@@ -368,7 +471,7 @@ class _Slot:
         self.party = party
         self.driver = driver
         self.log: list[Record] = []
-        self.timers: dict[str, TimerHandle] = {}
+        self.timers: dict[str, Event] = {}
 
 
 def simulate(

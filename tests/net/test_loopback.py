@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro.errors import FaultInjectionError
+from repro.errors import FaultInjectionError, SimulationError
 from repro.net.proxy import NetFaultProxy
 from repro.net.supervisor import NetRunConfig, run_networked_exchange
 from repro.sim.faults import FaultPlan, PartyFault
@@ -129,3 +129,17 @@ def test_adversary_naming_no_principal_is_rejected_before_any_socket(
             simple_purchase(), str(run_dir), NetRunConfig(**FAST), adversaries={name: 0}
         )
     assert not run_dir.exists()
+
+
+def test_negative_latency_is_rejected_before_any_node_spawns(tmp_path, monkeypatch):
+    # The wire core both runtimes build refuses it: every copy would be due
+    # before it was sent.
+    def no_socket(*args, **kwargs):
+        raise AssertionError("the proxy opened a socket")
+
+    monkeypatch.setattr(NetFaultProxy, "start", no_socket)
+    run_dir = tmp_path / "run"
+    config = NetRunConfig(**{**FAST, "latency": -1.0})
+    with pytest.raises(SimulationError, match="latency must be non-negative"):
+        run_networked_exchange(simple_purchase(), str(run_dir), config)
+    assert not (run_dir / "wal").exists()

@@ -8,9 +8,11 @@ from repro.core.actions import pay
 from repro.core.items import money
 from repro.core.parties import consumer, trusted
 from repro.errors import NetRuntimeError
-from repro.net.node import record_from_json, record_to_json
+from repro.net.node import ExchangeNode, NodeConfig, record_from_json, record_to_json
 from repro.net.wal import WriteAheadLog, replay
 from repro.net.wire import action_to_json, encode_json
+from repro.spec.formatter import format_problem
+from repro.workloads import example1
 
 RECORDS = [
     {"rec": "endow", "balance": 1000, "docs": ["d"]},
@@ -163,3 +165,38 @@ def test_driver_records_keep_their_json_shape(tmp_path):
         {"rec": "deadline"},
     ]
     assert [record_from_json(raw) for raw in replay(path)] == records
+
+
+@pytest.mark.parametrize("kind", ["sene", "rcev"])
+def test_unknown_record_kind_is_refused(kind):
+    # One bit away from ``send`` or swapped letters: replay must not skip it.
+    raw = {"rec": kind, "key": "Customer:1", "action": {"kind": "pay"}}
+    with pytest.raises(NetRuntimeError, match=f"unknown WAL record kind '{kind}'"):
+        record_from_json(raw)
+
+
+@pytest.mark.parametrize(
+    "raw, cause",
+    [
+        ({"rec": "send", "key": "Customer:1"}, KeyError),
+        ({"rec": "armed", "expiry": "soon"}, ValueError),
+        ({"rec": "endow", "balance": 1000, "docs": 7}, TypeError),
+    ],
+)
+def test_malformed_record_names_it_and_chains_the_cause(raw, cause):
+    with pytest.raises(NetRuntimeError, match="malformed WAL record") as excinfo:
+        record_from_json(raw)
+    assert repr(raw) in str(excinfo.value)
+    assert isinstance(excinfo.value.__cause__, cause)
+
+
+def test_node_refuses_a_log_with_an_unknown_record(tmp_path):
+    spec = tmp_path / "problem.spec"
+    spec.write_text(format_problem(example1()), encoding="utf-8")
+    path = tmp_path / "Consumer.wal"
+    path.write_bytes(
+        encode_json(RECORDS[0]) + b"\n" + encode_json({"rec": "rcev", "key": "T:1"}) + b"\n"
+    )
+    config = NodeConfig(str(spec), "Consumer", "127.0.0.1", 0, str(path), deadline=100.0)
+    with pytest.raises(NetRuntimeError, match="unknown WAL record kind 'rcev'"):
+        ExchangeNode(config)

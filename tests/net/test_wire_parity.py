@@ -59,7 +59,7 @@ def test_same_plan_gives_the_same_wire(name, seed, net_run_dir):
     assert _fields(run.result.stats) == _fields(result.stats)
     with open(os.path.join(net_run_dir, "deliveries.jsonl"), encoding="utf-8") as fh:
         delivered = Counter(json.loads(line)["key"] for line in fh)
-    assert delivered == Counter(delivery.key for delivery in sim.network.log)
+    assert delivered == Counter(delivery.key for delivery in sim.core.log)
     assert run.result.final.digest() == result.final.digest()
 
 

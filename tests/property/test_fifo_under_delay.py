@@ -3,19 +3,21 @@
 The reliable transport delivers one sender's messages in send order (fixed
 latency over a deterministic queue).  Delay jitter could break that — a
 later message drawing a smaller jitter would overtake an earlier one — so
-the unreliable transport clamps per-link delivery times monotone.  This
-suite drives randomized delay-only fault plans and asserts the ordering
-claim holds for every (sender, recipient) pair.
+the wire core clamps per-link arrival times monotone.  This suite drives
+randomized delay-only fault plans through
+:class:`~repro.sim.network.TransportCore` and asserts that, for every
+(sender, recipient) pair, the arrival times :meth:`send` returns never
+decrease in send order.  The event queue fires equal times in scheduling
+order (``tests/sim/test_events.py``), so arrival order follows.
 """
 
 import random
 
-from repro.core.items import cents
 from repro.core.actions import pay
+from repro.core.items import cents
 from repro.core.parties import consumer, trusted
-from repro.sim.events import EventQueue
 from repro.sim.faults import FaultPlan, LinkFault
-from repro.sim.network import Network
+from repro.sim.network import TransportCore
 
 T = trusted("t")
 
@@ -28,36 +30,24 @@ def _run_one(seed: int, n_senders: int, n_messages: int) -> None:
         links=(LinkFault(max_delay=rng.uniform(0.5, 8.0)),),
         heal_at=None,  # jitter never heals: the hardest case for ordering
     )
-    queue = EventQueue()
-    network = Network(queue, latency=1.0, fault_plan=plan)
-    arrivals: list[tuple[str, int]] = []  # (sender name, payload number)
+    core = TransportCore(latency=1.0, plan=plan)
+    arrivals: dict[str, list[float]] = {s.name: [] for s in senders}
+    jittered = False
 
-    def handler(action, key):
-        arrivals.append((action.sender.name, action.item.cents))
-
-    network.register(T, handler)
-
-    sent: dict[str, list[int]] = {s.name: [] for s in senders}
-    serial = 1
     for step in range(n_messages):
         sender = rng.choice(senders)
         # Strictly increasing send times (so send order is well-defined),
         # spaced closely enough that jitter windows genuinely overlap.
-        queue.schedule_at(
-            step * 0.5 + rng.uniform(0.0, 0.4),
-            lambda s=sender, n=serial: network.send(pay(s, T, cents(n))),
-        )
-        sent[sender.name].append(serial)
-        serial += 1
+        now = step * 0.5 + rng.uniform(0.0, 0.4)
+        _, times = core.send(now, pay(sender, T, cents(step + 1)))
+        assert len(times) == 1 and times[0] >= now + 1.0
+        jittered = jittered or times[0] > now + 1.0
+        arrivals[sender.name] += times
 
-    while (event := queue.pop()) is not None:
-        event.callback()
-
-    assert len(arrivals) == n_messages
-    for name, expected in sent.items():
-        observed = [n for who, n in arrivals if who == name]
-        assert observed == expected, (
-            f"seed {seed}: {name} sent {expected} but they arrived {observed}"
+    assert jittered
+    for name, times in arrivals.items():
+        assert times == sorted(times), (
+            f"seed {seed}: {name}'s arrival times decrease in send order: {times}"
         )
 
 

@@ -485,7 +485,7 @@ def _example1_records():
     return (
         list(problem.reduce().steps)
         + list(problem.execution_sequence().steps)
-        + list(simulation.network.log)
+        + list(simulation.core.log)
         + [decl.position for decl in spec.principals + spec.trusted]
     )
 

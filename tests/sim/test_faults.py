@@ -1,6 +1,7 @@
 """Tests for the fault-injection layer: plans, unreliable transport, and
 full simulations under chaos."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from repro.core.actions import give, pay
 from repro.core.items import document, money
 from repro.core.parties import consumer, producer, trusted
+from repro.core.protocol import derive_protocol
 from repro.errors import FaultInjectionError, SimulationError
-from repro.sim.events import EventQueue
 from repro.sim.faults import (
     CLEAN,
     LOST,
@@ -22,7 +23,7 @@ from repro.sim.faults import (
     random_fault_plan,
 )
 from repro.sim.ledger import WIRE, Ledger
-from repro.sim.network import Network
+from repro.sim.network import Arrival, TransportCore
 from repro.sim.runtime import Simulation
 from repro.sim.safety import evaluate_safety
 from repro.workloads import example1
@@ -122,174 +123,198 @@ class TestFaultRolls:
 
         def arrivals(order):
             order = list(order)
-            queue, network = _faulty_network(plan)
-            seen = {key: [] for key in keys}
-            network.register(T, lambda action, key: seen[key].append(queue.now))
+            core = TransportCore(plan=plan)
+            seen = {}
             for i in order:
-                network.send(pay(senders[i], T, M), keys[i])
-            queue.schedule_at(
-                5.0, lambda: [network.retransmit(keys[i]) for i in order]
-            )
-            _drain(queue)
-            return seen, network.stats
+                _, seen[keys[i]] = core.send(0.0, pay(senders[i], T, M), keys[i])
+            # Every copy of attempt 1 arrives by 0 + 1 + 2 + 1 = 4.
+            for i in order:
+                envelope = core.envelopes[keys[i]]
+                for time in seen[keys[i]]:
+                    if core.arrive(time, envelope, down=False) is Arrival.FIRST:
+                        core.deliver(time, envelope)
+            for i in order:
+                seen[keys[i]] = seen[keys[i]] + core.retransmit(5.0, keys[i])
+            return seen, core.stats
 
         forward, forward_stats = arrivals(range(12))
         backward, backward_stats = arrivals(reversed(range(12)))
         assert forward == backward
         assert forward_stats == backward_stats
         assert forward_stats.dropped and forward_stats.duplicates  # the faults bit
-
-
-def _drain(queue):
-    while (event := queue.pop()) is not None:
-        event.callback()
-
-
-def _faulty_network(plan, latency=1.0):
-    queue = EventQueue()
-    network = Network(queue, latency=latency, fault_plan=plan)
-    return queue, network
+        assert forward_stats.retransmits == 12
 
 
 class TestUnreliableTransport:
+    """The wire core's decisions at explicit times, and how a simulation
+    hands copies and timers to crashed, silent and live parties."""
+
     def test_drop_all_never_delivers(self):
-        plan = FaultPlan(seed=1, links=(LinkFault(drop=1.0),))
-        queue, network = _faulty_network(plan)
-        received = []
-        network.register(T, lambda a, key: received.append(a))
-        envelope = network.send(pay(C, T, M))
-        _drain(queue)
-        assert received == []
+        core = TransportCore(plan=FaultPlan(seed=1, links=(LinkFault(drop=1.0),)))
+        envelope, arrivals = core.send(0.0, pay(C, T, M))
+        assert arrivals == []
         assert not envelope.delivered
-        assert network.stats.dropped == 1
+        assert core.stats.dropped == 1
 
     def test_retransmit_after_heal_delivers(self):
         plan = FaultPlan(seed=1, links=(LinkFault(drop=1.0),), heal_at=5.0)
-        queue, network = _faulty_network(plan)
-        received = []
-        network.register(T, lambda a, key: received.append(a))
-        envelope = network.send(pay(C, T, M))
-        _drain(queue)
-        assert received == []
-        queue.schedule_at(6.0, lambda: network.retransmit(envelope.key))
-        _drain(queue)
-        assert received == [pay(C, T, M)]
+        core = TransportCore(plan=plan)
+        envelope, arrivals = core.send(0.0, pay(C, T, M))
+        assert arrivals == []
+        assert core.retransmit(6.0, envelope.key) == [7.0]
+        assert core.arrive(7.0, envelope, down=False) is Arrival.FIRST
+        assert core.deliver(7.0, envelope)
         assert envelope.delivered and envelope.attempts == 2
+        assert core.log[0].delivered_at == 7.0
 
     def test_duplicate_delivers_same_key_twice(self):
-        plan = FaultPlan(seed=1, links=(LinkFault(duplicate=1.0),))
-        queue, network = _faulty_network(plan)
-        keys = []
-        network.register(T, lambda a, key: keys.append(key))
-        network.send(pay(C, T, M))
-        _drain(queue)
-        assert len(keys) == 2 and keys[0] == keys[1]
-        assert network.stats.messages_delivered == 1
-        assert network.stats.duplicate_deliveries == 1
-        assert len(network.log) == 1  # the log records the message once
+        core = TransportCore(plan=FaultPlan(seed=1, links=(LinkFault(duplicate=1.0),)))
+        envelope, arrivals = core.send(0.0, pay(C, T, M))
+        assert arrivals == [1.0, 2.0]
+        assert core.arrive(1.0, envelope, down=False) is Arrival.FIRST
+        assert core.deliver(1.0, envelope)
+        assert core.arrive(2.0, envelope, down=False) is Arrival.DUPLICATE
+        assert core.stats.messages_delivered == 1
+        assert core.stats.duplicate_deliveries == 1
+        assert len(core.log) == 1  # the log records the message once
 
     def test_duplicate_for_crashed_recipient_is_dropped_not_parked(self):
         plan = FaultPlan(
-            seed=1, links=(LinkFault(duplicate=1.0),), parties=(PartyFault("t", 0.0, 10.0),)
+            seed=1,
+            links=(LinkFault(duplicate=1.0),),
+            parties=(PartyFault("Trusted1", 0.5, 10.0),),
         )
-        queue, network = _faulty_network(plan)
-        keys = []
-        network.register(T, lambda a, key: keys.append(key))
-        network.send(pay(C, T, M))
-        _drain(queue)
-        # The first copy is parked and handled at restart; the second,
-        # arriving while t is down, counts as a duplicate and goes nowhere.
-        assert len(keys) == 1
-        assert network.stats.deferred == 1
-        assert network.stats.duplicate_deliveries == 1
+        sim = Simulation.from_problem(example1(), deadline=100.0, fault_plan=plan)
+        handled = _handled(sim)
+        result = sim.run(max_time=5000.0)
+        # The consumer's deposit lands at 1 while Trusted1 is down: its first
+        # copy is parked and handled at the restart; the second, arriving at
+        # 2, counts as a duplicate and goes nowhere.  Copies for a live
+        # party are handed over twice.
+        assert [now for now, name, key in handled if key == "Consumer:1"] == [10.0]
+        assert [now for now, name, key in handled if key == "Trusted1:1"] == [11.0, 12.0]
+        assert result.stats.deferred == 1
+        assert result.stats.duplicate_deliveries == result.stats.messages_sent == 10
 
     def test_partition_drops_everything_in_window(self):
         plan = FaultPlan(
             seed=1, links=(LinkFault(partitions=((0.0, 10.0),)),), heal_at=20.0
         )
-        queue, network = _faulty_network(plan)
-        received = []
-        network.register(T, lambda a, key: received.append(a))
-        network.send(pay(C, T, M))
-        _drain(queue)
-        assert received == [] and network.stats.dropped == 1
+        core = TransportCore(plan=plan)
+        envelope, arrivals = core.send(0.0, pay(C, T, M))
+        assert arrivals == [] and core.stats.dropped == 1
+        assert core.retransmit(10.0, envelope.key) == [11.0]  # the window closed
 
     def test_crashed_recipient_mailbox_replayed_at_restart(self):
-        plan = FaultPlan(seed=1, parties=(PartyFault("t", 0.0, 10.0),))
-        queue, network = _faulty_network(plan)
-        arrivals = []
-        network.register(T, lambda a, key: arrivals.append(queue.now))
-        envelope = network.send(pay(C, T, M))
-        _drain(queue)
-        # Delivered (asset landed) at t=1 but handled only at restart.
-        assert envelope.delivered and envelope.delivered_at == 1.0
-        assert arrivals == [10.0]
-        assert network.stats.deferred == 1
+        plan = FaultPlan(seed=1, parties=(PartyFault("Trusted1", 0.5, 10.0),))
+        sim = Simulation.from_problem(example1(), deadline=100.0, fault_plan=plan)
+        handled = _handled(sim)
+        result = sim.run(max_time=5000.0)
+        # Delivered (asset landed, sender acknowledged) at t=1 but handled
+        # only at restart.
+        deposit = sim.core.envelopes["Consumer:1"]
+        assert deposit.delivered and deposit.delivered_at == 1.0
+        assert handled[0] == (10.0, "Trusted1", "Consumer:1")
+        assert result.stats.deferred == 1 and result.stats.retransmits == 0
+        assert evaluate_safety(sim.problem, result).honest_parties_safe()
 
     def test_permanently_silent_recipient_never_handles(self):
-        plan = FaultPlan(seed=1, parties=(PartyFault("t", 0.0),))
-        queue, network = _faulty_network(plan)
-        arrivals = []
-        network.register(T, lambda a, key: arrivals.append(a))
-        envelope = network.send(pay(C, T, M))
-        _drain(queue)
-        assert envelope.delivered  # the host took it; the process is gone
-        assert arrivals == []
+        plan = FaultPlan(seed=1, parties=(PartyFault("Consumer", 0.5),))
+        sim = Simulation.from_problem(example1(), deadline=100.0, fault_plan=plan)
+        handled = _handled(sim)
+        result = sim.run(max_time=5000.0)
+        goods = sim.core.envelopes["Trusted1:2"]
+        assert goods.recipient == "Consumer"
+        assert goods.delivered  # the host took it; the process is gone
+        assert "d" in result.final.documents_of(goods.action.effective_recipient)
+        assert [entry for entry in handled if entry[1] == "Consumer"] == []
+        assert result.stats.deferred == 1
 
     def test_abandon_invokes_custody_return_and_blocks_late_copies(self):
-        plan = FaultPlan(seed=1, links=(LinkFault(max_delay=5.0),))
-        queue, network = _faulty_network(plan)
-        returned = []
-        network.custody_return_hook = lambda env: returned.append(env.key)
-        received = []
-        network.register(T, lambda a, key: received.append(a))
-        envelope = network.send(pay(C, T, M))
-        assert network.abandon(envelope.key)
-        _drain(queue)  # the already-scheduled copy must not deliver
-        assert received == [] and returned == [envelope.key]
-        assert not network.abandon(envelope.key)  # idempotent
+        core = TransportCore(plan=FaultPlan(seed=1, links=(LinkFault(max_delay=5.0),)))
+        envelope, arrivals = core.send(0.0, pay(C, T, M))
+        # The runtime returns custody of the envelope abandon hands back.
+        assert core.abandon(0.0, envelope.key) is envelope
+        # The copy already on its way must not deliver.
+        assert core.arrive(arrivals[0], envelope, down=False) is Arrival.BOUNCED
+        assert not envelope.delivered and core.log == []
+        assert core.retransmit(1.0, envelope.key) is None
+        assert core.abandon(1.0, envelope.key) is None  # idempotent
+        assert core.stats.abandoned == 1 and core.unresolved["c"] == 0
 
     def test_schedule_for_defers_across_crash_window(self):
-        plan = FaultPlan(seed=1, parties=(PartyFault("c", 2.0, 8.0),))
-        queue, network = _faulty_network(plan)
-        network.register(C, lambda a, key: None)
-        fired = []
-        network.schedule_for(C, 3.0, lambda: fired.append(queue.now))
-        _drain(queue)
-        assert fired == [8.0]  # due at 3.0 inside the crash, runs at restart
+        plan = FaultPlan(seed=1, parties=(PartyFault("Consumer", 0.5, 20.0),))
+        sim = Simulation.from_problem(example1(), deadline=100.0, fault_plan=plan)
+        fired = _fired(sim)
+        sim.run(max_time=5000.0)
+        # The consumer's retry timer for its deposit is due at 4.0, inside
+        # the crash: it runs at the restart.
+        assert [(now, key) for now, name, key in fired if name == "Consumer"] == [
+            (20.0, "Consumer:1")
+        ]
 
     def test_schedule_for_dies_with_permanently_silent_party(self):
-        plan = FaultPlan(seed=1, parties=(PartyFault("c", 2.0),))
-        queue, network = _faulty_network(plan)
-        network.register(C, lambda a, key: None)
-        fired = []
-        network.schedule_for(C, 3.0, lambda: fired.append(queue.now))
-        _drain(queue)
-        assert fired == []
+        plan = FaultPlan(seed=1, parties=(PartyFault("Consumer", 0.5),))
+        sim = Simulation.from_problem(example1(), deadline=100.0, fault_plan=plan)
+        fired = _fired(sim)
+        result = sim.run(max_time=5000.0)
+        assert [entry for entry in fired if entry[1] == "Consumer"] == []
+        assert result.duration == 11.0
+        assert all(not slot.timers for slot in sim._slots.values())
 
     def test_schedule_for_cancel(self):
-        queue, network = _faulty_network(FaultPlan(seed=1))
-        fired = []
-        handle = network.schedule_for(C, 3.0, lambda: fired.append(1))
-        handle.cancel()
-        _drain(queue)
-        assert fired == []
+        sim = Simulation.from_problem(example1(), deadline=100.0, fault_plan=FaultPlan(seed=1))
+        fired = _fired(sim)
+        result = sim.run(max_time=5000.0)
+        # Each trusted component arms its deadline at its first deposit and
+        # cancels it on completion, long before the expiry.
+        for party in sim.protocol.trusted_specs:
+            (expiry,) = [record[1] for record in sim.logs[party] if record[0] == "armed"]
+            assert expiry > result.duration
+        assert [entry for entry in fired if entry[2] == "deadline"] == []
+        assert result.duration == 11.0 and result.completed_agents == frozenset(
+            sim.protocol.trusted_specs
+        )
+        assert all(not slot.timers for slot in sim._slots.values())
 
     def test_resolve_stranded_abandons_in_flight(self):
-        plan = FaultPlan(seed=1, links=(LinkFault(drop=1.0),))
-        queue, network = _faulty_network(plan)
-        network.register(T, lambda a, key: None)
-        network.send(pay(C, T, M))
-        _drain(queue)
-        stranded = network.resolve_stranded()
-        assert len(stranded) == 1 and network.in_flight == []
+        core = TransportCore(plan=FaultPlan(seed=1, links=(LinkFault(drop=1.0),)))
+        envelope, _ = core.send(0.0, pay(C, T, M))
+        assert core.resolve_stranded(10.0) == [envelope]
+        assert core.in_flight == [] and envelope.abandoned
+        assert core.unresolved["c"] == 0
 
     def test_reliable_network_rejects_two_arg_only_behaviour(self):
-        # Sanity: the reliable path still refuses unknown recipients.
-        queue = EventQueue()
-        network = Network(queue)
-        with pytest.raises(SimulationError):
-            network.send(pay(C, T, M))
+        problem = example1()
+        protocol = derive_protocol(problem, 100.0)
+        without = {t: s for t, s in protocol.trusted_specs.items() if t.name != "Trusted1"}
+        # Sanity: the reliable path still refuses a recipient outside the run,
+        # which a hand-built protocol can name.
+        sim = Simulation(problem, dataclasses.replace(protocol, trusted_specs=without))
+        with pytest.raises(SimulationError, match="no party Trusted1 in this run"):
+            sim.run()
+
+
+def _handled(sim):
+    """``(time, party name, key)`` of every copy a party's driver is handed."""
+    return _spy(sim, "delivered")
+
+
+def _fired(sim):
+    """``(time, party name, timer name)`` of every timer a driver sees fire."""
+    return _spy(sim, "fired")
+
+
+def _spy(sim, method):
+    seen = []
+    for party, driver in sim.drivers.items():
+
+        def spy(now, key, *rest, original=getattr(driver, method), name=party.name):
+            seen.append((now, name, key))
+            return original(now, key, *rest)
+
+        setattr(driver, method, spy)
+    return seen
 
 
 class TestWireCustody:

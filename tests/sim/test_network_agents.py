@@ -1,16 +1,20 @@
 """Unit tests for the network transport and the principal's driver."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.actions import give, notify, pay
 from repro.core.items import document, money
 from repro.core.parties import consumer, producer, trusted
-from repro.core.protocol import PrincipalRole, SendInstruction
+from repro.core.protocol import PrincipalRole, SendInstruction, derive_protocol
 from repro.errors import SimulationError
 from repro.sim.agents import slow_party, withholder, wrong_item_sender
 from repro.sim.driver import PrincipalDriver
-from repro.sim.events import EventQueue
-from repro.sim.network import Network
+from repro.sim.faults import FaultPlan
+from repro.sim.network import Arrival, TransportCore
+from repro.sim.runtime import Simulation
+from repro.workloads import example1
 from tests.sim.driver_harness import Harness
 
 C = consumer("c")
@@ -20,72 +24,64 @@ D = document("d")
 M = money(10)
 
 
-def _network(latency=1.0):
-    queue = EventQueue()
-    return queue, Network(queue, latency=latency)
-
-
-def _drain(queue):
-    while (event := queue.pop()) is not None:
-        event.callback()
-
-
 class TestNetwork:
+    """The wire core on the reliable wire, and the simulator's routing."""
+
     def test_delivery_after_latency(self):
-        queue, network = _network(latency=3.0)
-        received = []
-        network.register(T, lambda a, key: received.append(a))
-        network.send(pay(C, T, M))
-        _drain(queue)
-        assert received == [pay(C, T, M)]
-        assert queue.now == 3.0
+        core = TransportCore(latency=3.0)
+        envelope, arrivals = core.send(0.0, pay(C, T, M))
+        assert arrivals == [3.0]
+        assert core.arrive(3.0, envelope, down=False) is Arrival.FIRST
+        assert core.deliver(3.0, envelope)
+        assert [delivery.action for delivery in core.log] == [pay(C, T, M)]
 
     def test_negative_latency_rejected(self):
-        queue = EventQueue()
-        with pytest.raises(SimulationError):
-            Network(queue, latency=-1.0)
+        with pytest.raises(SimulationError, match="latency must be non-negative"):
+            TransportCore(latency=-1.0)
+        with pytest.raises(SimulationError, match="latency must be non-negative"):
+            Simulation.from_problem(example1(), latency=-1.0)
 
     def test_unregistered_recipient_rejected(self):
-        _, network = _network()
-        with pytest.raises(SimulationError, match="no node registered"):
-            network.send(pay(C, T, M))
-
-    def test_double_registration_rejected(self):
-        _, network = _network()
-        network.register(T, lambda a, key: None)
-        with pytest.raises(SimulationError, match="already registered"):
-            network.register(T, lambda a, key: None)
+        problem = example1()
+        protocol = derive_protocol(problem, 100.0)
+        without = {t: s for t, s in protocol.trusted_specs.items() if t.name != "Trusted1"}
+        # A hand-built protocol can name a party the run does not have.
+        sim = Simulation(
+            problem,
+            dataclasses.replace(protocol, trusted_specs=without),
+            fault_plan=FaultPlan(seed=1),
+        )
+        with pytest.raises(SimulationError, match="no party Trusted1 in this run"):
+            sim.run()
 
     def test_inverted_transfer_routes_to_original_sender(self):
-        queue, network = _network()
-        received = []
-        network.register(C, lambda a, key: received.append(a))
-        network.register(T, lambda a, key: None)
+        core = TransportCore()
         refund = pay(C, T, M).inverse()  # t returns money to c
-        network.send(refund)
-        _drain(queue)
-        assert received == [refund]
+        envelope, arrivals = core.send(0.0, refund)
+        assert (envelope.sender, envelope.recipient) == ("t", "c")
+        assert arrivals == [1.0]
+        assert core.stats.by_sender == {T: 1}
 
     def test_stats_counters(self):
-        queue, network = _network()
-        network.register(T, lambda a, key: None)
-        network.register(C, lambda a, key: None)
-        network.send(pay(C, T, M))
-        network.send(notify(T, C))
-        _drain(queue)
-        assert network.stats.messages_sent == 2
-        assert network.stats.messages_delivered == 2
-        assert network.stats.transfers == 1
-        assert network.stats.notifies == 1
-        assert network.stats.by_sender[C] == 1
-        assert network.stats.by_sender[T] == 1
+        core = TransportCore()
+        for action in (pay(C, T, M), notify(T, C)):
+            envelope, (arrival,) = core.send(0.0, action)
+            assert core.arrive(arrival, envelope, down=False) is Arrival.FIRST
+            core.deliver(arrival, envelope)
+        assert core.stats.messages_sent == 2
+        assert core.stats.messages_delivered == 2
+        assert core.stats.transfers == 1
+        assert core.stats.notifies == 1
+        assert core.stats.by_sender[C] == 1
+        assert core.stats.by_sender[T] == 1
+        assert core.unresolved == {"c": 0, "t": 0}
 
     def test_delivery_log_records_times(self):
-        queue, network = _network(latency=2.0)
-        network.register(T, lambda a, key: None)
-        network.send(pay(C, T, M))
-        _drain(queue)
-        (delivery,) = network.log
+        core = TransportCore(latency=2.0)
+        envelope, (arrival,) = core.send(0.0, pay(C, T, M))
+        core.deliver(arrival, envelope)
+        assert not core.deliver(arrival, envelope)  # once only
+        (delivery,) = core.log
         assert delivery.sent_at == 0.0
         assert delivery.delivered_at == 2.0
 

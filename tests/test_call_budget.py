@@ -31,28 +31,38 @@ exchange, per sequencing edge:
 
 Each budget is the count measured when it was set plus 10%.  Counting calls
 rather than timing keeps the guard exact on a shared or loaded host.
+
+One more budget is zero: a finished run must leave no cyclic garbage.  An
+object graph that reference counting cannot free waits for the cyclic
+collector, which runs wherever allocation happens to trip it, so a run's
+cycles cost collector passes and peak memory in later, unrelated work.
+With the collector disabled, the chain exchange, Example 2 under its
+indemnity plan and the faulted random problems are run and dropped, and
+``gc.collect()`` must then find nothing.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import random
 import sys
 from typing import Any, Callable
 
+from repro.core.indemnity import minimal_indemnity_plan
 from repro.core.parties import Role
 from repro.sim.faults import FaultConfig, random_fault_plan
 from repro.sim.runtime import Simulation
 from repro.spec.formatter import format_problem
 from repro.spec.lexer import tokenize
 from repro.spec.parser import parse
-from repro.workloads import resale_chain
+from repro.workloads import example2, resale_chain
 from repro.workloads.random_graphs import RandomProblemConfig, random_problem
 from tests.test_linear_scaling import _calls as exchange_calls
 
 PARSE_CALLS_PER_TOKEN = 3.1  # 2.82 measured
-CHAIN_CALLS_PER_ATTEMPT = 55.0  # 50.0 measured
-FAULTED_CALLS_PER_ATTEMPT = 80.2  # 72.9 measured
+CHAIN_CALLS_PER_ATTEMPT = 49.5  # 45.0 measured
+FAULTED_CALLS_PER_ATTEMPT = 72.9  # 66.3 measured
 EXCHANGE_CALLS_PER_EDGE = 151.7  # 137.9 measured
 ENUM_READS_PER_EDGE = 0.0086  # 0.0078 measured: 2 reads, both of the verdict
 FROZEN_INITS_PER_EDGE = 4.23  # 3.84 measured
@@ -92,9 +102,11 @@ def test_reliable_run_calls_per_attempt():
     assert calls / attempts <= CHAIN_CALLS_PER_ATTEMPT, f"{calls} calls for {attempts} attempts"
 
 
-def test_faulted_run_calls_per_attempt():
+def _faulted_simulations() -> list[Simulation]:
+    """Ready runs of the feasible ones among 24 seeded random problems, each
+    under its own random fault plan."""
     rng = random.Random(5)
-    calls = attempts = runs = 0
+    simulations = []
     for _ in range(24):
         problem = random_problem(RANDOM_PROBLEMS, rng=random.Random(rng.random()))
         plan = random_fault_plan(
@@ -103,9 +115,14 @@ def test_faulted_run_calls_per_attempt():
             seed=rng.randrange(2**31),
             config=FaultConfig(),
         )
-        if not problem.feasibility().feasible:
-            continue
-        sim = Simulation.from_problem(problem, deadline=200.0, fault_plan=plan)
+        if problem.feasibility().feasible:
+            simulations.append(Simulation.from_problem(problem, deadline=200.0, fault_plan=plan))
+    return simulations
+
+
+def test_faulted_run_calls_per_attempt():
+    calls = attempts = runs = 0
+    for sim in _faulted_simulations():
         run_calls, result = _calls(functools.partial(sim.run, max_time=5000.0))
         calls += run_calls
         attempts += result.stats.attempts
@@ -114,6 +131,25 @@ def test_faulted_run_calls_per_attempt():
     assert calls / attempts <= FAULTED_CALLS_PER_ATTEMPT, (
         f"{calls} calls for {attempts} attempts over {runs} runs"
     )
+
+
+def test_runs_leave_no_cyclic_garbage():
+    chain = format_problem(resale_chain(64, retail=1000.0))
+    gc.collect()
+    gc.disable()
+    try:
+        exchange_calls(chain)
+        problem = example2()
+        plan = minimal_indemnity_plan(problem)
+        indemnified = Simulation.from_plan(problem, plan, deadline=100.0).run()
+        faulted = [sim.run(max_time=5000.0) for sim in _faulted_simulations()]
+        assert len(faulted) == 17
+        assert indemnified.quiescent and all(result.quiescent for result in faulted)
+        del problem, plan, indemnified, faulted
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0, f"{garbage} objects freed only by the cyclic collector"
 
 
 def test_exchange_calls_per_sequencing_edge():
