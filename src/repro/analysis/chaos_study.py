@@ -44,6 +44,9 @@ from repro.sim.runtime import Simulation
 from repro.sim.safety import evaluate_safety
 from repro.workloads.random_graphs import RandomProblemConfig
 
+#: Sim-time cap on one scenario's run; reaching it is an error, not a verdict.
+MAX_TIME = 5000.0
+
 
 @dataclass(frozen=True)
 class ChaosConfig:
@@ -54,7 +57,8 @@ class ChaosConfig:
     but not simulated — the theorem says nothing about them).  ``deadline``
     leaves the trusted components' reversal clocks far beyond the fault
     config's ``heal_at`` horizon: link faults delay honest deposits, they
-    must not be able to masquerade as reneging.
+    must not be able to masquerade as reneging.  Every scenario runs on the
+    simulator's unit latency, under the :data:`MAX_TIME` cap.
     """
 
     scenarios: int = 500
@@ -64,9 +68,6 @@ class ChaosConfig:
     )
     faults: FaultConfig = field(default_factory=FaultConfig)
     deadline: float = 200.0
-    latency: float = 1.0
-    max_time: float = 5000.0
-    working_capital_cents: int = 0
 
 
 @dataclass(frozen=True)
@@ -192,14 +193,9 @@ def _run_scenario(scenario: ChaosScenario) -> ChaosVerdict:
         )
 
     sim = Simulation.from_problem(
-        problem,
-        latency=cfg.latency,
-        deadline=cfg.deadline,
-        working_capital_cents=cfg.working_capital_cents,
-        fault_plan=plan,
-        seed=scenario.problem_seed,
+        problem, deadline=cfg.deadline, fault_plan=plan, seed=scenario.problem_seed
     )
-    result = sim.run(max_time=cfg.max_time)
+    result = sim.run(max_time=MAX_TIME)
     report = evaluate_safety(problem, result)
     excluded = frozenset(silent)
     violations = tuple(
@@ -215,14 +211,9 @@ def _run_scenario(scenario: ChaosScenario) -> ChaosVerdict:
         # and the causal envelope log explains what the wire did to it.
         with tracing():
             replay = Simulation.from_problem(
-                problem,
-                latency=cfg.latency,
-                deadline=cfg.deadline,
-                working_capital_cents=cfg.working_capital_cents,
-                fault_plan=plan,
-                seed=scenario.problem_seed,
+                problem, deadline=cfg.deadline, fault_plan=plan, seed=scenario.problem_seed
             )
-            replay.run(max_time=cfg.max_time)
+            replay.run(max_time=MAX_TIME)
             if replay.core.obs is not None:
                 message_trace = replay.core.obs.trace_lines()
     return ChaosVerdict(

@@ -54,6 +54,7 @@ from repro.core.problem import ExchangeProblem
 from repro.core.protocol import derive_protocol
 from repro.errors import ReproError
 from repro.sim.agents import AdversaryStrategy
+from repro.sim.faults import FaultConfig
 from repro.sim.runtime import Simulation, simulate
 from repro.sim.safety import evaluate_safety
 from repro.spec.compiler import load_file
@@ -97,6 +98,37 @@ def _add_problem_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("spec", nargs="?", help="path to a .exchange spec file")
     parser.add_argument(
         "--example", help="use a built-in example instead of a spec file"
+    )
+
+
+def _add_fault_args(parser: argparse.ArgumentParser) -> None:
+    """The :class:`~repro.sim.faults.FaultConfig` flags of ``chaos`` and ``serve``."""
+    parser.add_argument("--drop", type=float, default=0.15, help="per-link drop probability")
+    parser.add_argument("--duplicate", type=float, default=0.10)
+    parser.add_argument("--max-delay", type=float, default=3.0)
+    parser.add_argument(
+        "--crash", type=float, default=0.35, help="probability that one party crashes"
+    )
+    parser.add_argument(
+        "--silence",
+        type=float,
+        default=0.4,
+        help="probability a crashed principal never restarts",
+    )
+    parser.add_argument(
+        "--heal", type=float, default=30.0, help="link faults end at this time"
+    )
+
+
+def _fault_config(args: argparse.Namespace) -> FaultConfig:
+    """The :class:`~repro.sim.faults.FaultConfig` that :func:`_add_fault_args` parsed."""
+    return FaultConfig(
+        drop=args.drop,
+        duplicate=args.duplicate,
+        max_delay=args.max_delay,
+        crash_probability=args.crash,
+        permanent_silence_probability=args.silence,
+        heal_at=args.heal,
     )
 
 
@@ -295,20 +327,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     import json
 
     from repro.analysis.chaos_study import ChaosConfig, chaos_study
-    from repro.sim.faults import FaultConfig
 
-    faults = FaultConfig(
-        drop=args.drop,
-        duplicate=args.duplicate,
-        max_delay=args.max_delay,
-        crash_probability=args.crash,
-        permanent_silence_probability=args.silence,
-        heal_at=args.heal,
-    )
     config = ChaosConfig(
         scenarios=args.scenarios,
         seed=args.seed,
-        faults=faults,
+        faults=_fault_config(args),
         deadline=args.deadline,
     )
     jobs = args.jobs if args.jobs > 0 else None  # 0 = all cores
@@ -509,7 +532,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Drive an exchange end-to-end as real processes over real sockets."""
     from repro.net.supervisor import NetRunConfig, run_networked_exchange
     from repro.obs import metric_records, span_records, tracing, write_jsonl
-    from repro.sim.faults import FaultConfig, random_fault_plan
+    from repro.sim.faults import random_fault_plan
 
     problem = _load_problem(args)
     if not problem.feasibility().feasible:
@@ -525,14 +548,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             principals,
             trusted,
             seed=args.fault_seed,
-            config=FaultConfig(
-                drop=args.drop,
-                duplicate=args.duplicate,
-                max_delay=args.max_delay,
-                crash_probability=args.crash,
-                permanent_silence_probability=args.silence,
-                heal_at=args.heal,
-            ),
+            config=_fault_config(args),
         )
     adversaries = {
         name: strategy.perform
@@ -542,7 +558,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         latency=args.latency,
         time_scale=args.time_scale,
         deadline=args.deadline,
-        working_capital_cents=args.working_capital,
         max_sim_time=args.max_time,
         port=args.port,
         spawn=args.spawn,
@@ -586,7 +601,6 @@ def _cmd_client(args: argparse.Namespace) -> int:
         port=args.port,
         wal_path=args.wal if args.wal is not None else f"{args.party}.wal",
         deadline=args.deadline,
-        working_capital_cents=args.working_capital,
         withhold=args.withhold,
     )
     return asyncio.run(run_node(cfg))
@@ -679,17 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--scenarios", "-n", type=int, default=500)
     p.add_argument("--seed", type=int, default=0, help="master seed for the sweep")
-    p.add_argument("--drop", type=float, default=0.15, help="per-link drop probability")
-    p.add_argument("--duplicate", type=float, default=0.10)
-    p.add_argument("--max-delay", type=float, default=3.0)
-    p.add_argument("--crash", type=float, default=0.35, help="per-scenario crash probability")
-    p.add_argument(
-        "--silence",
-        type=float,
-        default=0.4,
-        help="probability a crashed principal never restarts",
-    )
-    p.add_argument("--heal", type=float, default=30.0, help="link faults end at this time")
+    _add_fault_args(p)
     p.add_argument("--deadline", type=float, default=200.0)
     p.add_argument(
         "--jobs",
@@ -817,7 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.02,
         help="wall seconds per sim unit (default 0.02)",
     )
-    p.add_argument("--working-capital", type=int, default=0, metavar="CENTS")
     p.add_argument(
         "--max-time", type=float, default=400.0, help="hard sim-time cap on the run"
     )
@@ -834,12 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="grow a seeded FaultPlan (drops, dups, partitions, real kills)",
     )
-    p.add_argument("--drop", type=float, default=0.15)
-    p.add_argument("--duplicate", type=float, default=0.10)
-    p.add_argument("--max-delay", type=float, default=3.0)
-    p.add_argument("--crash", type=float, default=0.35)
-    p.add_argument("--silence", type=float, default=0.4)
-    p.add_argument("--heal", type=float, default=30.0)
+    _add_fault_args(p)
     p.add_argument(
         "--spawn",
         choices=("process", "task"),
@@ -859,7 +857,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, required=True)
     p.add_argument("--wal", default=None, help="write-ahead log path (default PARTY.wal)")
     p.add_argument("--deadline", type=float, default=None)
-    p.add_argument("--working-capital", type=int, default=0, metavar="CENTS")
     p.add_argument(
         "--withhold",
         type=int,

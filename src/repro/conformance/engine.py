@@ -51,8 +51,6 @@ class FuzzConfig:
     cases: int = 200
     seed: int = 0
     simulate: bool = True
-    max_principals: int = 10
-    max_exchanges: int = 7
     #: run the flow-sensitive lint rules over repro/net before fuzzing.
     preflight: bool = True
 
@@ -96,8 +94,6 @@ class CaseSpec:
     index: int
     seed: int
     simulate: bool = True
-    max_principals: int = 10
-    max_exchanges: int = 7
 
 
 @dataclass(frozen=True)
@@ -128,10 +124,11 @@ class CaseResult:
 
 
 def generate_case_problem(spec: CaseSpec) -> ExchangeProblem:
-    """Deterministically build the exchange problem for one case."""
+    """Deterministically build the exchange problem for one case: 4 to 10
+    principals and 2 to 7 exchanges, fewer exchanges than principals."""
     rng = random.Random(spec.seed)
-    n_principals = rng.randint(4, spec.max_principals)
-    n_exchanges = rng.randint(2, min(spec.max_exchanges, n_principals - 1))
+    n_principals = rng.randint(4, 10)
+    n_exchanges = rng.randint(2, min(7, n_principals - 1))
     config = RandomProblemConfig(
         n_principals=n_principals,
         n_exchanges=n_exchanges,
@@ -215,13 +212,7 @@ def case_specs(config: FuzzConfig) -> list[CaseSpec]:
     """The derived per-case seeds for one run (stable across pool sizes)."""
     rng = random.Random(config.seed)
     return [
-        CaseSpec(
-            index=i,
-            seed=rng.randrange(2**63),
-            simulate=config.simulate,
-            max_principals=config.max_principals,
-            max_exchanges=config.max_exchanges,
-        )
+        CaseSpec(index=i, seed=rng.randrange(2**63), simulate=config.simulate)
         for i in range(config.cases)
     ]
 

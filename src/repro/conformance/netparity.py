@@ -23,21 +23,32 @@ so this arm asserts what the theorem guarantees:
 
 Seed derivation mirrors :func:`repro.analysis.chaos_study.chaos_scenarios`
 (``rng.random()`` problem seeds, ``rng.randrange(2**31)`` fault seeds from
-one master generator), so a master seed pins the whole sweep.  Infeasible
-problems are recorded but not run — the theorem says nothing about them.
+one master generator), so a master seed pins the whole sweep.  Every case
+draws its problem with the chaos study's low priority density and its plan
+from the default :class:`~repro.sim.faults.FaultConfig`, and both arms run
+at unit latency with a :data:`DEADLINE` of 60 and a :data:`MAX_SIM_TIME` of
+400 sim units.  Infeasible problems are recorded but not run — the theorem
+says nothing about them.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.batch import ProblemSpec
 from repro.net.supervisor import NetRunConfig, run_networked_exchange
-from repro.sim.faults import FaultConfig, random_fault_plan
+from repro.sim.faults import random_fault_plan
 from repro.sim.runtime import Simulation
 from repro.sim.safety import evaluate_safety
 from repro.workloads.random_graphs import RandomProblemConfig
+
+#: The problems of the sweep: most are feasible at this priority density.
+PROBLEMS = RandomProblemConfig(priority_probability=0.1)
+#: The trusted components' deadline, in both arms.
+DEADLINE = 60.0
+#: The sim-time cap on both arms; the socket arm reports reaching it as a timeout.
+MAX_SIM_TIME = 400.0
 
 
 @dataclass(frozen=True)
@@ -51,16 +62,8 @@ class ParityCase:
 
 @dataclass(frozen=True)
 class ParityConfig:
-    """Knobs shared by both arms of every case."""
+    """How the socket arm runs its nodes; the rest of a case is fixed."""
 
-    problems: RandomProblemConfig = field(
-        default_factory=lambda: RandomProblemConfig(priority_probability=0.1)
-    )
-    faults: FaultConfig = field(default_factory=FaultConfig)
-    deadline: float = 60.0
-    latency: float = 1.0
-    max_sim_time: float = 400.0
-    working_capital_cents: int = 0
     time_scale: float = 0.01  # wall seconds per sim unit in the net arm
     spawn: str = "task"  # parity sweeps favor the fast in-process nodes
 
@@ -122,12 +125,11 @@ def run_parity_case(
     config: ParityConfig = ParityConfig(),
 ) -> ParityVerdict:
     """Run one case through both runtimes and compare what must agree."""
-    problem = ProblemSpec(config=config.problems, seed=case.problem_seed).build()
+    problem = ProblemSpec(config=PROBLEMS, seed=case.problem_seed).build()
     plan = random_fault_plan(
         principals=[p.name for p in problem.interaction.principals],
         trusted=[t.name for t in problem.interaction.trusted_components],
         seed=case.fault_seed,
-        config=config.faults,
     )
     silent = tuple(sorted(plan.permanently_silent()))
     crashed = tuple(sorted(plan.faulted_parties() - set(silent)))
@@ -144,25 +146,18 @@ def run_parity_case(
         )
 
     sim = Simulation.from_problem(
-        problem,
-        latency=config.latency,
-        deadline=config.deadline,
-        working_capital_cents=config.working_capital_cents,
-        fault_plan=plan,
-        seed=case.problem_seed,
+        problem, deadline=DEADLINE, fault_plan=plan, seed=case.problem_seed
     )
-    sim_result = sim.run(max_time=config.max_sim_time)
+    sim_result = sim.run(max_time=MAX_SIM_TIME)
     sim_report = evaluate_safety(problem, sim_result)
 
     net_run = run_networked_exchange(
         problem,
         run_dir,
         NetRunConfig(
-            latency=config.latency,
             time_scale=config.time_scale,
-            deadline=config.deadline,
-            working_capital_cents=config.working_capital_cents,
-            max_sim_time=config.max_sim_time,
+            deadline=DEADLINE,
+            max_sim_time=MAX_SIM_TIME,
             spawn=config.spawn,
         ),
         fault_plan=plan,

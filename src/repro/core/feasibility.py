@@ -80,14 +80,15 @@ class FeasibilityVerdict:
 def check_feasibility(
     graph: InteractionGraph | SequencingGraph,
     trust: TrustRelation | None = None,
-    strategy: str = "fifo",
     enable_persona_clause: bool = True,
 ) -> FeasibilityVerdict:
-    """Reduce and classify an exchange.
+    """Reduce and classify an exchange, in the ``fifo`` order.
 
     Accepts either an :class:`InteractionGraph` (the sequencing graph is
     derived mechanically, §4.1) or a ready :class:`SequencingGraph` (in which
-    case *trust* must already be baked into its personas).
+    case *trust* must already be baked into its personas).  The verdict is
+    the same in every reduction order (DESIGN.md §11); a caller that wants
+    another order's trace calls :func:`~repro.core.reduction.reduce_graph`.
 
     ``enable_persona_clause=False`` ablates Rule #1 clause 2 (§4.2.3), so
     trust-sensitivity studies can measure the clause's effect through the
@@ -97,8 +98,6 @@ def check_feasibility(
         sequencing = SequencingGraph.from_interaction(graph, trust)
     else:
         sequencing = graph
-    trace = reduce_graph(
-        sequencing, strategy=strategy, enable_persona_clause=enable_persona_clause
-    )
+    trace = reduce_graph(sequencing, enable_persona_clause=enable_persona_clause)
     verdict = Verdict.FEASIBLE if trace.feasible else Verdict.NOT_SHOWN_FEASIBLE
     return FeasibilityVerdict(verdict=verdict, trace=trace)

@@ -67,11 +67,6 @@ class IndemnityOffer:
     covers: InteractionEdge
     amount_cents: int
 
-    @property
-    def amount_dollars(self) -> float:
-        """The escrowed amount in dollars."""
-        return self.amount_cents / 100.0
-
     def deposit_action(self) -> Action:
         """The escrow payment ``pay_{offeror->via}(amount)``."""
         amount = make_cents(self.amount_cents, tag=f"indemnity-{self.covers.label}")

@@ -26,6 +26,11 @@ class ExchangeProblem:
     ``name`` identifies the problem in reports; ``interaction`` carries the
     parties, mediated exchanges, and priority (resale) markings; ``trust``
     carries direct principal-to-principal trust.
+
+    Every method reduces in the ``fifo`` order: the verdict is the same in
+    every order (DESIGN.md §11), and the plan and protocol derived from it
+    are pinned in that one.  To reduce in another order, call
+    :func:`~repro.core.reduction.reduce_graph` on :meth:`sequencing_graph`.
     """
 
     name: str
@@ -41,30 +46,19 @@ class ExchangeProblem:
         """Mechanically derive the sequencing graph (§4.1)."""
         return SequencingGraph.from_interaction(self.interaction, self.trust)
 
-    def reduce(
-        self, strategy: str = "fifo", enable_persona_clause: bool = True
-    ) -> ReductionTrace:
+    def reduce(self) -> ReductionTrace:
         """Reduce the sequencing graph greedily (§4.2)."""
-        return reduce_graph(
-            self.sequencing_graph(),
-            strategy=strategy,
-            enable_persona_clause=enable_persona_clause,
-        )
+        return reduce_graph(self.sequencing_graph())
 
-    def feasibility(
-        self, strategy: str = "fifo", enable_persona_clause: bool = True
-    ) -> FeasibilityVerdict:
+    def feasibility(self, enable_persona_clause: bool = True) -> FeasibilityVerdict:
         """The §4.2.4 feasibility verdict (optionally with §4.2.3 ablated)."""
         return check_feasibility(
-            self.interaction,
-            self.trust,
-            strategy=strategy,
-            enable_persona_clause=enable_persona_clause,
+            self.interaction, self.trust, enable_persona_clause=enable_persona_clause
         )
 
-    def execution_sequence(self, strategy: str = "fifo") -> ExecutionSequence:
+    def execution_sequence(self) -> ExecutionSequence:
         """The §5 execution sequence (raises if not shown feasible)."""
-        return recover_execution(self.reduce(strategy=strategy))
+        return recover_execution(self.reduce())
 
     def with_trust(self, truster_name: str, trustee_name: str) -> "ExchangeProblem":
         """A copy with one extra direct-trust edge (for §4.2.3 variants)."""

@@ -161,7 +161,13 @@ def synthesize_protocol(
     guarded by every earlier step observable at that principal.  Trusted
     components receive a :class:`TrustedExchangeSpec` derived from the
     interaction graph (their behaviour is data-independent of the order).
+    *deadline* is the run-wide default for a component the graph gives no
+    deadline: ``None`` means no deadline, and like a spec's deadline it must
+    be positive, so a bad value fails here rather than in the middle of a
+    run.
     """
+    if deadline is not None and not deadline > 0:  # NaN is not positive either
+        raise ProtocolError(f"deadlines must be positive, got {deadline}")
     roles: dict[Party, list[SendInstruction]] = {}
     # Each party's locally observable actions (it is the effective recipient)
     # so far, in sequence order; step indices ascend along the sequence.

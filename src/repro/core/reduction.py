@@ -138,21 +138,11 @@ class ReductionTrace:
         return not self.remaining
 
     def step_for_edge(self, edge: SGEdge) -> ReductionStep:
-        """The step that removed *edge* (raises if it was never removed).
-
-        Backed by a lazily built edge→step mapping, so repeated lookups
-        (execution recovery walks every edge) are O(1) instead of a linear
-        scan per call.
-        """
-        try:
-            mapping = object.__getattribute__(self, "_step_by_edge")
-        except AttributeError:
-            mapping = {step.edge: step for step in self.steps}
-            object.__setattr__(self, "_step_by_edge", mapping)
-        step = mapping.get(edge)
-        if step is None:
-            raise ReductionError(f"edge {edge} was not removed in this trace")
-        return step
+        """The step that removed *edge* (raises if it was never removed)."""
+        for step in self.steps:
+            if step.edge == edge:
+                return step
+        raise ReductionError(f"edge {edge} was not removed in this trace")
 
     def __str__(self) -> str:
         header = "feasible" if self.feasible else f"INFEASIBLE ({len(self.remaining)} edges remain)"

@@ -59,7 +59,6 @@ class NodeConfig:
     port: int
     wal_path: str
     deadline: float | None = None
-    working_capital_cents: int = 0
     withhold: int | None = None  # adversary: perform only the first K instructions
     connect_timeout: float = 15.0
 
@@ -114,7 +113,7 @@ class ExchangeNode:
         if cfg.party not in parties:
             raise NetRuntimeError(f"party {cfg.party!r} does not appear in the problem")
         self.party = parties[cfg.party]
-        initial = initial_ledger(problem.interaction, protocol, cfg.working_capital_cents).seal()
+        initial = initial_ledger(problem.interaction, protocol).seal()
         strategy = withholder(cfg.withhold) if cfg.withhold is not None else None
         self.driver = driver_for(
             protocol,

@@ -65,7 +65,6 @@ class NetRunConfig:
     latency: float = 1.0
     time_scale: float = 0.02  # wall seconds per sim unit
     deadline: float | None = 60.0
-    working_capital_cents: int = 0
     max_sim_time: float = 400.0  # hard cap; exceeded => non-quiescent
     ready_timeout: float = 20.0  # wall seconds to wait for initial hellos
     host: str = "127.0.0.1"
@@ -137,8 +136,6 @@ class _NodeHandle:
             str(self.cfg.port),
             "--wal",
             self.cfg.wal_path,
-            "--working-capital",
-            str(self.cfg.working_capital_cents),
         ]
         if self.cfg.deadline is not None:
             argv += ["--deadline", str(self.cfg.deadline)]
@@ -211,7 +208,6 @@ async def _run(
     config: NetRunConfig,
     fault_plan: FaultPlan | None,
     adversaries: dict[str, int],
-    seed: "int | float | None",
 ) -> tuple[NetRunResult, NetFaultProxy]:
     # Validation and the run-dir/spec writes happen in the sync caller
     # (run_networked_exchange) — blocking file I/O has no place on the loop.
@@ -237,7 +233,6 @@ async def _run(
             port=port,
             wal_path=os.path.join(run_dir, "wal", f"{name}.wal"),
             deadline=config.deadline,
-            working_capital_cents=config.working_capital_cents,
             withhold=adversaries.get(name),
         )
         handles[name] = _NodeHandle(name, cfg, run_dir, config.spawn, proxy)
@@ -299,7 +294,7 @@ async def _run(
     stranded = proxy.resolve_stranded()
 
     # ------------------------------------------------------------- assembly
-    ledger = initial_ledger(problem.interaction, protocol, config.working_capital_cents)
+    ledger = initial_ledger(problem.interaction, protocol)
     initial = ledger.seal()
     delivered = proxy.delivered_actions()
     for action in delivered:
@@ -318,12 +313,7 @@ async def _run(
         if proxy.reports.get(party.name, {}).get("phase") == "reversed"
     )
     provenance = RunProvenance.of(
-        problem.name,
-        protocol,
-        fault_plan,
-        config.latency,
-        config.working_capital_cents,
-        seed,
+        problem.name, protocol, fault_plan, config.latency, seed=None
     )
     result = SimulationResult(
         problem_name=problem.name,
@@ -391,7 +381,6 @@ def _write_artifacts(
                 "fault_digest": provenance.fault_digest,
                 "latency": provenance.latency,
                 "deadline": provenance.deadline,
-                "working_capital_cents": provenance.working_capital_cents,
                 "duration": result.duration,
                 "quiescent": result.quiescent,
                 "stranded_messages": result.stranded_messages,
@@ -429,7 +418,6 @@ def run_networked_exchange(
     config: NetRunConfig = NetRunConfig(),
     fault_plan: FaultPlan | None = None,
     adversaries: dict[str, int] | None = None,
-    seed: "int | float | None" = None,
 ) -> NetRunResult:
     """Drive *problem* end-to-end over real sockets; blocks until done."""
     config = config.validate()
@@ -449,16 +437,7 @@ def run_networked_exchange(
         fh.write(format_problem(problem))
 
     run, proxy = asyncio.run(
-        _run(
-            problem,
-            run_dir,
-            spec_path,
-            protocol,
-            config,
-            fault_plan,
-            adversaries,
-            seed,
-        )
+        _run(problem, run_dir, spec_path, protocol, config, fault_plan, adversaries)
     )
     # Artifact writes are plain blocking file I/O, so they happen here —
     # after the loop has shut down — rather than inside the async runtime.

@@ -300,22 +300,27 @@ class FaultConfig:
     """Knobs for :func:`random_fault_plan`.
 
     Defaults describe a hostile-but-healing world: every link loses ~15% of
-    messages, duplicates ~10%, jitters delivery by up to ``max_delay``, may
-    suffer one global partition window, and one party may crash (possibly
-    forever, if it is a principal) — with all *link* faults healed by
-    ``heal_at`` so that retries can eventually push every message through.
+    messages, duplicates ~10%, jitters delivery by up to ``max_delay``, and
+    one party may crash (possibly forever, if it is a principal) — with all
+    *link* faults healed by ``heal_at`` so that retries can eventually push
+    every message through.  The rest of a plan is fixed: with probability
+    0.3 one global partition window opens in the first 60% of the healing
+    horizon and lasts 1 to 6 units (cut at ``heal_at``); a crash comes at a
+    uniform time from 0 to 15, and a restart 1 to 10 units after it.  The
+    two party-fault probabilities are checked on construction; the link
+    values are checked when the plan is validated.
     """
 
     drop: float = 0.15
     duplicate: float = 0.10
     max_delay: float = 3.0
-    partition_probability: float = 0.3
-    partition_max_length: float = 6.0
     crash_probability: float = 0.35
     permanent_silence_probability: float = 0.4
-    crash_window: tuple[float, float] = (0.0, 15.0)
-    restart_delay: tuple[float, float] = (1.0, 10.0)
     heal_at: float = 30.0
+
+    def __post_init__(self) -> None:
+        _check_probability(self.crash_probability, "crash_probability")
+        _check_probability(self.permanent_silence_probability, "permanent_silence_probability")
 
 
 def random_fault_plan(
@@ -334,9 +339,9 @@ def random_fault_plan(
     """
     rng = random.Random(seed)
     partitions: tuple[tuple[float, float], ...] = ()
-    if config.partition_probability > 0 and rng.random() < config.partition_probability:
+    if rng.random() < 0.3:
         start = rng.uniform(0.0, config.heal_at * 0.6)
-        length = rng.uniform(1.0, max(1.0, config.partition_max_length))
+        length = rng.uniform(1.0, 6.0)
         partitions = ((start, min(start + length, config.heal_at)),)
     link = LinkFault(
         drop=config.drop,
@@ -349,12 +354,12 @@ def random_fault_plan(
     candidates = list(principals) + list(trusted)
     if candidates and rng.random() < config.crash_probability:
         victim = rng.choice(candidates)
-        crash_at = rng.uniform(*config.crash_window)
+        crash_at = rng.uniform(0.0, 15.0)
         permanent = (
             victim in principals
             and rng.random() < config.permanent_silence_probability
         )
-        restart_at = None if permanent else crash_at + rng.uniform(*config.restart_delay)
+        restart_at = None if permanent else crash_at + rng.uniform(1.0, 10.0)
         party_faults = (PartyFault(victim, crash_at, restart_at),)
 
     return FaultPlan(

@@ -80,7 +80,7 @@ class Ledger:
     # ------------------------------------------------------------- endowment
 
     def endow_money(self, party: Party, amount_cents: int) -> None:
-        """Seed *party* with working capital (before the run starts)."""
+        """Seed *party* with money (before the run starts)."""
         if self._sealed:
             raise SimulationError("cannot endow after the ledger is sealed")
         if amount_cents < 0:
@@ -204,16 +204,17 @@ class Ledger:
 def endow_from_interaction(
     ledger: Ledger,
     interaction: InteractionGraph,
-    working_capital_cents: int = 0,
     extra_money: dict[Party, int] | None = None,
 ) -> None:
     """Seed a ledger from an interaction graph.
 
-    Each principal receives the money it is due to pay out (it is solvent,
-    matching §5's assumption) plus optional *working_capital_cents*; each
-    document is endowed to its original owner
+    Each principal receives exactly the money its role pays out (it is
+    solvent, matching §5's assumption), plus its entry in *extra_money*;
+    each document is endowed to its original owner
     (:meth:`~repro.core.interaction.InteractionGraph.original_holdings`:
-    producers, not resellers).
+    producers, not resellers).  No principal holds money beyond that: its
+    driver sends only what its custody view holds, and the endowment
+    already covers every payment its role makes.
     """
     extra_money = extra_money or {}
     edges_at = interaction.edges_by_party()
@@ -221,34 +222,22 @@ def endow_from_interaction(
         outlay = sum(
             e.provides.cents for e in edges_at[principal] if isinstance(e.provides, Money)
         )
-        ledger.endow_money(
-            principal,
-            outlay + working_capital_cents + extra_money.get(principal, 0),
-        )
+        ledger.endow_money(principal, outlay + extra_money.get(principal, 0))
     for edge in interaction.original_holdings():
         if ledger.holder(edge.provides.label) is None:
             ledger.endow_document(edge.principal, edge.provides.label)
 
 
-def initial_ledger(
-    interaction: InteractionGraph,
-    protocol: Protocol,
-    working_capital_cents: int = 0,
-) -> Ledger:
+def initial_ledger(interaction: InteractionGraph, protocol: Protocol) -> Ledger:
     """A run's initial asset state, the same in both runtimes.
 
-    :func:`endow_from_interaction`, plus the money each indemnity offeror
-    must post in escrow under *protocol* (§6).
+    :func:`endow_from_interaction`, plus as *extra_money* the money each
+    indemnity offeror must post in escrow under *protocol* (§6).
     """
     escrow_needs: dict[Party, int] = {}
     for spec in protocol.trusted_specs.values():
         for offer in spec.indemnities:
             escrow_needs[offer.offeror] = escrow_needs.get(offer.offeror, 0) + offer.amount_cents
     ledger = Ledger()
-    endow_from_interaction(
-        ledger,
-        interaction,
-        working_capital_cents=working_capital_cents,
-        extra_money=escrow_needs,
-    )
+    endow_from_interaction(ledger, interaction, extra_money=escrow_needs)
     return ledger

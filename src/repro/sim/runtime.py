@@ -75,7 +75,6 @@ class RunProvenance:
     fault_digest: str | None = None
     latency: float = 1.0
     deadline: float | None = None
-    working_capital_cents: int = 0
 
     @classmethod
     def of(
@@ -84,7 +83,6 @@ class RunProvenance:
         protocol: Protocol,
         fault_plan: FaultPlan | None,
         latency: float,
-        working_capital_cents: int,
         seed: "int | float | None",
     ) -> "RunProvenance":
         """The provenance of one run of *protocol*, in either runtime.
@@ -101,7 +99,6 @@ class RunProvenance:
                 (s.deadline for s in protocol.trusted_specs.values() if s.deadline),
                 default=None,
             ),
-            working_capital_cents=working_capital_cents,
         )
 
 
@@ -129,12 +126,6 @@ class SimulationResult:
     def money_delta(self, party: Party) -> int:
         """Final minus initial balance of *party*, in cents."""
         return self.final.balance(party) - self.initial.balance(party)
-
-    def documents_gained(self, party: Party) -> frozenset[str]:
-        return self.final.documents_of(party) - self.initial.documents_of(party)
-
-    def documents_lost(self, party: Party) -> frozenset[str]:
-        return self.initial.documents_of(party) - self.final.documents_of(party)
 
 
 class Simulation:
@@ -173,7 +164,6 @@ class Simulation:
         protocol: Protocol,
         adversaries: dict[str, AdversaryStrategy] | None = None,
         latency: float = 1.0,
-        working_capital_cents: int = 0,
         fault_plan: FaultPlan | None = None,
         seed: int | None = None,
     ) -> None:
@@ -198,7 +188,7 @@ class Simulation:
                     self.queue.schedule_at(
                         fault.restart_at, functools.partial(self._drain_mailbox, fault.party)
                     )
-        self.ledger = initial_ledger(problem.interaction, protocol, working_capital_cents)
+        self.ledger = initial_ledger(problem.interaction, protocol)
         for party in principals:
             strategy = adversaries.get(party.name)
             if strategy is None or not strategy.substitute:
@@ -230,9 +220,7 @@ class Simulation:
         self.logs: dict[Party, list[Record]] = {
             party: slot.log for party, slot in self._slots.items()
         }
-        self.provenance = RunProvenance.of(
-            problem.name, protocol, fault_plan, latency, working_capital_cents, seed
-        )
+        self.provenance = RunProvenance.of(problem.name, protocol, fault_plan, latency, seed)
 
     # ----------------------------------------------------------- construction
 
@@ -243,7 +231,6 @@ class Simulation:
         adversaries: dict[str, AdversaryStrategy] | None = None,
         latency: float = 1.0,
         deadline: float | None = None,
-        working_capital_cents: int = 0,
         fault_plan: FaultPlan | None = None,
         seed: int | None = None,
     ) -> "Simulation":
@@ -253,7 +240,6 @@ class Simulation:
             derive_protocol(problem, deadline),
             adversaries,
             latency,
-            working_capital_cents,
             fault_plan=fault_plan,
             seed=seed,
         )
@@ -266,7 +252,6 @@ class Simulation:
         adversaries: dict[str, AdversaryStrategy] | None = None,
         latency: float = 1.0,
         deadline: float | None = None,
-        working_capital_cents: int = 0,
         fault_plan: FaultPlan | None = None,
         seed: int | None = None,
     ) -> "Simulation":
@@ -280,15 +265,7 @@ class Simulation:
             deadline=deadline,
             indemnities=plan.offers,
         )
-        return cls(
-            problem,
-            protocol,
-            adversaries,
-            latency,
-            working_capital_cents,
-            fault_plan=fault_plan,
-            seed=seed,
-        )
+        return cls(problem, protocol, adversaries, latency, fault_plan=fault_plan, seed=seed)
 
     # ------------------------------------------------------------------- run
 
@@ -479,18 +456,11 @@ def simulate(
     adversaries: dict[str, AdversaryStrategy] | None = None,
     latency: float = 1.0,
     deadline: float | None = 100.0,
-    working_capital_cents: int = 0,
     fault_plan: FaultPlan | None = None,
     seed: int | None = None,
 ) -> SimulationResult:
     """One-call convenience: synthesize, simulate, summarize."""
     sim = Simulation.from_problem(
-        problem,
-        adversaries,
-        latency,
-        deadline,
-        working_capital_cents,
-        fault_plan=fault_plan,
-        seed=seed,
+        problem, adversaries, latency, deadline, fault_plan=fault_plan, seed=seed
     )
     return sim.run()

@@ -245,7 +245,7 @@ def _trace_signature(spec: SpecFile) -> tuple[object, ...] | None:
 
     try:
         problem = compile_spec(spec, validate=False)
-        trace = problem.reduce(strategy="fifo")
+        trace = problem.reduce()
     except ReproError:
         return None
     steps = tuple(

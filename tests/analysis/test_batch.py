@@ -17,6 +17,7 @@ from repro.analysis import (
 from repro.analysis.batch import SERIAL_THRESHOLD
 from repro.analysis.feasibility_study import priority_sweep, trust_sweep
 from repro.analysis.indemnity_study import bundle_scaling, ordering_costs
+from repro.core.reduction import reduce_graph
 from repro.workloads import RandomProblemConfig, random_problem, random_problem_batch
 
 
@@ -129,7 +130,7 @@ class TestCheckFeasibilityBatch:
         pooled = check_feasibility_batch(specs, processes=2)
         assert pooled == serial
         for spec, verdict in zip(specs, serial):
-            trace = spec.build().feasibility(strategy=strategy).trace
+            trace = reduce_graph(spec.build().sequencing_graph(), strategy=strategy)
             assert verdict == BatchVerdict(
                 feasible=trace.feasible,
                 steps=len(trace.steps),

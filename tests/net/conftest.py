@@ -71,7 +71,6 @@ class ClientSpawner:
         wal_path: str,
         *,
         deadline: float | None = None,
-        working_capital: int = 0,
         host: str = "127.0.0.1",
     ) -> subprocess.Popen:
         src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -91,8 +90,6 @@ class ClientSpawner:
             str(port),
             "--wal",
             wal_path,
-            "--working-capital",
-            str(working_capital),
         ]
         if deadline is not None:
             argv += ["--deadline", str(deadline)]

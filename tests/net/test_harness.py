@@ -96,7 +96,7 @@ def test_externally_spawned_clients_complete_exchange(client_spawner, tmp_path):
 
     proxy = asyncio.run(drive())
     protocol = derive_protocol(problem, 60.0)
-    ledger = initial_ledger(problem.interaction, protocol, 0)
+    ledger = initial_ledger(problem.interaction, protocol)
     ledger.seal()
     for action in proxy.delivered_actions():
         ledger.apply(action)
@@ -140,7 +140,7 @@ def test_manual_sigkill_and_respawn_recovers(client_spawner, tmp_path):
 
     proxy = asyncio.run(drive())
     protocol = derive_protocol(problem, 60.0)
-    ledger = initial_ledger(problem.interaction, protocol, 0)
+    ledger = initial_ledger(problem.interaction, protocol)
     ledger.seal()
     for action in proxy.delivered_actions():
         ledger.apply(action)

@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro.errors import FaultInjectionError, SimulationError
+from repro.errors import FaultInjectionError, ProtocolError, SimulationError
 from repro.net.proxy import NetFaultProxy
 from repro.net.supervisor import NetRunConfig, run_networked_exchange
 from repro.sim.faults import FaultPlan, PartyFault
@@ -143,3 +143,17 @@ def test_negative_latency_is_rejected_before_any_node_spawns(tmp_path, monkeypat
     with pytest.raises(SimulationError, match="latency must be non-negative"):
         run_networked_exchange(simple_purchase(), str(run_dir), config)
     assert not (run_dir / "wal").exists()
+
+
+def test_deadline_not_positive_is_rejected_before_any_node_spawns(tmp_path, monkeypatch):
+    # Checked where the protocol is synthesized, so the supervisor refuses
+    # it before it writes the spec or spawns a node.
+    def no_socket(*args, **kwargs):
+        raise AssertionError("the proxy opened a socket")
+
+    monkeypatch.setattr(NetFaultProxy, "start", no_socket)
+    run_dir = tmp_path / "run"
+    config = NetRunConfig(**{**FAST, "deadline": -1.0})
+    with pytest.raises(ProtocolError, match="deadlines must be positive, got -1.0"):
+        run_networked_exchange(simple_purchase(), str(run_dir), config)
+    assert not run_dir.exists()

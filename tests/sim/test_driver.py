@@ -131,7 +131,7 @@ def _role_player(problem, name, strategy=None, cents=None):
     """The driver of principal *name* in *problem*'s synthesized protocol,
     endowed as the simulator endows it, on the reliable wire."""
     protocol = derive_protocol(problem, 60.0)
-    initial = initial_ledger(problem.interaction, protocol, 0).seal()
+    initial = initial_ledger(problem.interaction, protocol).seal()
     party = next(p for p in protocol.roles if p.name == name)
     return Harness(
         PrincipalDriver(

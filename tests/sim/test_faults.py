@@ -83,6 +83,13 @@ class TestFaultPlan:
             for name in plan.permanently_silent():
                 assert name == "a"
 
+    @pytest.mark.parametrize("field", ["crash_probability", "permanent_silence_probability"])
+    def test_config_rejects_a_party_fault_probability_above_one(self, field):
+        with pytest.raises(
+            FaultInjectionError, match=rf"{field} must be a probability in \[0, 1\], got 2.0"
+        ):
+            FaultConfig(**{field: 2.0})
+
     def test_retry_policy_caps(self):
         policy = RetryPolicy(base_timeout=4.0, backoff=2.0, max_timeout=16.0)
         assert [policy.timeout_for(i) for i in (1, 2, 3, 4, 5)] == [

@@ -143,8 +143,8 @@ class TestEndowFromInteraction:
         endow_from_interaction(
             ledger,
             problem.interaction,
-            working_capital_cents=50,
             extra_money={parties["Broker"]: 100},
         )
-        assert ledger.balance(parties["Broker"]) == 1000 + 50 + 100
-        assert ledger.balance(parties["Producer"]) == 50
+        # No working capital: a principal holds its outlay plus its extra.
+        assert ledger.balance(parties["Broker"]) == 1000 + 100
+        assert ledger.balance(parties["Producer"]) == 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.indemnity import plan_indemnities
-from repro.errors import SimulationError
+from repro.errors import ProtocolError, SimulationError
 from repro.sim import Simulation, evaluate_safety, simulate
 from repro.workloads import example1, example2, figure7, resale_chain, simple_purchase
 
@@ -116,6 +116,20 @@ class TestIndemnitySimulations:
 
 
 class TestRuntimeGuards:
+    @pytest.mark.parametrize("deadline", [-1.0, 0.0, float("nan")])
+    def test_deadline_not_positive_is_rejected_before_the_run(self, deadline):
+        # A spec may not say `deadline 0` either; a bad run-wide default
+        # used to fail mid-run, at the first deadline stamp or timer.
+        with pytest.raises(ProtocolError, match=f"deadlines must be positive, got {deadline}"):
+            Simulation.from_problem(example1(), deadline=deadline)
+
+    @pytest.mark.parametrize("deadline", [-1.0, 0.0])
+    def test_plan_deadline_not_positive_is_rejected_before_the_run(self, deadline):
+        problem = example2()
+        cover = problem.interaction.find_edge("Consumer", "Trusted1")
+        with pytest.raises(ProtocolError, match=f"deadlines must be positive, got {deadline}"):
+            Simulation.from_plan(problem, plan_indemnities(problem, [cover]), deadline=deadline)
+
     def test_max_time_enforced(self):
         sim = Simulation.from_problem(example1())
         with pytest.raises(SimulationError, match="max_time"):

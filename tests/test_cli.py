@@ -149,6 +149,15 @@ class TestChaos:
         assert data["baseline_violations"] >= 1
         assert len(data["verdicts"]) == 25
 
+    def test_deadline_not_positive_exits_two(self, capsys):
+        assert main(["chaos", "-n", "4", "--deadline", "-1"]) == 2
+        assert "deadlines must be positive, got -1.0" in capsys.readouterr().err
+
+    def test_crash_probability_above_one_exits_two(self, capsys):
+        assert main(["chaos", "-n", "4", "--crash", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "crash_probability must be a probability in [0, 1], got 2.0" in err
+
     def test_jobs_flag_matches_serial(self, tmp_path):
         import json
 
@@ -408,4 +417,27 @@ class TestServe:
     def test_client_requires_port(self, capsys):
         with pytest.raises(SystemExit):
             main(["client", "some.spec", "--party", "X"])
+
+    def test_working_capital_flag_is_gone(self, tmp_path, monkeypatch, capsys):
+        import repro.net.node
+        import repro.net.supervisor
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(repro.net.supervisor, "run_networked_exchange", no_run)
+        monkeypatch.setattr(repro.net.node, "run_node", no_run)
+        run_dir = tmp_path / "run"
+        spec = tmp_path / "missing.spec"
+        for argv in (
+            ["serve", "--example", "simple-purchase", "--run-dir", str(run_dir),
+             "--spawn", "task", "--working-capital", "5"],
+            ["client", str(spec), "--party", "P", "--port", "1", "--working-capital", "5"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "unrecognized arguments: --working-capital" in err
+        assert not run_dir.exists()
 
