@@ -160,7 +160,8 @@ class InteractionGraph:
         this extension covers it.  *members* lists each principal and its
         deposit; *entitlements* says what each principal receives on
         completion (default: a ring — member *i* receives member *i−1*'s
-        deposit).  Validate with ``allow_multiparty=True``.
+        deposit), and must give each deposit to exactly one other member.
+        Validate with ``allow_multiparty=True``.
         """
         if len(members) < 2:
             raise GraphError("a multi-party exchange needs at least two members")
@@ -184,6 +185,8 @@ class InteractionGraph:
                 raise GraphError(
                     f"{party.name} would receive back its own deposit {item!s}"
                 )
+        if len(set(entitlements.values())) != len(members):
+            raise GraphError("each deposit must go to exactly one member")
         edges = tuple(
             self.add_edge(party, via, item, tag=tag) for party, item in members
         )
@@ -194,7 +197,7 @@ class InteractionGraph:
         """Set how long *trusted* holds deposits before reversing (§2.2)."""
         if trusted.name not in self._trusted:
             raise GraphError(f"unknown trusted component {trusted.name!r}")
-        if deadline <= 0:
+        if not deadline > 0:  # NaN is not positive either
             raise GraphError("deadlines must be positive")
         self._deadlines[trusted] = deadline
 

@@ -16,7 +16,7 @@ instructions:
   semantics: hold deposits, notify the last outstanding party, release all
   pieces when complete, reverse everything on deadline expiry.  They are not
   scripted step-by-step because their behaviour is the *same* in every
-  exchange; the spec only tells them what to expect and where to send it.
+  exchange; the spec's escrow table says only what to hold and where it goes.
 
 Each party runs its role in one sans-I/O party driver
 (:mod:`repro.sim.driver`), which the simulator and the socket node both
@@ -26,6 +26,7 @@ interpret.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.core.actions import Action
 from repro.core.execution import ExecutionSequence, StepKind
@@ -78,41 +79,35 @@ class PrincipalRole:
         return lines
 
 
+class EscrowEntry(NamedTuple):
+    """One deposit a trusted component holds: *depositor*'s *item*.
+
+    On completion it goes to *recipient*: for a §2.5 swap deposit the member
+    entitled to it, for a §6 escrow its own depositor.  On expiry it goes
+    back to its depositor, unless it is an escrow whose *beneficiary*'s swap
+    deposit is held and whose depositor's is not: then it is forfeit to the
+    beneficiary.  Sent back to its depositor, it is the deposit's inverse;
+    sent to anyone else, a fresh transfer.
+    """
+
+    depositor: Party
+    item: Item
+    recipient: Party
+    beneficiary: Party | None = None
+
+
 @dataclass(frozen=True)
 class TrustedExchangeSpec:
-    """What one trusted component expects and owes (§2.5).
+    """What one trusted component holds and where it settles it (§2.5, §6).
 
-    ``deposits`` maps each participating principal to the item it must
-    deposit; ``entitlements`` maps each principal to the item the component
-    forwards to it on completion.  ``deadline`` bounds how long deposits are
-    held before reversal.  ``indemnities`` lists escrows this component
-    administers (§6): deposits outside the swap, refunded on success and
-    forfeited to the beneficiary on failure.
+    ``entries`` is its escrow table: the swap deposits in edge order, then
+    the §6 escrows it administers.  ``deadline`` bounds how long deposits
+    are held before reversal.
     """
 
     agent: Party
-    deposits: tuple[tuple[Party, Item], ...]
-    entitlements: tuple[tuple[Party, Item], ...]
+    entries: tuple[EscrowEntry, ...]
     deadline: float | None = None
-    indemnities: tuple[IndemnityOffer, ...] = ()
-
-    def expected_from(self, principal: Party) -> Item:
-        """The deposit owed by *principal* (raises for non-participants)."""
-        for party, item in self.deposits:
-            if party == principal:
-                return item
-        raise ProtocolError(f"{principal.name} deposits nothing at {self.agent.name}")
-
-    def owed_to(self, principal: Party) -> Item:
-        """The item released to *principal* on completion."""
-        for party, item in self.entitlements:
-            if party == principal:
-                return item
-        raise ProtocolError(f"{self.agent.name} owes nothing to {principal.name}")
-
-    @property
-    def participants(self) -> tuple[Party, ...]:
-        return tuple(party for party, _ in self.deposits)
 
 
 @dataclass(frozen=True)
@@ -143,7 +138,7 @@ class Protocol:
         for role in self.roles.values():
             lines.extend("  " + line for line in role.describe())
         for spec in self.trusted_specs.values():
-            deposits = ", ".join(f"{p.name}:{i}" for p, i in spec.deposits)
+            deposits = ", ".join(f"{e.depositor.name}:{e.item}" for e in spec.entries)
             lines.append(f"  escrow {spec.agent.name}: deposits {deposits}")
         return lines
 
@@ -159,8 +154,9 @@ def synthesize_protocol(
 
     Principal sends are the DEPOSIT and INDEMNITY_DEPOSIT steps; each is
     guarded by every earlier step observable at that principal.  Trusted
-    components receive a :class:`TrustedExchangeSpec` derived from the
-    interaction graph (their behaviour is data-independent of the order).
+    components receive a :class:`TrustedExchangeSpec` whose escrow table
+    holds each edge's deposit, bound for the member entitled to it, then
+    the escrow of each of *indemnities* at that component.
     *deadline* is the run-wide default for a component the graph gives no
     deadline: ``None`` means no deadline, and like a spec's deadline it must
     be positive, so a bad value fails here rather than in the middle of a
@@ -186,23 +182,24 @@ def synthesize_protocol(
             )
         observed.setdefault(step.action.effective_recipient, []).append(step.action)
 
-    trusted_specs: dict[Party, TrustedExchangeSpec] = {}
-    indemnities_by_agent: dict[Party, list[IndemnityOffer]] = {}
+    escrows_at: dict[Party, list[EscrowEntry]] = {}
     for offer in indemnities:
-        indemnities_by_agent.setdefault(offer.via, []).append(offer)
+        deposit = offer.deposit_action()
+        assert deposit.item is not None  # an escrow is a payment
+        entry = EscrowEntry(offer.offeror, deposit.item, offer.offeror, offer.beneficiary)
+        escrows_at.setdefault(offer.via, []).append(entry)
+    trusted_specs: dict[Party, TrustedExchangeSpec] = {}
     edges_at = interaction.edges_by_party()
     entitled = interaction.entitlements()
     for agent in interaction.trusted_components:
         edges = edges_at[agent]
-        deposits = tuple((e.principal, e.provides) for e in edges)
-        entitlements = tuple((e.principal, entitled[e]) for e in edges)
+        entitled_to = {entitled[e]: e.principal for e in edges}  # one member per item
+        swaps = [EscrowEntry(e.principal, e.provides, entitled_to[e.provides]) for e in edges]
         agent_deadline = interaction.deadline_of(agent)
         trusted_specs[agent] = TrustedExchangeSpec(
             agent=agent,
-            deposits=deposits,
-            entitlements=entitlements,
+            entries=(*swaps, *escrows_at.get(agent, ())),
             deadline=agent_deadline if agent_deadline is not None else deadline,
-            indemnities=tuple(indemnities_by_agent.get(agent, ())),
         )
 
     principal_roles = {

@@ -321,6 +321,7 @@ async def _run(
         initial=initial,
         final=final,
         stats=proxy.stats,
+        protocol=protocol,
         delivered=delivered,
         completed_agents=completed,
         reversed_agents=reversed_agents,

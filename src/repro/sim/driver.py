@@ -40,7 +40,7 @@ from typing import Any, Iterable, Sequence, Union
 from repro.core.actions import Action, ActionKind, transfer
 from repro.core.items import Item, Money
 from repro.core.parties import Party
-from repro.core.protocol import PrincipalRole, Protocol, TrustedExchangeSpec
+from repro.core.protocol import EscrowEntry, PrincipalRole, Protocol, TrustedExchangeSpec
 from repro.errors import ProtocolError
 from repro.sim.agents import AdversaryStrategy
 from repro.sim.faults import RetryPolicy
@@ -419,11 +419,13 @@ class PrincipalDriver(PartyDriver):
 class TrustedDriver(PartyDriver):
     """A trusted component running the §2.5 escrow, plus its deadline.
 
-    It accepts the deposits its spec expects and bounces everything else,
-    notifies the last outstanding principal, releases every entitlement on
-    completion, and on expiry settles the §6 indemnities and reverses every
-    deposit.  A trusted component never gives up on a release or a reversal
-    while a run lasts, hence its longer retry cap.
+    :attr:`held` maps each arrived entry of its spec's escrow table to its
+    deposit, in arrival order.  A deposit is accepted once, as the entry of
+    its exact ``(depositor, item)``, before completion or reversal; anything
+    else is bounced.  Swap deposits alone arm the deadline, prompt the
+    notify and complete; then, or on expiry, each held entry is settled
+    (:class:`~repro.core.protocol.EscrowEntry`).  It never gives up on a
+    settlement while a run lasts, hence its longer retry cap.
     """
 
     retry_policy = RetryPolicy(max_retries=32)
@@ -437,9 +439,9 @@ class TrustedDriver(PartyDriver):
     ) -> None:
         super().__init__(spec.agent, cents, documents, retransmit)
         self.spec = spec
-        self._expected = dict(spec.deposits)
-        self.received: dict[Party, Action] = {}  # depositor -> accepted deposit
-        self.escrows: dict[Party, Action] = {}  # offeror -> indemnity escrow
+        self._entries = {(entry.depositor, entry.item): entry for entry in spec.entries}
+        self._swaps = [entry for entry in spec.entries if entry.beneficiary is None]
+        self.held: dict[EscrowEntry, Action] = {}  # entry -> accepted deposit
         self.notified: set[Party] = set()
         self.rejected: list[Action] = []
         self.completed = False
@@ -450,29 +452,19 @@ class TrustedDriver(PartyDriver):
     def _absorb(self, now: float, action: Action, out: list[Command]) -> None:
         if not action.is_transfer or action.inverted:
             return  # notifies and stray reversals carry no escrow duty
-        item = action.item
-        sender = action.effective_sender
-        if isinstance(item, Money) and "indemnity" in item.label and any(
-            sender == offer.offeror and item.cents == offer.amount_cents
-            for offer in self.spec.indemnities
-        ):
-            self.escrows[sender] = action
-            return
-        if (
-            self._expected.get(sender) != item
-            or self.completed
-            or self.reversed
-            or sender in self.received
-        ):
-            # Unknown depositor, wrong item, duplicate, or too late: send it
-            # straight back (§2.5: a trusted component may reverse actions in
-            # which it was the recipient).
+        entry = self._entries.get((action.effective_sender, action.item))
+        if entry is None or entry in self.held or self.completed or self.reversed:
+            # Unknown deposit, duplicate, or too late: send it straight back
+            # (§2.5: a trusted component may reverse actions in which it was
+            # the recipient).
             self.rejected.append(action)
             self._emit(now, action.inverse(), out)
             return
-        self.received[sender] = action
+        self.held[entry] = action
+        if entry.beneficiary is not None:
+            return  # a §6 escrow waits for the swap's outcome
         self._arm(now, out)  # arm the deadline before the notify it stamps
-        pending = [p for p, _ in self.spec.deposits if p not in self.received]
+        pending = [e.depositor for e in self._swaps if e not in self.held]
         if not pending:
             self._complete(now, out)
         elif len(pending) == 1 and pending[0] not in self.notified:
@@ -483,21 +475,23 @@ class TrustedDriver(PartyDriver):
             self._emit(now, Action(_NOTIFY, self.party, last, deadline=expiry), out)
 
     def _complete(self, now: float, out: list[Command]) -> None:
-        """Every deposit is in: disarm, then release goods before money,
-        then refund the indemnity escrows."""
+        """Every swap deposit is in: disarm, then release the swap deposits,
+        goods before money and by recipient name, then refund the escrows."""
         self.completed = True
         if self.armed:
             self.armed = False
             out.append(Timer(DEADLINE, None))
-        releases = sorted(
-            (transfer(self.party, principal, item) for principal, item in self.spec.entitlements),
-            key=lambda a: (isinstance(a.item, Money), a.recipient.name),
-        )
-        for release in releases:
-            self._emit(now, release, out)
-        for escrow in self.escrows.values():
-            self._emit(now, escrow.inverse(), out)
-        self.escrows.clear()
+        for entry in sorted(self.held, key=_release_order):
+            self._settle(now, entry, entry.recipient, out)
+
+    def _settle(self, now: float, entry: EscrowEntry, to: Party, out: list[Command]) -> None:
+        """Send *entry*'s deposit to *to*: back to its depositor as the
+        deposit's inverse, to anyone else as a fresh transfer."""
+        deposit = self.held.pop(entry)
+        if to == entry.depositor:
+            self._emit(now, deposit.inverse(), out)
+        else:
+            self._emit(now, transfer(self.party, to, entry.item), out)
 
     def _arm(self, now: float, out: list[Command]) -> None:
         duration = self.spec.deadline
@@ -520,20 +514,13 @@ class TrustedDriver(PartyDriver):
         if self.completed or self.reversed:
             return out
         self.reversed = True
-        # Settle the indemnities before the reversals.
-        for offer in self.spec.indemnities:
-            escrow = self.escrows.pop(offer.offeror, None)
-            if escrow is None:
-                continue
-            if offer.beneficiary in self.received and offer.offeror not in self.received:
-                # Forfeit: the escrowed sum goes to the beneficiary.
-                assert escrow.item is not None
-                self._emit(now, transfer(self.party, offer.beneficiary, escrow.item), out)
-            else:
-                self._emit(now, escrow.inverse(), out)
-        for deposit in self.received.values():
-            self._emit(now, deposit.inverse(), out)
-        self.received.clear()
+        # Escrows, then swap deposits, each in arrival order (a stable sort).
+        performed = {entry.depositor for entry in self.held if entry.beneficiary is None}
+        for entry in sorted(self.held, key=lambda e: e.beneficiary is None):
+            to = entry.depositor
+            if to not in performed and entry.beneficiary in performed:
+                to = entry.beneficiary  # forfeit
+            self._settle(now, entry, to, out)
         return out
 
     def recover(self, records: Sequence[Record]) -> list[Command]:
@@ -559,6 +546,11 @@ class TrustedDriver(PartyDriver):
         if self.completed:
             return "completed"
         return "reversed" if self.reversed else "open"
+
+
+def _release_order(entry: EscrowEntry) -> tuple[bool, bool, str]:
+    """Swap deposits before escrows, goods before money, then by recipient."""
+    return (entry.beneficiary is not None, isinstance(entry.item, Money), entry.recipient.name)
 
 
 def driver_for(

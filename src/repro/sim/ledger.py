@@ -232,12 +232,13 @@ def initial_ledger(interaction: InteractionGraph, protocol: Protocol) -> Ledger:
     """A run's initial asset state, the same in both runtimes.
 
     :func:`endow_from_interaction`, plus as *extra_money* the money each
-    indemnity offeror must post in escrow under *protocol* (§6).
+    depositor of a §6 escrow in *protocol*'s escrow tables must post.
     """
     escrow_needs: dict[Party, int] = {}
     for spec in protocol.trusted_specs.values():
-        for offer in spec.indemnities:
-            escrow_needs[offer.offeror] = escrow_needs.get(offer.offeror, 0) + offer.amount_cents
+        for e in spec.entries:
+            if e.beneficiary is not None and isinstance(e.item, Money):
+                escrow_needs[e.depositor] = escrow_needs.get(e.depositor, 0) + e.item.cents
     ledger = Ledger()
     endow_from_interaction(ledger, interaction, extra_money=escrow_needs)
     return ledger

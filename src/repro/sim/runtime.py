@@ -111,6 +111,7 @@ class SimulationResult:
     initial: LedgerSnapshot
     final: LedgerSnapshot
     stats: NetworkStats
+    protocol: Protocol  # the protocol that was run: its escrow tables name the forfeits
     delivered: list[Action] = field(default_factory=list)
     completed_agents: frozenset[Party] = frozenset()
     reversed_agents: frozenset[Party] = frozenset()
@@ -425,6 +426,7 @@ class Simulation:
             initial=self.initial,
             final=self.ledger.snapshot(),
             stats=self.core.stats,
+            protocol=self.protocol,
             delivered=[delivery.action for delivery in self.core.log],
             completed_agents=frozenset(
                 p for p in self.protocol.trusted_specs if self.drivers[p].phase() == "completed"

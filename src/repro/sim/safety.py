@@ -89,25 +89,29 @@ class SafetyReport:
 
 
 def evaluate_safety(problem: ExchangeProblem, result: SimulationResult) -> SafetyReport:
-    """Check every party's outcome against the acceptance criteria above."""
+    """Check every party's outcome against the acceptance criteria above,
+    with forfeits found by item in ``result.protocol``'s escrow tables."""
     graph = problem.interaction
     transfers = [a for a in result.delivered if a.is_transfer]
     delivered = set(transfers)
     # One pass indexes what each criterion looks up per edge or party: the
-    # last delivered deposit per (sender, recipient, item), the (recipient,
-    # item) pairs received, and indemnity forfeits collected per party.
+    # last delivered transfer per (sender, recipient, item) and the
+    # (recipient, item) pairs received.
     deposits: dict[tuple[Party, Party, Item | None], Action] = {}
     received: set[tuple[Party, Item | None]] = set()
-    forfeits: dict[Party, int] = {}
     for action in transfers:
         if action.inverted:
             continue
         item = action.item
         deposits[action.sender, action.recipient, item] = action
         received.add((action.recipient, item))
-        # Indemnity escrow money forwarded (not refunded) by a trusted party.
-        if isinstance(item, Money) and "indemnity" in item.label and action.sender.is_trusted:
-            forfeits[action.recipient] = forfeits.get(action.recipient, 0) + item.cents
+    # Forfeits collected per party: escrow items sent on to their beneficiary.
+    forfeits: dict[Party, int] = {}
+    for spec in result.protocol.trusted_specs.values():
+        for e in spec.entries:
+            if e.beneficiary is not None and isinstance(e.item, Money):
+                if (spec.agent, e.beneficiary, e.item) in deposits:
+                    forfeits[e.beneficiary] = forfeits.get(e.beneficiary, 0) + e.item.cents
     edges_at = graph.edges_by_party()
     entitled = graph.entitlements()
     bundle_principals = set(splittable_conjunctions(problem))

@@ -178,6 +178,13 @@ class TestValidation:
         with pytest.raises(GraphError, match="entitlement map"):
             g.expects(g.edges[0])
 
+    @pytest.mark.parametrize("deadline", [0.0, -1.0, float("nan")])
+    def test_deadline_not_positive_rejected(self, deadline):
+        g = _simple_graph()
+        with pytest.raises(GraphError, match="positive"):
+            g.set_deadline(T1, deadline)
+        assert g.deadline_of(T1) is None
+
 
 class TestConvenience:
     def test_build_interaction_graph(self):

@@ -47,8 +47,23 @@ class TestConstruction:
         graph.add_multi_exchange(
             t,
             [(seller, d), (buyer1, m1), (buyer2, m2)],
-            entitlements={seller: m1, buyer1: d, buyer2: m1},
+            entitlements={seller: m2, buyer1: d, buyer2: m1},
         )
+
+    def test_deposit_to_two_members_rejected(self):
+        # m1 would go to both S and Y, and m2 to nobody.
+        graph = InteractionGraph()
+        seller, buyer1, buyer2 = producer("S"), consumer("X"), consumer("Y")
+        for p in (seller, buyer1, buyer2):
+            graph.add_principal(p)
+        graph.add_trusted(T)
+        m1, m2, d = money(5, tag="x"), money(3, tag="y"), document("d")
+        with pytest.raises(GraphError, match="exactly one member"):
+            graph.add_multi_exchange(
+                T,
+                [(seller, d), (buyer1, m1), (buyer2, m2)],
+                entitlements={seller: m1, buyer1: d, buyer2: m1},
+            )
 
     def test_entitlement_must_be_deposited(self):
         graph = InteractionGraph()

@@ -1,14 +1,19 @@
 """Unit tests for repro.core.protocol (role synthesis)."""
 
+import os
+
 import pytest
 
 from repro.core.actions import ActionKind
-from repro.core.indemnity import apply_plan, plan_indemnities
+from repro.core.indemnity import apply_plan, minimal_indemnity_plan, plan_indemnities
 from repro.core.execution import recover_execution
 from repro.core.parties import broker, consumer, producer, trusted
 from repro.core.protocol import synthesize_protocol
 from repro.errors import ProtocolError
-from repro.workloads import example2
+from repro.spec.compiler import load
+from repro.workloads import example1, example2, simple_purchase
+
+SPECS = os.path.join(os.path.dirname(__file__), "..", "..", "examples", "specs")
 
 
 def _protocol(problem):
@@ -81,23 +86,21 @@ class TestTrustedSpecs:
         proto = _protocol(tiny)
         spec = proto.spec_of(trusted("Trusted"))
         c, p = consumer("Customer"), producer("Producer")
-        assert spec.expected_from(c).is_money
-        assert not spec.expected_from(p).is_money
-        assert not spec.owed_to(c).is_money  # customer gets the document
-        assert spec.owed_to(p).is_money
+        entry_of = {e.depositor: e for e in spec.entries}
+        assert entry_of[c].item.is_money and entry_of[c].recipient == p
+        # The customer gets the document.
+        assert not entry_of[p].item.is_money and entry_of[p].recipient == c
 
     def test_non_participant_queries_raise(self, tiny):
         proto = _protocol(tiny)
         spec = proto.spec_of(trusted("Trusted"))
-        with pytest.raises(ProtocolError):
-            spec.expected_from(consumer("Stranger"))
-        with pytest.raises(ProtocolError):
-            spec.owed_to(consumer("Stranger"))
+        stranger = consumer("Stranger")
+        assert all(stranger not in (e.depositor, e.recipient) for e in spec.entries)
 
     def test_participants_listed(self, tiny):
         proto = _protocol(tiny)
         spec = proto.spec_of(trusted("Trusted"))
-        assert {p.name for p in spec.participants} == {"Customer", "Producer"}
+        assert {e.depositor.name for e in spec.entries} == {"Customer", "Producer"}
 
     def test_deadline_propagates(self, tiny):
         sequence = tiny.execution_sequence()
@@ -121,10 +124,65 @@ class TestIndemnityProtocol:
         assert len(escrow_sends) == 1
         assert escrow_sends[0].preconditions == frozenset()
         spec = proto.spec_of(trusted("Trusted1"))
-        assert len(spec.indemnities) == 1
+        assert len([e for e in spec.entries if e.beneficiary is not None]) == 1
 
     def test_describe_includes_roles_and_escrows(self, ex1):
         proto = _protocol(ex1)
         text = "\n".join(proto.describe())
         assert "role Consumer" in text
         assert "escrow Trusted1" in text
+
+
+def _scan_ring():
+    with open(os.path.join(SPECS, "scan_ring.exchange")) as handle:
+        return load(handle.read(), validate=False).validate(allow_multiparty=True)
+
+
+def _table_case(build, planned=False):
+    problem = build()
+    if not planned:
+        return problem, _protocol(problem), ()
+    plan = minimal_indemnity_plan(problem)
+    assert plan.feasible and plan.offers
+    sequence = apply_plan(plan, recover_execution(plan.verdict.trace))
+    protocol = synthesize_protocol(
+        problem.interaction, sequence, problem.name, indemnities=plan.offers
+    )
+    return problem, protocol, plan.offers
+
+
+@pytest.mark.parametrize(
+    "build, planned",
+    [(simple_purchase, False), (example1, False), (_scan_ring, False), (example2, True)],
+    ids=["simple-purchase", "example1", "scan-ring", "example2-planned"],
+)
+def test_escrow_table_matches_graph_and_plan(build, planned):
+    problem, protocol, offers = _table_case(build, planned)
+    graph = problem.interaction
+    edges_at = graph.edges_by_party()
+    entitled = graph.entitlements()
+    assert set(protocol.trusted_specs) == set(graph.trusted_components)
+    for agent, spec in protocol.trusted_specs.items():
+        edges = edges_at[agent]
+        swaps = [e for e in spec.entries if e.beneficiary is None]
+        # The edges' deposits, in edge order, then the escrows.
+        assert list(spec.entries[: len(swaps)]) == swaps
+        assert [(e.depositor, e.item) for e in swaps] == [(d.principal, d.provides) for d in edges]
+        members = [d.principal for d in edges]
+        assert sorted(e.recipient for e in swaps) == sorted(members)
+        assert all(e.recipient != e.depositor for e in swaps)
+        assert {e.recipient: e.item for e in swaps} == {d.principal: entitled[d] for d in edges}
+    escrows = [
+        (agent, e)
+        for agent, spec in protocol.trusted_specs.items()
+        for e in spec.entries
+        if e.beneficiary is not None
+    ]
+    assert len(escrows) == len(offers)
+    for offer in offers:
+        item = offer.deposit_action().item
+        assert [
+            (agent, e.recipient, e.beneficiary)
+            for agent, e in escrows
+            if (e.depositor, e.item) == (offer.offeror, item)
+        ] == [(offer.via, offer.offeror, offer.beneficiary)]

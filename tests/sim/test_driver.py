@@ -10,6 +10,7 @@ from repro.core.actions import give, notify, pay
 from repro.core.items import document, money
 from repro.core.parties import consumer, producer, trusted
 from repro.core.protocol import (
+    EscrowEntry,
     PrincipalRole,
     SendInstruction,
     TrustedExchangeSpec,
@@ -46,10 +47,7 @@ def _payer(retransmit=True, cents=1000):
 
 def _escrow(deadline=None, retransmit=True):
     spec = TrustedExchangeSpec(
-        agent=T,
-        deposits=((C, M), (P, D)),
-        entitlements=((C, D), (P, M)),
-        deadline=deadline,
+        agent=T, entries=(EscrowEntry(C, M, P), EscrowEntry(P, D, C)), deadline=deadline
     )
     return Harness(TrustedDriver(spec, 0, (), retransmit=retransmit))
 

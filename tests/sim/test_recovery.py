@@ -88,8 +88,7 @@ def _fresh(sim, party):
 def _state(driver):
     if isinstance(driver, TrustedDriver):
         protocol_state = (
-            driver.received,
-            driver.escrows,
+            driver.held,
             driver.notified,
             driver.rejected,
             driver.completed,

@@ -1,8 +1,12 @@
 """Unit tests for the safety monitor's acceptance criteria."""
 
+from repro.core.indemnity import minimal_indemnity_plan
 from repro.sim import evaluate_safety, simulate, withholder
+from repro.sim.faults import FaultPlan, LinkFault
+from repro.sim.runtime import Simulation
 from repro.sim.safety import EdgeOutcome, SafetyReport
-from repro.workloads import example1, star
+from repro.spec.compiler import load
+from repro.workloads import example1, example2, star
 
 
 class TestEdgeOutcome:
@@ -67,3 +71,45 @@ class TestReportShape:
         report = evaluate_safety(problem, simulate(problem))
         assert isinstance(report, SafetyReport)
         assert report.verdict_of("Producer").ok
+
+
+TAGGED = """
+problem "tagged"
+principal consumer Buyer
+principal consumer Buyer2
+principal producer Seller
+trusted T1
+trusted T2
+exchange via T1 {
+    Buyer pays $5.00 tag indemnity
+    Seller gives d1
+}
+exchange via T2 {
+    Buyer2 pays $7.00 tag plain
+    Seller gives d2
+}
+"""
+
+
+class TestForfeits:
+    def test_payment_tagged_indemnity_is_no_forfeit(self):
+        # Seller is a bundle principal, and no indemnity plan exists: the
+        # $5.00 it is paid is a price, whatever its tag says.
+        problem = load(TAGGED)
+        report = evaluate_safety(problem, simulate(problem, deadline=100.0))
+        assert report.verdict_of("Seller").forfeits_received_cents == 0
+
+    def test_escrow_arriving_after_reversal_is_bounced(self):
+        # Broker2's $12.00 escrow at Trusted3 is held up past the deadline
+        # that reverses Trusted3's exchange: it comes back, not kept.
+        problem = example2()
+        plan = minimal_indemnity_plan(problem)
+        faults = FaultPlan(
+            seed=1,
+            links=(LinkFault(sender="Broker2", recipient="Trusted3", partitions=((0.0, 60.0),)),),
+        )
+        sim = Simulation.from_plan(problem, plan, deadline=40.0, fault_plan=faults)
+        report = evaluate_safety(problem, sim.run(max_time=5000.0))
+        trusted3 = report.verdict_of("Trusted3")
+        assert trusted3.ok and trusted3.money_delta_cents == 0
+        assert report.verdict_of("Broker2").money_delta_cents == -2000

@@ -10,7 +10,7 @@ from repro.core.actions import ActionKind, give, pay
 from repro.core.indemnity import IndemnityOffer
 from repro.core.items import cents, document, money
 from repro.core.parties import consumer, producer, trusted
-from repro.core.protocol import TrustedExchangeSpec
+from repro.core.protocol import EscrowEntry, TrustedExchangeSpec
 from repro.sim.driver import TrustedDriver
 from tests.sim.driver_harness import Harness
 
@@ -21,13 +21,18 @@ D = document("d")
 M = money(10)
 
 
+def _escrows(offers):
+    """The escrow entries of *offers*, as the protocol compiles them."""
+    return tuple(
+        EscrowEntry(o.offeror, o.deposit_action().item, o.offeror, o.beneficiary) for o in offers
+    )
+
+
 def _spec(deadline=None, indemnities=()):
     return TrustedExchangeSpec(
         agent=T,
-        deposits=((C, M), (P, D)),
-        entitlements=((C, D), (P, M)),
+        entries=(EscrowEntry(C, M, P), EscrowEntry(P, D, C), *_escrows(indemnities)),
         deadline=deadline,
-        indemnities=indemnities,
     )
 
 
@@ -80,7 +85,7 @@ class TestDeposits:
         bogus = give(P, T, document("junk"))
         runtime.deliver(bogus)
         assert runtime.out == [bogus.inverse()]
-        assert not driver.received
+        assert not driver.held
 
     def test_deposit_after_completion_bounced(self):
         driver, runtime = _escrow()
@@ -158,10 +163,13 @@ class TestPartialDeposits:
     def _spec3(self, deadline=5.0, indemnities=()):
         return TrustedExchangeSpec(
             agent=T,
-            deposits=((C, M), (self.B, money(20)), (P, D)),
-            entitlements=((C, D), (P, M), (P, money(20))),
+            entries=(
+                EscrowEntry(C, M, P),
+                EscrowEntry(self.B, money(20), P),
+                EscrowEntry(P, D, C),
+                *_escrows(indemnities),
+            ),
             deadline=deadline,
-            indemnities=indemnities,
         )
 
     def _escrow3(self, deadline=5.0, indemnities=()):
@@ -178,7 +186,7 @@ class TestPartialDeposits:
         assert driver.reversed and not driver.completed
         assert first.inverse() in runtime.out
         assert second.inverse() in runtime.out
-        assert driver.received == {}
+        assert driver.held == {}
 
     def test_partial_deposit_does_not_notify_until_one_outstanding(self):
         driver, runtime = self._escrow3()
@@ -201,7 +209,7 @@ class TestPartialDeposits:
             amount_cents=500,
         )
         driver, runtime = self._escrow3(indemnities=(offer,))
-        escrow = pay(P, T, cents(500, tag="indemnity-x"))
+        escrow = offer.deposit_action()
         runtime.deliver(escrow)
         runtime.deliver(pay(C, T, M))            # beneficiary performs
         runtime.deliver(pay(self.B, T, money(20)))  # bystander performs too
@@ -227,7 +235,7 @@ class TestPartialDeposits:
             amount_cents=500,
         )
         driver, runtime = self._escrow3(indemnities=(offer,))
-        escrow = pay(P, T, cents(500, tag="indemnity-x"))
+        escrow = offer.deposit_action()
         runtime.deliver(escrow)
         runtime.deliver(pay(self.B, T, money(20)))  # only the bystander performs
         runtime.fire_all()
@@ -272,8 +280,7 @@ class TestIndemnities:
         offer = self._offer()
         driver, runtime = _escrow(deadline=5.0, indemnities=(offer,))
         runtime.deliver(self._escrow_action(offer))
-        assert P in driver.escrows
-        assert P not in driver.received
+        assert list(driver.held) == list(_escrows([offer]))
         assert runtime.out == []  # no bounce, no notify
 
     def test_escrow_refunded_on_completion(self):
@@ -312,3 +319,32 @@ class TestIndemnities:
         runtime.deliver(give(P, T, D))
         runtime.fire_all()
         assert escrow.inverse() in runtime.out
+
+    def test_escrow_after_completion_bounced(self):
+        offer = self._offer()
+        driver, runtime = _escrow(deadline=50.0, indemnities=(offer,))
+        runtime.deliver(pay(C, T, M))
+        runtime.deliver(give(P, T, D))
+        late = self._escrow_action(offer)
+        runtime.deliver(late)
+        assert runtime.out[-1] == late.inverse()
+        assert driver.held == {} and driver.custody.cents == 0
+
+    def test_escrow_after_reversal_bounced(self):
+        offer = self._offer()
+        driver, runtime = _escrow(deadline=5.0, indemnities=(offer,))
+        runtime.deliver(pay(C, T, M))
+        runtime.fire_all()
+        late = self._escrow_action(offer)
+        runtime.deliver(late)
+        assert runtime.out[-1] == late.inverse()
+        assert driver.held == {} and driver.custody.cents == 0
+
+    def test_escrow_is_found_by_its_item_not_its_label(self):
+        # The offeror's amount under another "indemnity" tag is no escrow.
+        offer = self._offer()
+        driver, runtime = _escrow(deadline=5.0, indemnities=(offer,))
+        stray = pay(P, T, cents(offer.amount_cents, tag="indemnity-x"))
+        runtime.deliver(stray)
+        assert runtime.out == [stray.inverse()]
+        assert driver.held == {}

@@ -203,10 +203,13 @@ def record(problem: ExchangeProblem, fault_seed: int) -> tuple[list[str], list[s
                 for i in role.instructions
             )
         for agent, spec in protocol.trusted_specs.items():
+            # No plan here, so the escrow table holds swap deposits only.
+            receives = {e.recipient: e.item for e in spec.entries}
+            deposits = [(e.depositor.name, str(e.item)) for e in spec.entries]
+            entitlements = [(e.depositor.name, str(receives[e.depositor])) for e in spec.entries]
             lines.append(
                 f"escrow {agent.name} deadline={spec.deadline} "
-                f"deposits={[(p.name, str(i)) for p, i in spec.deposits]} "
-                f"entitlements={[(p.name, str(i)) for p, i in spec.entitlements]}"
+                f"deposits={deposits} entitlements={entitlements}"
             )
         run = _attempt(lines, "reliable", _reliable_run, problem, protocol)
         if run is not None:
