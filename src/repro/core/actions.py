@@ -14,8 +14,9 @@ Only actions that *transfer* something between parties are modeled, plus the
 Actions populate the unordered *state sets* of §2.3, and every layer from
 protocol synthesis to the wire builds, hashes and reads them per message, so
 an :class:`Action` is a tuple of its fields (a validated ``NamedTuple``):
-construction checks its fields once, and hashing, equality and field reads
-run in C.  The paper attaches deadlines to transfers toward trusted
+construction checks its fields once and then builds the tuple with
+:data:`repro.records.new_record`, and hashing, equality and field reads run
+in C.  The paper attaches deadlines to transfers toward trusted
 components (§2.2); :class:`Action` carries an optional ``deadline`` which the
 formal machinery ignores (the paper assumes generous deadlines) but the
 simulator enforces.
@@ -29,6 +30,7 @@ from typing import Any, NamedTuple
 from repro.core.items import Item, Money
 from repro.core.parties import Party
 from repro.errors import ModelError
+from repro.records import new_record
 
 
 class ActionKind(enum.Enum):
@@ -100,7 +102,7 @@ class Action(_ActionFields):
             raise ModelError(f"{sender.name} cannot perform an action on itself")
         if deadline is not None and deadline < 0:
             raise ModelError("deadlines must be non-negative")
-        return super().__new__(cls, kind, sender, recipient, item, inverted, deadline)
+        return new_record(cls, (kind, sender, recipient, item, inverted, deadline))
 
     def _replace(self, /, **changes: Any) -> Action:
         """A copy with *changes* to its fields, checked like a new action.

@@ -33,6 +33,7 @@ from repro.core.parties import Party
 from repro.core.reduction import ReductionTrace
 from repro.core.sequencing import CommitmentNode, ConjunctionNode, SGEdge
 from repro.errors import InfeasibleExchangeError, ModelError
+from repro.records import new_record
 
 
 class StepKind(enum.Enum):
@@ -55,7 +56,8 @@ _RELEASE = StepKind.RELEASE
 class ExecutionStep(NamedTuple):
     """One totally ordered step of the distributed transaction.
 
-    A step is a tuple of its fields: building one sets no attribute, and it
+    A step is a tuple of its fields: the scheduler builds each with
+    :data:`repro.records.new_record`, which runs no Python frame, and it
     hashes and compares in C.
     """
 
@@ -208,18 +210,15 @@ def recover_execution(
         deposit = transfer(edge.principal, edge.trusted, edge.provides)
         if not edge.provides.is_money:
             possession[edge.principal].discard(edge.provides)
-        steps.append(ExecutionStep(len(steps) + 1, _DEPOSIT, deposit, commitment))
+        steps.append(new_record(ExecutionStep, (len(steps) + 1, _DEPOSIT, deposit, commitment)))
         executed.add(commitment)
         wake(commitment)
         siblings = commitments_at[edge.trusted]
         outstanding[edge.trusted] -= 1
         if outstanding[edge.trusted] == 1:
             (last,) = (c for c in siblings if c not in executed)
-            steps.append(
-                ExecutionStep(
-                    len(steps) + 1, _NOTIFY, notify(edge.trusted, last.principal), commitment
-                )
-            )
+            notice = notify(edge.trusted, last.principal)
+            steps.append(new_record(ExecutionStep, (len(steps) + 1, _NOTIFY, notice, commitment)))
         elif not outstanding[edge.trusted]:
             releases = _release_steps(entitled, edge.trusted, siblings, len(steps) + 1)
             for release in releases:
@@ -321,5 +320,5 @@ def _release_steps(
     releases: list[ExecutionStep] = []
     for index, receiver in enumerate(receivers, first):
         outbound = transfer(trusted, receiver.principal, entitled[receiver.edge])
-        releases.append(ExecutionStep(index, _RELEASE, outbound, receiver))
+        releases.append(new_record(ExecutionStep, (index, _RELEASE, outbound, receiver)))
     return releases

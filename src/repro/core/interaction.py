@@ -10,7 +10,8 @@ through that intermediary (a document or a payment), which is what the
 sequencing machinery (§4), indemnity sizing (§6), and the simulator all need.
 A trusted component with exactly two edges mediates one pairwise exchange:
 each side provides its item and expects the counterpart's.  An edge is a
-tuple of its fields (a validated ``NamedTuple``), so the dicts and sets keyed
+tuple of its fields (a validated ``NamedTuple``, built by
+:data:`repro.records.new_record` once checked), so the dicts and sets keyed
 by edges here and in every later stage hash and compare it in C.
 
 Resale priorities (the third conjunction type of §4.1 — "a broker will commit
@@ -27,6 +28,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from repro.core.items import Item
 from repro.core.parties import Party, require_principal, require_trusted
 from repro.errors import GraphError
+from repro.records import new_record
 
 
 class _InteractionEdgeFields(NamedTuple):
@@ -51,7 +53,7 @@ class InteractionEdge(_InteractionEdgeFields):
     ) -> InteractionEdge:
         require_principal(principal, "interaction edge")
         require_trusted(trusted, "interaction edge")
-        return super().__new__(cls, principal, trusted, provides, tag)
+        return new_record(cls, (principal, trusted, provides, tag))
 
     @property
     def label(self) -> str:

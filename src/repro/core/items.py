@@ -8,8 +8,10 @@ for the §5 rule that trusted agents release goods before payments.
 
 Items sit inside every action, ledger key and interaction edge, so each
 concrete item is a tuple of its fields (a validated ``NamedTuple``) and
-hashes, compares and orders in C.  :class:`Item` is a field-less mixin that
-carries the shared behaviour and serves ``isinstance`` and annotations.
+hashes, compares and orders in C; once checked, it is built by
+:data:`repro.records.new_record`, with no generated ``__new__`` frame.
+:class:`Item` is a field-less mixin that carries the shared behaviour and
+serves ``isinstance`` and annotations.
 
 Money amounts are held in integer *cents* to avoid floating-point drift in
 ledgers and indemnity sums; the constructors accept floats/ints in dollars.
@@ -20,6 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from repro.errors import ModelError
+from repro.records import new_record
 
 
 class Item:
@@ -58,7 +61,7 @@ class Document(_DocumentFields, Item):
     def __new__(cls, label: str) -> Document:
         if not label:
             raise ModelError("item label must be non-empty")
-        return super().__new__(cls, label)
+        return new_record(cls, (label,))
 
 
 class _MoneyFields(NamedTuple):
@@ -86,7 +89,7 @@ class Money(_MoneyFields, Item):
             raise ModelError("item label must be non-empty")
         if cents < 0:
             raise ModelError(f"money amount must be non-negative, got {cents} cents")
-        return super().__new__(cls, label, cents)
+        return new_record(cls, (label, cents))
 
     @property
     def is_money(self) -> bool:

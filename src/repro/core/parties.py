@@ -7,7 +7,9 @@ same name are interchangeable.
 
 Parties key every graph index and hot-loop set, so ``Party`` is a tuple of
 its fields (a validated ``NamedTuple``): hashing, equality and ordering run
-in C.  ``Role`` hashes by identity, since enum members are singletons.
+in C, and once its name is checked it is built by
+:data:`repro.records.new_record`, with no generated ``__new__`` frame.
+``Role`` hashes by identity, since enum members are singletons.
 
 The principal/trusted distinction matters structurally: interaction graphs are
 bipartite between principals and trusted components (§3), and only trusted
@@ -22,6 +24,7 @@ import re
 from typing import NamedTuple
 
 from repro.errors import ModelError
+from repro.records import new_record
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_\-]*")
 
@@ -82,7 +85,7 @@ class Party(_PartyFields):
                 f"invalid party name {name!r}: names must start with a "
                 "letter and contain only letters, digits, '_' or '-'"
             )
-        return super().__new__(cls, name, role)
+        return new_record(cls, (name, role))
 
     @property
     def is_principal(self) -> bool:

@@ -36,6 +36,7 @@ from repro.core.items import Item
 from repro.core.parties import Party
 from repro.core.problem import ExchangeProblem
 from repro.errors import ProtocolError
+from repro.records import new_record
 
 # The steps a principal sends, bound once: reading ``StepKind.DEPOSIT`` goes
 # through the enum metaclass's ``__getattr__`` hook, several times the cost of
@@ -87,7 +88,9 @@ class EscrowEntry(NamedTuple):
     back to its depositor, unless it is an escrow whose *beneficiary*'s swap
     deposit is held and whose depositor's is not: then it is forfeit to the
     beneficiary.  Sent back to its depositor, it is the deposit's inverse;
-    sent to anyone else, a fresh transfer.
+    sent to anyone else, a fresh transfer.  :func:`synthesize_protocol`
+    builds each swap entry with :data:`repro.records.new_record`, which runs
+    no Python frame.
     """
 
     depositor: Party
@@ -194,7 +197,10 @@ def synthesize_protocol(
     for agent in interaction.trusted_components:
         edges = edges_at[agent]
         entitled_to = {entitled[e]: e.principal for e in edges}  # one member per item
-        swaps = [EscrowEntry(e.principal, e.provides, entitled_to[e.provides]) for e in edges]
+        swaps = [
+            new_record(EscrowEntry, (e.principal, e.provides, entitled_to[e.provides], None))
+            for e in edges
+        ]
         agent_deadline = interaction.deadline_of(agent)
         trusted_specs[agent] = TrustedExchangeSpec(
             agent=agent,
@@ -209,7 +215,8 @@ def synthesize_protocol(
     # Principals that only receive (pure producers in some topologies) still
     # get an empty role so the simulator can instantiate them uniformly.
     for principal in interaction.principals:
-        principal_roles.setdefault(principal, PrincipalRole(principal, ()))
+        if principal not in principal_roles:
+            principal_roles[principal] = PrincipalRole(principal, ())
     return Protocol(
         problem_name=problem_name,
         sequence=sequence,

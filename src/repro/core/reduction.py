@@ -64,6 +64,7 @@ from repro.core.sequencing import (
 from repro.errors import ReductionError
 from repro.obs.runtime import active as _active_tracer
 from repro.obs.spans import Tracer
+from repro.records import new_record
 
 
 class Rule(enum.IntEnum):
@@ -80,7 +81,8 @@ class ReductionStep(NamedTuple):
     trust).  ``commitment_disconnected``/``conjunction_disconnected`` are set
     when this removal left that node with no remaining edges — the events
     that drive execution-sequence recovery (§5).  A step is a tuple of its
-    fields: building one sets no attribute, and it hashes and compares in C.
+    fields: :func:`decompile` builds each with :data:`repro.records.new_record`,
+    which runs no Python frame, and it hashes and compares in C.
     """
 
     index: int  # type: ignore[assignment]  # shadows tuple.index; no step is searched
@@ -353,13 +355,16 @@ def decompile(compiled: CompiledGraph, run: FlatRun) -> ReductionTrace:
     commitments = graph.commitments
     conjunctions = graph.conjunctions
     steps = tuple(
-        ReductionStep(
-            index=index,
-            rule=_RULES[rule - 1],
-            edge=edges[e],
-            via_persona=via_persona,
-            commitment_disconnected=None if c_done < 0 else commitments[c_done],
-            conjunction_disconnected=None if j_done < 0 else conjunctions[j_done],
+        new_record(
+            ReductionStep,
+            (
+                index,
+                _RULES[rule - 1],
+                edges[e],
+                via_persona,
+                None if c_done < 0 else commitments[c_done],
+                None if j_done < 0 else conjunctions[j_done],
+            ),
         )
         for index, (rule, e, via_persona, c_done, j_done) in enumerate(run.steps, 1)
     )

@@ -20,6 +20,8 @@ principal* (a persona, §4.2.3), which enables clause 2 of Reduction Rule #1.
 Commitments, conjunctions and edges are plain ``NamedTuple``s: the reduction
 engine, the §5 execution recovery and the indemnity search key their indices
 by these nodes, and a tuple hashes, compares and orders in C.
+:meth:`SequencingGraph.from_interaction` builds them with
+:data:`repro.records.new_record`, with no generated ``__new__`` frame.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from repro.core.interaction import InteractionEdge, InteractionGraph
 from repro.core.parties import Party
 from repro.core.trust import TrustRelation
 from repro.errors import GraphError
+from repro.records import new_record
 
 
 class CommitmentNode(NamedTuple):
@@ -143,9 +146,10 @@ class SequencingGraph:
         directly trusts *p* (then *p* plays the role of *t*, §4.2.3).
         """
         trust = trust if trust is not None else TrustRelation()
-        commitments = {edge: CommitmentNode(edge) for edge in interaction.edges}
+        commitments = {edge: new_record(CommitmentNode, (edge,)) for edge in interaction.edges}
         conjunctions = {
-            party: ConjunctionNode(party) for party in interaction.internal_nodes()
+            party: new_record(ConjunctionNode, (party,))
+            for party in interaction.internal_nodes()
         }
         priority = interaction.priority_edges
         edges: list[SGEdge] = []
@@ -161,7 +165,7 @@ class SequencingGraph:
                 if conjunction is None:
                     continue
                 color = _RED if endpoint == edge.principal and edge in priority else _BLACK
-                edges.append(SGEdge(commitment, conjunction, color))
+                edges.append(new_record(SGEdge, (commitment, conjunction, color)))
 
         personas: list[CommitmentNode] = []
         for edge, commitment in commitments.items():

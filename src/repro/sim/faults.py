@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from repro.errors import FaultInjectionError
+from repro.records import new_record
 
 
 def _check_probability(value: float, label: str) -> None:
@@ -64,7 +65,11 @@ def fault_rolls(seed: int, key: str, attempt: int) -> tuple[float, float, float]
 
 
 class Fate(NamedTuple):
-    """What the wire does to one delivery attempt."""
+    """What the wire does to one delivery attempt.
+
+    :meth:`FaultPlan.fate` builds each rolled fate with
+    :data:`repro.records.new_record`, which runs no Python frame.
+    """
 
     dropped: bool
     jitter: float  # delay beyond the link latency
@@ -193,7 +198,7 @@ class FaultPlan:
         drop, delay, duplicate = fault_rolls(self.seed, key, attempt)
         if drop < link.drop:
             return LOST
-        return Fate(False, delay * link.max_delay, duplicate < link.duplicate)
+        return new_record(Fate, (False, delay * link.max_delay, duplicate < link.duplicate))
 
     def fault_of(self, name: str) -> PartyFault | None:
         for fault in self.parties:

@@ -43,11 +43,16 @@ from repro.core.parties import Party
 from repro.errors import SimulationError
 from repro.obs.messages import MessageObs
 from repro.obs.runtime import active as _active_tracer
+from repro.records import new_record
 from repro.sim.faults import FaultPlan
 
 
 class Delivery(NamedTuple):
-    """One entry of the wire's ordered log: an envelope's first delivery."""
+    """One entry of the wire's ordered log: an envelope's first delivery.
+
+    :meth:`TransportCore.deliver` builds each with
+    :data:`repro.records.new_record`, which runs no Python frame.
+    """
 
     seq: int
     key: str
@@ -256,8 +261,9 @@ class TransportCore:
         self.stats.messages_delivered += 1
         if self.obs is not None:
             self.obs.deliver(envelope.obs_key, now)
-        self.log.append(
-            Delivery(len(self.log), envelope.key, envelope.action, envelope.sent_at, now)
+        log = self.log
+        log.append(
+            new_record(Delivery, (len(log), envelope.key, envelope.action, envelope.sent_at, now))
         )
         return True
 

@@ -24,6 +24,7 @@ they started (they are conduits, §2.5).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.actions import Action
 from repro.core.indemnity import splittable_conjunctions
@@ -31,12 +32,16 @@ from repro.core.interaction import InteractionEdge
 from repro.core.items import Item, Money
 from repro.core.parties import Party
 from repro.core.problem import ExchangeProblem
+from repro.records import new_record
 from repro.sim.runtime import SimulationResult
 
 
-@dataclass(frozen=True)
-class EdgeOutcome:
-    """How one interaction edge ended for its principal."""
+class EdgeOutcome(NamedTuple):
+    """How one interaction edge ended for its principal, as a tuple.
+
+    :func:`evaluate_safety` builds one per edge, and each verdict below,
+    with :data:`repro.records.new_record`, which runs no Python frame.
+    """
 
     edge: InteractionEdge
     gave_permanently: bool
@@ -47,9 +52,8 @@ class EdgeOutcome:
         return (not self.gave_permanently) or self.received_expected
 
 
-@dataclass(frozen=True)
-class PartyVerdict:
-    """The safety verdict for one party."""
+class PartyVerdict(NamedTuple):
+    """The safety verdict for one party, as a tuple of its fields."""
 
     party: Party
     ok: bool
@@ -124,7 +128,8 @@ def evaluate_safety(problem: ExchangeProblem, result: SimulationResult) -> Safet
             # Gave permanently: the deposit was delivered and never reversed.
             deposit = deposits.get((e.principal, e.trusted, e.provides))
             gave = deposit is not None and deposit.inverse() not in delivered
-            outcomes.append(EdgeOutcome(e, gave, (e.principal, entitled[e]) in received))
+            got = (e.principal, entitled[e]) in received
+            outcomes.append(new_record(EdgeOutcome, (e, gave, got)))
         for outcome in outcomes:
             if not outcome.ok:
                 reasons.append(
@@ -147,12 +152,8 @@ def evaluate_safety(problem: ExchangeProblem, result: SimulationResult) -> Safet
                         f"only {collected / 100:.2f} in forfeits"
                     )
         verdicts.append(
-            PartyVerdict(
-                party=principal,
-                ok=not reasons,
-                reasons=tuple(reasons),
-                money_delta_cents=money_delta,
-                forfeits_received_cents=collected,
+            new_record(
+                PartyVerdict, (principal, not reasons, tuple(reasons), money_delta, collected)
             )
         )
 
@@ -168,12 +169,6 @@ def evaluate_safety(problem: ExchangeProblem, result: SimulationResult) -> Safet
         if residue:
             reasons.append(f"conduit retained documents {sorted(residue)}")
         verdicts.append(
-            PartyVerdict(
-                party=component,
-                ok=not reasons,
-                reasons=tuple(reasons),
-                money_delta_cents=delta,
-                forfeits_received_cents=0,
-            )
+            new_record(PartyVerdict, (component, not reasons, tuple(reasons), delta, 0))
         )
     return SafetyReport(problem_name=problem.name, verdicts=tuple(verdicts))

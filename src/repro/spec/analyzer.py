@@ -7,6 +7,7 @@ The parser guarantees shape; the analyzer guarantees meaning:
 * exchange blocks reference declared parties, members are principals, the
   intermediary is trusted, and members of one exchange are distinct;
 * the two sides of a pairwise exchange provide distinct items;
+* an exchange's deadline is positive and small enough to hold as a float;
 * ``priority`` statements reference an existing (principal, via) edge;
 * ``trust`` statements reference declared principals and are not reflexive;
 * every declared party participates in at least one exchange.
@@ -114,8 +115,13 @@ def _check_exchanges(spec: SpecFile) -> None:
 
 def _check_expects(exchange: ExchangeDecl) -> None:
     """Validate ``expects`` annotations (§9 multi-party entitlement maps)."""
-    if exchange.deadline is not None and exchange.deadline <= 0:
-        _fail("deadlines must be positive", exchange.position)
+    if exchange.deadline is not None:
+        if exchange.deadline <= 0:
+            _fail("deadlines must be positive", exchange.position)
+        try:
+            float(exchange.deadline)  # the compiler's conversion
+        except OverflowError:
+            _fail("deadline too large to hold as a float", exchange.position)
     clauses = exchange.clauses
     with_expects = [c for c in clauses if c.has_expects]
     if not with_expects:

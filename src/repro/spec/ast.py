@@ -5,6 +5,14 @@ to the paper's formal objects: principal/trusted declarations build *P* and
 *T* of the interaction graph, exchange blocks build *E* (two member clauses
 per pairwise exchange), ``priority`` statements become red edges, and
 ``trust`` statements populate the direct-trust relation.
+
+The parser builds one declaration per statement and one clause per exchange
+member, so each declaration, like :class:`Position`, is a ``NamedTuple``:
+the parser builds it through :data:`repro.records.new_record`, with no
+Python frame, and it hashes and compares in C.  A declaration therefore
+equals the plain tuple of its fields (and any other declaration with equal
+fields) and unpacks like one.  :class:`SpecFile` stays a dataclass, because
+the analyzer derives variants of it with ``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -39,29 +47,27 @@ class ClauseKind(enum.Enum):
     GIVES = "gives"
 
 
-@dataclass(frozen=True)
-class PrincipalDecl:
-    """``principal <kind> <name>``"""
+class PrincipalDecl(NamedTuple):
+    """``principal <kind> <name>``, as a tuple of its fields."""
 
     kind: PrincipalKind
     name: str
     position: Position
 
 
-@dataclass(frozen=True)
-class TrustedDecl:
-    """``trusted <name>``"""
+class TrustedDecl(NamedTuple):
+    """``trusted <name>``, as a tuple of its fields."""
 
     name: str
     position: Position
 
 
-@dataclass(frozen=True)
-class MemberClause:
+class MemberClause(NamedTuple):
     """``<party> pays $X [tag t]`` or ``<party> gives <item> [tag t]``.
 
     ``amount_cents`` is set for PAYS, ``item`` for GIVES; ``tag``
-    disambiguates otherwise-identical items.
+    disambiguates otherwise-identical items.  A clause is a tuple of its
+    fields; the three ``expects_`` fields default to no annotation.
     """
 
     party: str
@@ -80,9 +86,8 @@ class MemberClause:
         return self.expects_item is not None or self.expects_amount_cents is not None
 
 
-@dataclass(frozen=True)
-class ExchangeDecl:
-    """``exchange via <trusted> { <clauses...> }``"""
+class ExchangeDecl(NamedTuple):
+    """``exchange via <trusted> { <clauses...> }``, as a tuple of its fields."""
 
     via: str
     clauses: tuple[MemberClause, ...]
@@ -90,18 +95,16 @@ class ExchangeDecl:
     deadline: int | None = None  # §2.2: how long deposits are held
 
 
-@dataclass(frozen=True)
-class PriorityDecl:
-    """``priority <principal> via <trusted>`` — a red edge (§4.1)."""
+class PriorityDecl(NamedTuple):
+    """``priority <principal> via <trusted>`` — a red edge (§4.1), as a tuple."""
 
     principal: str
     via: str
     position: Position
 
 
-@dataclass(frozen=True)
-class TrustDecl:
-    """``trust <truster> -> <trustee>`` — direct trust (§4.2.3)."""
+class TrustDecl(NamedTuple):
+    """``trust <truster> -> <trustee>`` — direct trust (§4.2.3), as a tuple."""
 
     truster: str
     trustee: str

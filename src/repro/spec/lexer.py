@@ -12,7 +12,8 @@ match is the trivia before the end of input, so the matches tile the source.
 Positions are 1-based; every character, tab and carriage return included,
 advances the column by one, and only ``\\n`` starts a new line: the lexer
 counts the newlines in each token's leading trivia and measures its column
-from the last of them.
+from the last of them.  Each token is built through
+:data:`repro.records.new_record`, which runs no Python frame.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import re
 
 from repro.errors import SpecSyntaxError
+from repro.records import new_record
 from repro.spec.tokens import KEYWORDS, Token, TokenType
 
 # Every position after the greedy trivia run starts a token, an ``other``
@@ -73,18 +75,23 @@ def tokenize(source: str) -> list[Token]:
         if kind == "word":
             text = match.group("word")
             word_type = _KEYWORD if text in KEYWORDS else _IDENT
-            append(Token(word_type, text, line, column))
+            append(new_record(Token, (word_type, text, line, column)))
         elif kind in _PUNCTUATION:
-            append(Token(_PUNCTUATION[kind], match.group(kind), line, column))
+            append(new_record(Token, (_PUNCTUATION[kind], match.group(kind), line, column)))
         elif kind == "amount":
-            append(Token(_AMOUNT, _cents(match, line, column), line, column))
+            append(new_record(Token, (_AMOUNT, _cents(match, line, column), line, column)))
         elif kind == "number":
-            append(Token(_NUMBER, int(match.group("number")), line, column))
+            digits = match.group("number")
+            try:
+                number = int(digits)
+            except ValueError:  # longer than sys.get_int_max_str_digits()
+                raise _too_long(digits, line, column) from None
+            append(new_record(Token, (_NUMBER, number, line, column)))
         elif kind == "string":
             text = match.group("string")
             if len(text) < 2 or not text.endswith('"'):
                 raise SpecSyntaxError("unterminated string", line=line, column=column)
-            append(Token(_STRING, text[1:-1], line, column))
+            append(new_record(Token, (_STRING, text[1:-1], line, column)))
         elif kind == "eof":
             break
         elif match.group("other") == "-":
@@ -93,8 +100,13 @@ def tokenize(source: str) -> list[Token]:
             raise SpecSyntaxError(
                 f"unexpected character {match.group('other')!r}", line=line, column=column
             )
-    append(Token(_EOF, "", line, column))
+    append(new_record(Token, (_EOF, "", line, column)))
     return tokens
+
+
+def _too_long(digits: str, line: int, column: int) -> SpecSyntaxError:
+    """The error for a number with more digits than ``int()`` converts."""
+    return SpecSyntaxError(f"number too long ({len(digits)} digits)", line=line, column=column)
 
 
 def _cents(match: re.Match[str], line: int, column: int) -> int:
@@ -102,7 +114,10 @@ def _cents(match: re.Match[str], line: int, column: int) -> int:
     dollars = match.group("dollars")
     if not dollars:
         raise SpecSyntaxError("expected digits after '$'", line=line, column=column)
-    cents = int(dollars) * 100
+    try:
+        cents = int(dollars) * 100
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        raise _too_long(dollars, line, column) from None
     fraction = match.group("cents")
     if fraction is not None:
         if not fraction or len(fraction) > 2:

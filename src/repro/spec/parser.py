@@ -13,7 +13,9 @@ Grammar (keywords lowercase, ``*`` = repetition)::
     priority   := "priority" IDENT "via" IDENT
     trust      := "trust" IDENT "->" IDENT
 
-All errors are :class:`SpecSyntaxError` with source positions.
+All errors are :class:`SpecSyntaxError` with source positions.  Every
+position and declaration is built through :data:`repro.records.new_record`,
+which takes all of its fields in declaration order.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.errors import SpecSyntaxError
+from repro.records import new_record
 from repro.spec.ast import (
     ClauseKind,
     ExchangeDecl,
@@ -147,15 +150,14 @@ class Parser:
                 kind_token,
             )
         name = self._expect_ident("a principal name")
-        return PrincipalDecl(
-            _PRINCIPAL_KINDS[str(kind_token.value)],
-            str(name.value),
-            Position(start.line, start.column),
-        )
+        kind = _PRINCIPAL_KINDS[str(kind_token.value)]
+        position = new_record(Position, (start.line, start.column))
+        return new_record(PrincipalDecl, (kind, str(name.value), position))
 
     def _parse_trusted(self, start: Token) -> TrustedDecl:
         name = self._expect_ident("a trusted-component name")
-        return TrustedDecl(str(name.value), Position(start.line, start.column))
+        position = new_record(Position, (start.line, start.column))
+        return new_record(TrustedDecl, (str(name.value), position))
 
     def _parse_exchange(self, start: Token) -> ExchangeDecl:
         self._expect_keyword("via")
@@ -178,9 +180,8 @@ class Parser:
         self._index += 1  # consume '}'
         if len(clauses) < 2:
             raise self._error("an exchange needs at least two member clauses", start)
-        return ExchangeDecl(
-            str(via.value), tuple(clauses), Position(start.line, start.column), deadline=deadline
-        )
+        position = new_record(Position, (start.line, start.column))
+        return new_record(ExchangeDecl, (str(via.value), tuple(clauses), position, deadline))
 
     def _parse_clause(self) -> MemberClause:
         party = self._expect_ident("a participant name")
@@ -215,25 +216,27 @@ class Parser:
                 )
             if self._accept("tag"):
                 expects_tag = str(self._expect_ident("a tag name").value)
-        return MemberClause(
-            party=str(party.value),
-            kind=kind,
-            amount_cents=amount_cents,
-            item=item,
-            tag=tag,
-            position=Position(party.line, party.column),
-            expects_item=expects_item,
-            expects_amount_cents=expects_amount,
-            expects_tag=expects_tag,
+        return new_record(
+            MemberClause,
+            (
+                str(party.value),
+                kind,
+                amount_cents,
+                item,
+                tag,
+                new_record(Position, (party.line, party.column)),
+                expects_item,
+                expects_amount,
+                expects_tag,
+            ),
         )
 
     def _parse_priority(self, start: Token) -> PriorityDecl:
         principal = self._expect_ident("a principal name")
         self._expect_keyword("via")
         via = self._expect_ident("a trusted-component name")
-        return PriorityDecl(
-            str(principal.value), str(via.value), Position(start.line, start.column)
-        )
+        position = new_record(Position, (start.line, start.column))
+        return new_record(PriorityDecl, (str(principal.value), str(via.value), position))
 
     def _parse_trust(self, start: Token) -> TrustDecl:
         truster = self._expect_ident("a party name")
@@ -241,7 +244,8 @@ class Parser:
         if arrow.type is not _ARROW:
             raise self._error("expected '->' in trust statement", arrow)
         trustee = self._expect_ident("a party name")
-        return TrustDecl(str(truster.value), str(trustee.value), Position(start.line, start.column))
+        position = new_record(Position, (start.line, start.column))
+        return new_record(TrustDecl, (str(truster.value), str(trustee.value), position))
 
 
 def parse(source: str) -> SpecFile:
