@@ -37,6 +37,7 @@ from repro.core.problem import ExchangeProblem
 from repro.core.reduction import reduce_graph
 from repro.core.sequencing import ConjunctionNode, SequencingGraph
 from repro.errors import IndemnityError
+from repro.records import new_record
 
 
 def commitment_cost(edge: InteractionEdge) -> int:
@@ -295,13 +296,19 @@ def apply_plan(plan: IndemnityPlan, execution: ExecutionSequence) -> ExecutionSe
     """
     if not plan.feasible:
         raise IndemnityError("cannot execute an exchange whose plan is not feasible")
+    # Each step is numbered once, as it is built with every field in order
+    # through new_record, so no generated NamedTuple frame runs.
+    deposit, refund = StepKind.INDEMNITY_DEPOSIT, StepKind.INDEMNITY_REFUND
     steps = [
-        ExecutionStep(0, StepKind.INDEMNITY_DEPOSIT, offer.deposit_action())
-        for offer in plan.offers
+        new_record(ExecutionStep, (i, deposit, offer.deposit_action(), None))
+        for i, offer in enumerate(plan.offers, 1)
     ]
-    steps.extend(execution.steps)
     steps.extend(
-        ExecutionStep(0, StepKind.INDEMNITY_REFUND, offer.refund_action())
-        for offer in plan.offers
+        new_record(ExecutionStep, (i, step.kind, step.action, step.commitment))
+        for i, step in enumerate(execution.steps, len(steps) + 1)
     )
-    return ExecutionSequence(tuple(step._replace(index=i) for i, step in enumerate(steps, 1)))
+    steps.extend(
+        new_record(ExecutionStep, (i, refund, offer.refund_action(), None))
+        for i, offer in enumerate(plan.offers, len(steps) + 1)
+    )
+    return ExecutionSequence(tuple(steps))

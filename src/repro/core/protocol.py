@@ -89,8 +89,8 @@ class EscrowEntry(NamedTuple):
     deposit is held and whose depositor's is not: then it is forfeit to the
     beneficiary.  Sent back to its depositor, it is the deposit's inverse;
     sent to anyone else, a fresh transfer.  :func:`synthesize_protocol`
-    builds each swap entry with :data:`repro.records.new_record`, which runs
-    no Python frame.
+    builds each entry with :data:`repro.records.new_record`, which runs no
+    Python frame.
     """
 
     depositor: Party
@@ -189,7 +189,9 @@ def synthesize_protocol(
     for offer in indemnities:
         deposit = offer.deposit_action()
         assert deposit.item is not None  # an escrow is a payment
-        entry = EscrowEntry(offer.offeror, deposit.item, offer.offeror, offer.beneficiary)
+        entry = new_record(
+            EscrowEntry, (offer.offeror, deposit.item, offer.offeror, offer.beneficiary)
+        )
         escrows_at.setdefault(offer.via, []).append(entry)
     trusted_specs: dict[Party, TrustedExchangeSpec] = {}
     edges_at = interaction.edges_by_party()

@@ -298,8 +298,7 @@ async def _run(
     initial = ledger.seal()
     delivered = proxy.delivered_actions()
     for action in delivered:
-        ledger.apply(action)
-        ledger.check()  # conservation, live at every step
+        ledger.apply(action)  # checks conservation after each movement
     final = ledger.snapshot()
 
     completed = frozenset(

@@ -12,7 +12,7 @@ interpret.
 
 from repro.sim.agents import AdversaryStrategy, slow_party, withholder, wrong_item_sender
 from repro.sim.driver import PartyDriver, PrincipalDriver, TrustedDriver, driver_for
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import EventQueue
 from repro.sim.faults import (
     FaultConfig,
     FaultPlan,
@@ -40,7 +40,6 @@ __all__ = [
     "PrincipalDriver",
     "TrustedDriver",
     "driver_for",
-    "Event",
     "EventQueue",
     "FaultConfig",
     "FaultPlan",

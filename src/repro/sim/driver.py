@@ -173,7 +173,6 @@ class PartyDriver:
         self.party = party
         self.custody = CustodyView(cents, documents)
         self.retransmit = retransmit
-        self._first_wait = self.retry_policy.timeout_for(1)
         self.seen: set[str] = set()
         self.unacked: dict[str, Action] = {}
         self._attempts: dict[str, int] = {}
@@ -320,7 +319,7 @@ class PartyDriver:
         """Attempt 1 of *key* is out: await its ack, or retry."""
         self.unacked[key] = action
         self._attempts[key] = 1
-        out.append(Timer(key, now + self._first_wait))
+        out.append(Timer(key, now + self.retry_policy.first_wait))
 
     # ------------------------------------------------------- subclass hooks
 
@@ -450,9 +449,9 @@ class TrustedDriver(PartyDriver):
         self._unlogged_arm: float | None = None  # recovery: armed, no expiry logged
 
     def _absorb(self, now: float, action: Action, out: list[Command]) -> None:
-        if not action.is_transfer or action.inverted:
+        if action.item is None or action.inverted:
             return  # notifies and stray reversals carry no escrow duty
-        entry = self._entries.get((action.effective_sender, action.item))
+        entry = self._entries.get((action.sender, action.item))
         if entry is None or entry in self.held or self.completed or self.reversed:
             # Unknown deposit, duplicate, or too late: send it straight back
             # (§2.5: a trusted component may reverse actions in which it was

@@ -36,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from repro.errors import FaultInjectionError
@@ -290,6 +290,12 @@ class RetryPolicy:
     backoff: float = 2.0
     max_timeout: float = 16.0
     max_retries: int = 12
+    #: ``timeout_for(1)``, the wait before retransmission 1.  Every first
+    #: offer under faults arms it, so it is worked out once, with the policy.
+    first_wait: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "first_wait", self.timeout_for(1))
 
     def timeout_for(self, attempt: int) -> float:
         """``base_timeout * backoff ** (attempt - 1)``, capped at ``max_timeout``.
@@ -298,6 +304,7 @@ class RetryPolicy:
         *attempt* (1-based): see the class docstring for the schedule.
         """
         return min(self.base_timeout * self.backoff ** (attempt - 1), self.max_timeout)
+
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,16 @@
 
 The ledger tracks two asset classes:
 
-* **money** — integer cent balances per party (may be seeded with working
-  capital so solvent brokers can buy before they are paid);
+* **money** — integer cent balances per party (a principal is endowed with
+  exactly what its role pays out, plus any indemnity escrow it posts);
 * **goods** — each document label has exactly one holder at any time.
 
-Every applied transfer moves assets atomically; :meth:`Ledger.check` asserts
-conservation (total money constant, every document singly held), which the
-simulator calls after each delivery — a violated invariant is a bug in the
-harness, not modeled misbehaviour, so it raises :class:`SimulationError`.
+Every asset movement goes through :meth:`Ledger.move`, which moves the
+asset atomically and then runs :meth:`Ledger.check`: conservation (total
+money constant, no negative balance; each document has one holder by
+construction) is scanned after each movement, and a notify, which moves
+nothing, is never scanned.  A violated invariant is a bug in the harness,
+not modeled misbehaviour, so it raises :class:`SimulationError`.
 """
 
 from __future__ import annotations
@@ -106,18 +108,23 @@ class Ledger:
     def apply(self, action: Action) -> None:
         """Apply a (possibly inverted) transfer to the ledger.
 
-        Raises :class:`SimulationError` when the effective sender does not
-        hold the asset — the harness must never let that happen; agents that
-        *would* overdraw decline to send instead.
+        A notify moves nothing.  Raises :class:`SimulationError` when the
+        effective sender does not hold the asset — the harness must never
+        let that happen; agents that *would* overdraw decline to send
+        instead.
         """
-        if not action.is_transfer:
-            return  # notifications move no assets
-        assert action.item is not None
-        sender = action.effective_sender
-        recipient = action.effective_recipient
-        self._move(sender, recipient, action.item)
+        item = action.item
+        if item is not None:
+            self.move(action.effective_sender, action.effective_recipient, item)
 
-    def _move(self, sender: Party, recipient: Party, item: Item) -> None:
+    def move(self, sender: Party, recipient: Party, item: Item) -> None:
+        """Move *item* from *sender* to *recipient*, then check conservation.
+
+        :data:`WIRE` is a party like any other here: under fault injection
+        the simulator moves an asset to the wire at send time, and from the
+        wire to its recipient at delivery (or back to its sender when the
+        message is abandoned).
+        """
         if isinstance(item, Money):
             balance = self._balances.get(sender, 0)
             if balance < item.cents:
@@ -135,29 +142,9 @@ class Ledger:
                     f"{holder.name if holder else 'nobody'}"
                 )
             self._holdings[item.label] = recipient
+        self.check()
 
     # ----------------------------------------------------------- wire custody
-
-    def hold_in_transit(self, action: Action) -> None:
-        """Move the action's asset from its effective sender to the wire."""
-        if not action.is_transfer:
-            return
-        assert action.item is not None
-        self._move(action.effective_sender, WIRE, action.item)
-
-    def release_from_transit(self, action: Action) -> None:
-        """Deliver the wire's custody to the action's effective recipient."""
-        if not action.is_transfer:
-            return
-        assert action.item is not None
-        self._move(WIRE, action.effective_recipient, action.item)
-
-    def return_from_transit(self, action: Action) -> None:
-        """Hand an undeliverable asset back to its effective sender."""
-        if not action.is_transfer:
-            return
-        assert action.item is not None
-        self._move(WIRE, action.effective_sender, action.item)
 
     def in_transit(self) -> tuple[int, frozenset[str]]:
         """Wire custody right now: (cents held, document labels held)."""
@@ -190,15 +177,21 @@ class Ledger:
     # ------------------------------------------------------------- invariant
 
     def check(self) -> None:
-        """Assert conservation; raises :class:`SimulationError` on violation."""
-        total = sum(self._balances.values())
+        """Assert conservation; raises :class:`SimulationError` on violation.
+
+        A full recompute over every balance, run after each movement: a sum
+        and a sweep of the balances, each in C; an account is looked up only
+        to name it in the error.
+        """
+        balances = self._balances
+        total = sum(balances.values())
         if total != self._initial_money_total:
             raise SimulationError(
                 f"money not conserved: {total} != {self._initial_money_total}"
             )
-        for party, balance in self._balances.items():
-            if balance < 0:
-                raise SimulationError(f"{party.name} has negative balance {balance}")
+        if balances and min(balances.values()) < 0:
+            party, balance = next((p, b) for p, b in balances.items() if b < 0)
+            raise SimulationError(f"{party.name} has negative balance {balance}")
 
 
 def endow_from_interaction(

@@ -63,10 +63,18 @@ class Delivery(NamedTuple):
 
 @dataclass(slots=True)
 class Envelope:
-    """One logical message and its transport fate."""
+    """One logical message and its transport fate.
+
+    :meth:`TransportCore.send` reads the action's effective endpoints once,
+    when it opens the envelope: the parties, which the simulator moves
+    custody between and hands deliveries to, and their names, which the
+    fault plan and the sockets address.
+    """
 
     key: str
     action: Action
+    source: Party  # effective sender
+    target: Party  # effective recipient
     sender: str  # effective sender's name
     recipient: str  # effective recipient's name
     sent_at: float
@@ -154,20 +162,23 @@ class TransportCore:
         keyed by its wire-wide ordinal.  Returns the envelope and the times
         its copies arrive.
         """
-        sender = action.effective_sender
+        source = action.effective_sender
+        target = action.effective_recipient
         stats = self.stats
         stats.messages_sent += 1
-        stats.by_sender[sender] = stats.by_sender.get(sender, 0) + 1
-        if action.is_transfer:
-            stats.transfers += 1
-        else:
+        stats.by_sender[source] = stats.by_sender.get(source, 0) + 1
+        if action.item is None:
             stats.notifies += 1
+        else:
+            stats.transfers += 1
         obs_key = next(self._obs_keys)
         envelope = Envelope(
             str(obs_key) if key is None else key,
             action,
-            sender.name,
-            action.effective_recipient.name,
+            source,
+            target,
+            source.name,
+            target.name,
             now,
             obs_key,
         )

@@ -11,8 +11,9 @@ plan) movements are applied to the ledger at *send* time — an asset is never
 in two places and delivery is certain, so this is exact.  Under fault
 injection a send only moves the asset into the wire's custody account
 (:data:`repro.sim.ledger.WIRE`); the first delivery releases it to the
-recipient, and an abandoned message returns it to the sender.  Conservation
-is checked after every movement in both regimes.
+recipient, and an abandoned message returns it to the sender.  The ledger
+checks conservation after every movement in both regimes; a notify moves
+nothing.
 
 A crash stops a party's process, not its host: a first delivery for it
 still lands, but the party handles it only at its restart, and its timers
@@ -54,9 +55,9 @@ from repro.sim.driver import (
     Timer,
     driver_for,
 )
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import EventQueue
 from repro.sim.faults import FaultPlan, check_adversaries
-from repro.sim.ledger import LedgerSnapshot, initial_ledger
+from repro.sim.ledger import WIRE, LedgerSnapshot, initial_ledger
 from repro.sim.network import Arrival, Envelope, NetworkStats, TransportCore
 
 # Bound once: reading ``Arrival.FIRST`` goes through the enum metaclass.
@@ -138,9 +139,10 @@ class Simulation:
     runtime (:class:`~repro.sim.network.TransportCore`, held as
     :attr:`core`):
 
-    * ``Send`` moves custody on the ledger and opens the envelope under the
-      driver's key (a retry re-offers it); each copy the core lets through
-      becomes an arrival event.  A first copy for a live party is
+    * ``Send`` opens the envelope under the driver's key (a retry re-offers
+      it) and moves custody on the ledger between the envelope's parties,
+      which the core reads off the action once; each copy the core lets
+      through becomes an arrival callback.  A first copy for a live party is
       delivered at once and handed to the party's driver; under faults it
       first releases wire custody to the recipient and acknowledges the
       sender.  A later copy reaches a live party with the same key.
@@ -148,13 +150,14 @@ class Simulation:
       party still lands (delivered, custody released, sender acknowledged)
       but its handling waits in a mailbox replayed at the restart (never,
       for permanent silence); a later copy for a crashed party is dropped.
-    * ``Timer`` schedules a queue event kept per party.  A timer that falls
-      due while its party is crashed re-arms at the restart, and dies with
-      a party that never restarts; ``Timer(name, None)`` cancels it.
+    * ``Timer`` schedules a queue callback whose handle is kept per party.
+      A timer that falls due while its party is crashed re-arms at the
+      restart, and dies with a party that never restarts;
+      ``Timer(name, None)`` cancels it.
     * ``Abandon`` gives the envelope up: custody returns to the sender.
     * Every logged record is kept in memory, per party, in :attr:`logs`.
 
-    An event refers back to the simulation only while it waits in the
+    A callback refers back to the simulation only while it waits in the
     queue, and :meth:`run` drains the queue, so a finished run holds no
     reference cycle: reference counting alone frees it.
     """
@@ -207,7 +210,7 @@ class Simulation:
             driver = driver_for(
                 protocol,
                 party,
-                self.initial.balance(party),
+                self.initial.balances.get(party, 0),
                 documents.get(party, ()),
                 adversaries.get(party.name),
                 retransmit=fault_plan is not None,
@@ -280,26 +283,24 @@ class Simulation:
                         self._schedule(self.core.envelopes[command.key], arrivals)
                     continue
                 slot.log.append(command.record)
-                action = command.action
-                if action.effective_recipient not in self._slots:
-                    raise SimulationError(
-                        f"no party {action.effective_recipient.name} in this run"
+                envelope, arrivals = self.core.send(self.queue.now, command.action, command.key)
+                if envelope.target not in self._slots:
+                    raise SimulationError(f"no party {envelope.target.name} in this run")
+                item = command.action.item
+                if item is not None:
+                    # On the reliable wire the asset moves at send time;
+                    # under faults it waits in the wire's custody until
+                    # delivery.
+                    self.ledger.move(
+                        envelope.source, envelope.target if self.fault_plan is None else WIRE, item
                     )
-                # On the reliable wire the asset moves at send time; under
-                # faults it waits in the wire's custody until delivery.
-                if self.fault_plan is not None:
-                    self.ledger.hold_in_transit(action)
-                else:
-                    self.ledger.apply(action)
-                self.ledger.check()
-                envelope, arrivals = self.core.send(self.queue.now, action, command.key)
                 self._schedule(envelope, arrivals)
             elif type(command) is Log:
                 slot.log.append(command.record)
             elif type(command) is Timer:
                 previous = slot.timers.pop(command.name, None)
                 if previous is not None:
-                    previous.cancel()
+                    self.queue.cancel(previous)
                 if command.at is not None:
                     slot.timers[command.name] = self.queue.schedule_at(
                         command.at, functools.partial(self._fired, slot, command.name)
@@ -336,9 +337,8 @@ class Simulation:
 
     def _dispatch(self, envelope: Envelope) -> None:
         """Hand *envelope* to its recipient's driver."""
-        action = envelope.action
-        slot = self._slots[action.effective_recipient]
-        self._apply(slot, slot.driver.delivered(self.queue.now, envelope.key, action))
+        slot = self._slots[envelope.target]
+        self._apply(slot, slot.driver.delivered(self.queue.now, envelope.key, envelope.action))
 
     def _drain_mailbox(self, name: str) -> None:
         """Hand over the first deliveries parked while the process was down."""
@@ -348,17 +348,18 @@ class Simulation:
     def _acknowledge(self, envelope: Envelope) -> None:
         """Under faults, a first delivery releases wire custody to the
         recipient and acknowledges the sender."""
-        action = envelope.action
-        self.ledger.release_from_transit(action)
-        self.ledger.check()
-        slot = self._slots[action.effective_sender]
+        item = envelope.action.item
+        if item is not None:
+            self.ledger.move(WIRE, envelope.target, item)
+        slot = self._slots[envelope.source]
         commands = slot.driver.acked(self.queue.now, envelope.key)
         if commands:
             self._apply(slot, commands)
 
     def _return_custody(self, envelope: Envelope) -> None:
-        self.ledger.return_from_transit(envelope.action)
-        self.ledger.check()
+        item = envelope.action.item
+        if item is not None:
+            self.ledger.move(WIRE, envelope.source, item)
 
     def _fired(self, slot: _Slot, name: str) -> None:
         now = self.queue.now
@@ -404,15 +405,16 @@ class Simulation:
         return result
 
     def _run(self, max_time: float) -> SimulationResult:
+        queue = self.queue
         for slot in self._slots.values():
-            self._apply(slot, slot.driver.start(self.queue.now))
+            self._apply(slot, slot.driver.start(queue.now))
         while True:
-            if self.queue.now > max_time:
+            if queue.now > max_time:
                 raise SimulationError(f"simulation exceeded max_time={max_time}")
-            event = self.queue.pop()
-            if event is None:
+            callback = queue.pop()
+            if callback is None:
                 break
-            event.callback()
+            callback()
         stranded: list[Envelope] = []
         if self.fault_plan is not None:
             stranded = self.core.resolve_stranded(self.queue.now)
@@ -441,8 +443,8 @@ class Simulation:
 
 
 class _Slot:
-    """One party in the simulator: its driver, its log and its timers'
-    pending events, by timer name."""
+    """One party in the simulator: its driver, its log and the queue
+    handles of its pending timers, by timer name."""
 
     __slots__ = ("party", "driver", "log", "timers")
 
@@ -450,7 +452,7 @@ class _Slot:
         self.party = party
         self.driver = driver
         self.log: list[Record] = []
-        self.timers: dict[str, Event] = {}
+        self.timers: dict[str, int] = {}
 
 
 def simulate(

@@ -96,7 +96,7 @@ def evaluate_safety(problem: ExchangeProblem, result: SimulationResult) -> Safet
     """Check every party's outcome against the acceptance criteria above,
     with forfeits found by item in ``result.protocol``'s escrow tables."""
     graph = problem.interaction
-    transfers = [a for a in result.delivered if a.is_transfer]
+    transfers = [a for a in result.delivered if a.item is not None]  # notifies carry none
     delivered = set(transfers)
     # One pass indexes what each criterion looks up per edge or party: the
     # last delivered transfer per (sender, recipient, item) and the
@@ -119,6 +119,8 @@ def evaluate_safety(problem: ExchangeProblem, result: SimulationResult) -> Safet
     edges_at = graph.edges_by_party()
     entitled = graph.entitlements()
     bundle_principals = set(splittable_conjunctions(problem))
+    initial = result.initial.balances
+    final = result.final.balances
     verdicts: list[PartyVerdict] = []
 
     for principal in graph.principals:
@@ -137,7 +139,7 @@ def evaluate_safety(problem: ExchangeProblem, result: SimulationResult) -> Safet
                     "without receiving the counterpart"
                 )
         collected = forfeits.get(principal, 0)
-        money_delta = result.money_delta(principal)
+        money_delta = final.get(principal, 0) - initial.get(principal, 0)
         if principal in bundle_principals:
             all_received = all(o.received_expected for o in outcomes)
             if not all_received:
@@ -162,7 +164,7 @@ def evaluate_safety(problem: ExchangeProblem, result: SimulationResult) -> Safet
         residues.setdefault(holder, []).append(label)
     for component in graph.trusted_components:
         reasons = []
-        delta = result.money_delta(component)
+        delta = final.get(component, 0) - initial.get(component, 0)
         residue = residues.get(component)
         if delta != 0:
             reasons.append(f"conduit retained {delta / 100:+.2f} in money")

@@ -8,6 +8,8 @@ The parser guarantees shape; the analyzer guarantees meaning:
   intermediary is trusted, and members of one exchange are distinct;
 * the two sides of a pairwise exchange provide distinct items;
 * an exchange's deadline is positive and small enough to hold as a float;
+* a ``pays`` amount is small enough to hold as a float (reports print
+  cents as dollars through one);
 * ``priority`` statements reference an existing (principal, via) edge;
 * ``trust`` statements reference declared principals and are not reflexive;
 * every declared party participates in at least one exchange.
@@ -34,6 +36,7 @@ the same reporters (``repro lint`` accepts ``.exchange`` files directly).
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 from repro.errors import ReproError, SpecSemanticError
 from repro.spec.ast import ClauseKind, ExchangeDecl, MemberClause, Position, SpecFile
@@ -100,6 +103,11 @@ def _check_exchanges(spec: SpecFile) -> None:
             members.add(clause.party)
             signature: tuple[object, ...]
             if clause.kind is _PAYS:
+                # Reports print amounts as dollars through a float; an int
+                # compares with a float exactly.
+                amount = clause.amount_cents
+                if amount is not None and amount > sys.float_info.max:
+                    _fail("amount too large to hold as a float", clause.position)
                 signature = ("pays", clause.amount_cents, clause.tag)
             else:
                 signature = ("gives", clause.item, clause.tag)

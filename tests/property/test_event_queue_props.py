@@ -1,11 +1,13 @@
-"""Property: the event queue pops exactly the live events in (time, seq) order.
+"""Property: the event queue pops exactly the live callbacks in (time, seq) order.
 
 Hypothesis drives arbitrary interleavings of ``schedule``, ``schedule_at``,
-``cancel`` and ``pop`` over a handful of time offsets, so many events share
-an instant.  A sorted list of ``(time, seq)`` pairs, ``seq`` being the
-scheduling order, is the reference: each pop must return the event of its
-first live entry, a cancelled event must never come back, the queue's
-length must equal the live count, and the clock must never run backwards.
+``cancel`` and ``pop`` over a handful of time offsets, so many callbacks
+share an instant.  A sorted list of ``(time, seq)`` pairs, ``seq`` being the
+scheduling order, is the reference: each pop must return the callback of its
+first live entry and advance the clock to that entry's time, a cancelled
+callback must never come back (cancelling one that already ran or was
+already cancelled changes nothing), the queue's length must equal the live
+count, and the clock must never run backwards.
 """
 
 from hypothesis import given, settings
@@ -26,35 +28,43 @@ operations = st.lists(
 )
 
 
+def _noop():
+    """A fresh no-op callback: a distinct object, so a pop names its seq."""
+    return lambda: None
+
+
 @given(ops=operations)
 @settings(max_examples=200, deadline=None)
 def test_pops_live_events_in_time_then_seq_order(ops):
     queue = EventQueue()
-    events = []  # every event scheduled; its index is its seq
-    live = []  # reference: (time, seq) of events neither popped nor cancelled
+    callbacks = []  # every callback scheduled; its index is its seq
+    handles = []  # the handle each schedule call returned, by seq
+    live = []  # reference: (time, seq) of callbacks neither popped nor cancelled
 
     def check_pop():
         now = queue.now
-        event = queue.pop()
+        callback = queue.pop()
         if not live:
-            assert event is None
+            assert callback is None
             assert queue.now == now
             return
         live.sort()
-        _, seq = live.pop(0)
-        assert event is events[seq]
-        assert queue.now == event.time >= now
+        time, seq = live.pop(0)
+        assert callback is callbacks[seq]
+        assert queue.now == time >= now
 
     for op, arg in ops:
         if op == "schedule":
-            events.append(queue.schedule(arg, lambda: None))
-            live.append((queue.now + arg, len(events) - 1))
+            callbacks.append(_noop())
+            handles.append(queue.schedule(arg, callbacks[-1]))
+            live.append((queue.now + arg, len(callbacks) - 1))
         elif op == "schedule_at":
-            events.append(queue.schedule_at(queue.now + arg, lambda: None))
-            live.append((queue.now + arg, len(events) - 1))
-        elif op == "cancel" and events:
-            seq = arg % len(events)
-            events[seq].cancel()
+            callbacks.append(_noop())
+            handles.append(queue.schedule_at(queue.now + arg, callbacks[-1]))
+            live.append((queue.now + arg, len(callbacks) - 1))
+        elif op == "cancel" and callbacks:
+            seq = arg % len(callbacks)
+            queue.cancel(handles[seq])
             live = [entry for entry in live if entry[1] != seq]
         elif op == "pop":
             check_pop()

@@ -13,8 +13,8 @@ class TestEventQueue:
         queue.schedule(3.0, lambda: fired.append("c"))
         queue.schedule(1.0, lambda: fired.append("a"))
         queue.schedule(2.0, lambda: fired.append("b"))
-        while (event := queue.pop()) is not None:
-            event.callback()
+        while (callback := queue.pop()) is not None:
+            callback()
         assert fired == ["a", "b", "c"]
 
     def test_ties_fire_in_scheduling_order(self):
@@ -22,8 +22,8 @@ class TestEventQueue:
         fired = []
         for name in "abc":
             queue.schedule(1.0, lambda n=name: fired.append(n))
-        while (event := queue.pop()) is not None:
-            event.callback()
+        while (callback := queue.pop()) is not None:
+            callback()
         assert fired == ["a", "b", "c"]
 
     def test_clock_advances_on_pop(self):
@@ -37,15 +37,14 @@ class TestEventQueue:
         queue = EventQueue()
         times = []
         queue.schedule(2.0, lambda: queue.schedule(2.0, lambda: times.append(queue.now)))
-        while (event := queue.pop()) is not None:
-            event.callback()
+        while (callback := queue.pop()) is not None:
+            callback()
         assert times == [4.0]
 
     def test_schedule_at_absolute(self):
         queue = EventQueue()
         queue.schedule_at(7.5, lambda: None)
-        event = queue.pop()
-        assert event is not None and event.time == 7.5
+        assert queue.pop() is not None and queue.now == 7.5
 
     def test_schedule_into_past_rejected(self):
         queue = EventQueue()
@@ -59,17 +58,28 @@ class TestEventQueue:
     def test_cancelled_events_are_skipped(self):
         queue = EventQueue()
         fired = []
-        event = queue.schedule(1.0, lambda: fired.append("x"))
+        handle = queue.schedule(1.0, lambda: fired.append("x"))
         queue.schedule(2.0, lambda: fired.append("y"))
-        event.cancel()
-        while (live := queue.pop()) is not None:
-            live.callback()
+        queue.cancel(handle)
+        while (callback := queue.pop()) is not None:
+            callback()
         assert fired == ["y"]
 
     def test_len_and_empty(self):
         queue = EventQueue()
         assert queue.empty
-        event = queue.schedule(1.0, lambda: None)
+        handle = queue.schedule(1.0, lambda: None)
         assert len(queue) == 1
-        event.cancel()
+        queue.cancel(handle)
         assert queue.empty
+
+    def test_cancelling_a_callback_that_ran_changes_nothing(self):
+        queue = EventQueue()
+        fired = []
+        handle = queue.schedule(1.0, lambda: fired.append("x"))
+        queue.pop()()
+        queue.cancel(handle)
+        queue.schedule(1.0, lambda: fired.append("y"))
+        assert len(queue) == 1
+        queue.pop()()
+        assert fired == ["x", "y"] and queue.empty

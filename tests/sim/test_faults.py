@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from repro.core.actions import give, pay
+from repro.core.actions import pay
 from repro.core.items import document, money
 from repro.core.parties import consumer, producer, trusted
 from repro.core.protocol import derive_protocol
@@ -334,26 +334,24 @@ class TestWireCustody:
 
     def test_hold_then_release_moves_via_wire(self):
         ledger = self._ledger()
-        action = pay(C, T, M)
-        ledger.hold_in_transit(action)
+        ledger.move(C, WIRE, M)
         assert ledger.balance(C) == 0 and ledger.balance(WIRE) == 1000
         ledger.check()
-        ledger.release_from_transit(action)
+        ledger.move(WIRE, T, M)
         assert ledger.balance(T) == 1000 and ledger.balance(WIRE) == 0
         ledger.check()
 
     def test_hold_then_return_restores_sender(self):
         ledger = self._ledger()
-        action = give(P, T, document("d"))
-        ledger.hold_in_transit(action)
+        ledger.move(P, WIRE, document("d"))
         assert ledger.holder("d") == WIRE
-        ledger.return_from_transit(action)
+        ledger.move(WIRE, P, document("d"))
         assert ledger.holder("d") == P
         ledger.check()
 
     def test_in_transit_reports_holdings(self):
         ledger = self._ledger()
-        ledger.hold_in_transit(pay(C, T, M))
+        ledger.move(C, WIRE, M)
         cash, docs = ledger.in_transit()
         assert cash == 1000 and docs == frozenset()
 

@@ -6,7 +6,9 @@ from repro.core.actions import give, pay
 from repro.core.items import document, money
 from repro.core.parties import consumer, producer, trusted
 from repro.errors import SimulationError
+from repro.sim.faults import FaultPlan, LinkFault
 from repro.sim.ledger import Ledger, endow_from_interaction
+from repro.sim.runtime import Simulation
 from repro.workloads import example1, resale_chain
 
 C = consumer("c")
@@ -148,3 +150,60 @@ class TestEndowFromInteraction:
         # No working capital: a principal holds its outlay plus its extra.
         assert ledger.balance(parties["Broker"]) == 1000 + 100
         assert ledger.balance(parties["Producer"]) == 0
+
+
+def _spy(sim, method):
+    """The sim times at which *sim*'s ledger runs *method* (``move`` or
+    ``check``), recorded by a wrapper on the ledger instance."""
+    times = []
+    original = getattr(sim.ledger, method)
+
+    def spy(*args):
+        times.append(sim.queue.now)
+        return original(*args)
+
+    setattr(sim.ledger, method, spy)
+    return times
+
+
+FAULTY = FaultPlan(
+    seed=3, links=(LinkFault(drop=0.3, duplicate=0.2, max_delay=2.0),), heal_at=30.0
+)
+
+
+class TestConservationInTheRun:
+    """The ledger scans conservation at every asset movement of a run, and
+    only there: a notify moves nothing and is not scanned."""
+
+    def _simulation(self, fault_plan):
+        return Simulation.from_problem(example1(), deadline=100.0, fault_plan=fault_plan)
+
+    @pytest.mark.parametrize("fault_plan", [None, FAULTY], ids=["reliable", "faulty"])
+    def test_corruption_stops_the_run_at_the_next_movement(self, fault_plan):
+        clean = self._simulation(fault_plan)
+        moves = _spy(clean, "move")
+        clean.run()
+        # Corrupt between the first two movements that happen at different
+        # instants; the second of them must be the one that fails.
+        k = next(i for i in range(len(moves) - 1) if moves[i] < moves[i + 1])
+        sim = self._simulation(fault_plan)
+        corrupted_moves = _spy(sim, "move")
+        consumer = next(p for p in sim.problem.interaction.parties if p.name == "Consumer")
+
+        def corrupt():
+            sim.ledger._balances[consumer] += 1  # a harness bug creating money
+
+        sim.queue.schedule_at((moves[k] + moves[k + 1]) / 2, corrupt)
+        with pytest.raises(SimulationError, match="money not conserved"):
+            sim.run()
+        assert sim.queue.now == moves[k + 1]
+        assert corrupted_moves == moves[: k + 2]
+
+    def test_one_scan_per_movement_on_the_chain(self):
+        sim = Simulation.from_problem(resale_chain(64, retail=1000.0), deadline=100.0)
+        moves = _spy(sim, "move")
+        scans = _spy(sim, "check")
+        result = sim.run()
+        assert result.stats.attempts == 247
+        assert (result.stats.transfers, result.stats.notifies) == (182, 65)
+        assert len(moves) == len(scans) == 182

@@ -2,8 +2,10 @@
 
 ``int()`` refuses a decimal string longer than the interpreter's
 ``sys.get_int_max_str_digits()``, and ``float()`` refuses an integer beyond
-the largest float.  A spec number of either kind is reported like any other
-spec error, with its line and column, and ``repro check`` exits 2 on it.
+the largest float.  A spec number of either kind (a deadline, or an amount,
+which reports print as dollars through a float) is reported like any other
+spec error, with its line and column, and ``repro check`` and ``repro
+simulate`` exit 2 on it.
 """
 
 from __future__ import annotations
@@ -39,6 +41,11 @@ CASES = {
         SpecSemanticError,
         (4, 1),
     ),
+    "amount beyond a float": (
+        _spec("exchange via T", pays="$" + "9" * 400),
+        SpecSemanticError,
+        (5, 3),
+    ),
     "amount beyond int()": (_spec("exchange via T", pays="$" + _DIGITS), SpecSyntaxError, (5, 10)),
     "deadline beyond int()": (
         _spec("exchange via T deadline " + _DIGITS),
@@ -58,10 +65,28 @@ def test_long_number_is_a_spec_error_with_its_position(case):
     assert (caught.value.line, caught.value.column) == (line, column)
 
 
+def _exits_two(command, case, tmp_path, capsys):
+    source, _, (line, column) = CASES[case]
+    path = tmp_path / "long.exchange"
+    path.write_text(source, encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {line}, column {column}: ")
+
+
 @pytest.mark.skipif(_LIMIT == 0, reason="this interpreter converts any length")
 @pytest.mark.parametrize("case", list(CASES))
 def test_check_exits_two(case, tmp_path, capsys):
-    path = tmp_path / "long.exchange"
-    path.write_text(CASES[case][0], encoding="utf-8")
-    assert main(["check", str(path)]) == 2
-    assert "line " in capsys.readouterr().err
+    _exits_two("check", case, tmp_path, capsys)
+
+
+@pytest.mark.skipif(_LIMIT == 0, reason="this interpreter converts any length")
+@pytest.mark.parametrize("case", list(CASES))
+def test_simulate_exits_two(case, tmp_path, capsys):
+    _exits_two("simulate", case, tmp_path, capsys)
+
+
+def test_an_amount_a_float_holds_simulates(tmp_path, capsys):
+    path = tmp_path / "large.exchange"
+    path.write_text(_spec("exchange via T", pays="$" + "9" * 300), encoding="utf-8")
+    assert main(["simulate", str(path)]) == 0
+    assert "[OK ] C:" in capsys.readouterr().out

@@ -33,7 +33,10 @@ same exchange, per sequencing edge:
   ``<string>`` before the tuple is built in C, a frame the profiler reports
   under no name of the project.  The hot sites build their records with
   ``repro.records.new_record`` (``tuple.__new__``), so the budget is zero,
-  and the same global trace function sees any such frame.
+  and the same global trace function sees any such frame.  The zero budget
+  also holds for Example 2 from spec text to safety verdict under its
+  minimal indemnity plan, the only path through the §6 plan's steps and
+  escrow entries.
 
 Each budget is the count measured when it was set plus 10%.  Counting calls
 rather than timing keeps the guard exact on a shared or loaded host.
@@ -59,6 +62,8 @@ from repro.core.indemnity import minimal_indemnity_plan
 from repro.core.parties import Role
 from repro.sim.faults import FaultConfig, random_fault_plan
 from repro.sim.runtime import Simulation
+from repro.sim.safety import evaluate_safety
+from repro.spec.compiler import load
 from repro.spec.formatter import format_problem
 from repro.spec.lexer import tokenize
 from repro.spec.parser import parse
@@ -67,9 +72,9 @@ from repro.workloads.random_graphs import RandomProblemConfig, random_problem
 from tests.test_linear_scaling import _calls as exchange_calls
 
 PARSE_CALLS_PER_TOKEN = 1.40  # 1.277 measured
-CHAIN_CALLS_PER_ATTEMPT = 47.9  # 43.52 measured
-FAULTED_CALLS_PER_ATTEMPT = 70.4  # 64.03 measured
-EXCHANGE_CALLS_PER_EDGE = 115.2  # 104.70 measured
+CHAIN_CALLS_PER_ATTEMPT = 38.3  # 34.78 measured
+FAULTED_CALLS_PER_ATTEMPT = 57.7  # 52.50 measured
+EXCHANGE_CALLS_PER_EDGE = 103.2  # 93.85 measured
 ENUM_READS_PER_EDGE = 0.0086  # 0.0078 measured: 2 reads, both of the verdict
 FROZEN_INITS_PER_EDGE = 1.17  # 1.066 measured
 NAMEDTUPLE_NEW_FRAMES_PER_EDGE = 0  # 0 measured
@@ -259,4 +264,21 @@ def test_exchange_generated_namedtuple_new_frames_per_sequencing_edge():
     edges = len(problem.sequencing_graph().edges)
     text = format_problem(problem)
     frames = _generated_namedtuple_new_frames(lambda: exchange_calls(text))
+    assert frames / edges <= NAMEDTUPLE_NEW_FRAMES_PER_EDGE, f"{frames} frames for {edges} edges"
+
+
+def _indemnified_exchange(text: str) -> None:
+    """Example 2 from spec text to safety verdict, under its minimal plan."""
+    problem = load(text)
+    assert not problem.feasibility().feasible
+    plan = minimal_indemnity_plan(problem)
+    result = Simulation.from_plan(problem, plan, deadline=100.0).run()
+    assert evaluate_safety(problem, result).honest_parties_safe()
+
+
+def test_indemnified_exchange_generated_namedtuple_new_frames_per_sequencing_edge():
+    problem = example2()
+    edges = len(problem.sequencing_graph().edges)
+    text = format_problem(problem)
+    frames = _generated_namedtuple_new_frames(lambda: _indemnified_exchange(text))
     assert frames / edges <= NAMEDTUPLE_NEW_FRAMES_PER_EDGE, f"{frames} frames for {edges} edges"
