@@ -1,7 +1,9 @@
 """A concrete text language for the paper's exchange problems (§1, §2).
 
-Pipeline: :func:`tokenize` → :func:`parse` → :func:`analyze` →
-:func:`compile_spec`; or just :func:`load` / :func:`load_file` end to end.
+Pipeline: :func:`parse` → :func:`analyze` → :func:`compile_spec`; or just
+:func:`load` / :func:`load_file` end to end.  :func:`parse` reads the text a
+statement at a time and builds no token; :func:`tokenize` lists the tokens,
+and the parser calls it only to report an error.
 :func:`format_problem` renders a problem back to text (round-trip safe).
 """
 
@@ -21,7 +23,7 @@ from repro.spec.ast import (
 from repro.spec.compiler import compile_spec, load, load_file
 from repro.spec.formatter import format_problem
 from repro.spec.lexer import tokenize
-from repro.spec.parser import Parser, parse
+from repro.spec.parser import parse
 from repro.spec.tokens import KEYWORDS, Token, TokenType
 
 __all__ = [
@@ -41,7 +43,6 @@ __all__ = [
     "load_file",
     "format_problem",
     "tokenize",
-    "Parser",
     "parse",
     "KEYWORDS",
     "Token",

@@ -11,7 +11,8 @@ The parser guarantees shape; the analyzer guarantees meaning:
 * a ``pays`` amount is small enough to hold as a float (reports print
   cents as dollars through one);
 * ``priority`` statements reference an existing (principal, via) edge;
-* ``trust`` statements reference declared principals and are not reflexive;
+* ``trust`` statements reference declared parties, principals or trusted
+  components (the §9 hierarchy of trust), and are not reflexive;
 * every declared party participates in at least one exchange.
 
 Errors are :class:`SpecSemanticError` carrying the offending position.

@@ -117,9 +117,10 @@ def load(source: str, validate: bool = True) -> ExchangeProblem:
 
 
 def load_file(path: str, validate: bool = True) -> ExchangeProblem:
-    """Load a specification from a file path."""
+    """Load a specification from a file path (UTF-8, with or without a
+    byte-order mark)."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             source = handle.read()
     except OSError as exc:
         raise SpecSemanticError(f"cannot read spec file {path!r}: {exc}") from exc

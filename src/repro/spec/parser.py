@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the exchange-specification language.
+"""Parser for the exchange-specification language, a statement at a time.
 
 Grammar (keywords lowercase, ``*`` = repetition)::
 
@@ -13,14 +13,26 @@ Grammar (keywords lowercase, ``*`` = repetition)::
     priority   := "priority" IDENT "via" IDENT
     trust      := "trust" IDENT "->" IDENT
 
-All errors are :class:`SpecSyntaxError` with source positions.  Every
-position and declaration is built through :data:`repro.records.new_record`,
-which takes all of its fields in declaration order.
+Each statement, and each member clause of an exchange block, is read by one
+match of one compiled pattern assembled from the lexer's token fragments
+(:mod:`repro.spec.lexer`), and each declaration is built straight from the
+match's groups through :data:`repro.records.new_record`: no token list is
+built, and a line and column are worked out only for the positions the
+declarations keep.
+
+A pattern's steps nest, each one optional after the one before, so a match
+that falls short ends where its first missing step should begin, and the
+last group it set names the error, which each step enters beside its own
+pattern.  Before a syntax error is raised the whole text is tokenized, so a
+lexical error anywhere in it is the error reported, as when the parser read
+tokens; the token a message shows is the lexer's one-token step at the
+error's offset.  All errors are :class:`SpecSyntaxError` with source
+positions.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+import re
 
 from repro.errors import SpecSyntaxError
 from repro.records import new_record
@@ -36,218 +48,297 @@ from repro.spec.ast import (
     TrustDecl,
     TrustedDecl,
 )
-from repro.spec.lexer import tokenize
-from repro.spec.tokens import Token, TokenType
+from repro.spec.lexer import (
+    ARROW,
+    LBRACE,
+    NUMBER,
+    RBRACE,
+    STRING,
+    TRIVIA,
+    WORD,
+    WORD_CHAR,
+    amount,
+    amount_cents,
+    token_at,
+    tokenize,
+)
+from repro.spec.tokens import KEYWORDS
 
 _PRINCIPAL_KINDS = {kind.value: kind for kind in PrincipalKind}
-# Bound once: reading ``TokenType.IDENT`` goes through the enum metaclass's
+# Bound once: reading ``ClauseKind.PAYS`` goes through the enum metaclass's
 # ``__getattr__`` hook, several times the cost of a module global.
-_EOF = TokenType.EOF
-_KEYWORD = TokenType.KEYWORD
-_IDENT = TokenType.IDENT
-_STRING = TokenType.STRING
-_NUMBER = TokenType.NUMBER
-_AMOUNT = TokenType.AMOUNT
-_LBRACE = TokenType.LBRACE
-_RBRACE = TokenType.RBRACE
-_ARROW = TokenType.ARROW
 _PAYS = ClauseKind.PAYS
 _GIVES = ClauseKind.GIVES
 
+# A word ends where the lexer's would: a keyword or identifier matched as a
+# prefix of a longer word is no match.  Every step after a statement's first
+# is optional, so the engine never backtracks into a step that matched, and
+# each token a pattern takes is the one the lexer's greedy match would take.
+_WORD_END = rf"(?!{WORD_CHAR})"
+_IDENT = rf"(?!(?:{'|'.join(sorted(KEYWORDS))}){_WORD_END}){WORD}"
 
-class Parser:
-    """Consumes a token stream and yields a :class:`SpecFile`."""
+#: What a match that stops after a group expected next, by group; ``{found}``
+#: is the token there.  Each step below enters its own message.
+_EXPECTED: dict[str, str] = {}
 
-    def __init__(self, tokens: list[Token]) -> None:
-        self._tokens = tokens
-        self._index = 0
 
-    # ------------------------------------------------------------------ util
+def _group(name: str, pattern: str, then: str | None = None) -> str:
+    """*pattern* in the group *name*; *then* is the error of a match that
+    stops after it."""
+    if then is not None:
+        _EXPECTED[name] = then
+    return f"(?P<{name}>{pattern})"
 
-    def _advance(self) -> Token:
-        token = self._tokens[self._index]
-        if token.type is not _EOF:
-            self._index += 1
-        return token
 
-    @staticmethod
-    def _error(message: str, token: Token) -> SpecSyntaxError:
-        return SpecSyntaxError(message, line=token.line, column=token.column)
+def _keyword(word: str, name: str | None = None, then: str | None = None) -> str:
+    """Keyword *word* in the group *name* (the word itself by default)."""
+    return _group(name or word, word, then) + _WORD_END
 
-    def _accept(self, word: str) -> bool:
-        """Consume the next token if it is the keyword *word*."""
-        token = self._tokens[self._index]
-        if token.type is _KEYWORD and token.value == word:
-            self._index += 1
-            return True
-        return False
 
-    def _expect_keyword(self, word: str) -> None:
-        token = self._tokens[self._index]
-        if token.type is not _KEYWORD or token.value != word:
-            raise self._error(f"expected '{word}', found {token}", token)
-        self._index += 1
+def _optional(step: str) -> str:
+    """*step*, or nothing: a later step tests its group with :func:`_if`."""
+    return f"(?:{step}|)"
 
-    def _expect_ident(self, what: str) -> Token:
-        token = self._tokens[self._index]
-        if token.type is not _IDENT:
-            raise self._error(f"expected {what}, found {token}", token)
-        self._index += 1
-        return token
 
-    # ----------------------------------------------------------------- parse
+def _if(group: str, step: str, otherwise: str = "") -> str:
+    """*step* if *group* matched, else *otherwise*."""
+    return f"(?({group})(?:{step})|{otherwise})"
 
-    def parse(self) -> SpecFile:
-        """Parse the full specification."""
-        name = self._parse_problem_header()
-        principals: list[PrincipalDecl] = []
-        trusted: list[TrustedDecl] = []
-        exchanges: list[ExchangeDecl] = []
-        priorities: list[PriorityDecl] = []
-        trusts: list[TrustDecl] = []
-        # Each statement keyword: the method that parses the rest of the
-        # statement from its keyword token, and the list its result joins.
-        statements: dict[str, tuple[Callable[[Token], object], list[Any]]] = {
-            "principal": (self._parse_principal, principals),
-            "trusted": (self._parse_trusted, trusted),
-            "exchange": (self._parse_exchange, exchanges),
-            "priority": (self._parse_priority, priorities),
-            "trust": (self._parse_trust, trusts),
-        }
-        tokens = self._tokens
-        while (token := tokens[self._index]).type is not _EOF:
-            if token.type is not _KEYWORD or token.value not in statements:
-                raise self._error(
-                    f"expected a statement keyword (principal/trusted/exchange/"
-                    f"priority/trust), found {token}",
-                    token,
-                )
-            self._index += 1
-            parse_statement, found = statements[str(token.value)]
-            found.append(parse_statement(token))
-        return SpecFile(
-            name=name,
-            principals=tuple(principals),
-            trusted=tuple(trusted),
-            exchanges=tuple(exchanges),
-            priorities=tuple(priorities),
-            trusts=tuple(trusts),
+
+def _steps(*steps: str) -> str:
+    """*steps* in order, each followed by trivia and each after the first
+    optional after the one before: a match ends at the first that fails."""
+    pattern = ""
+    for step in reversed(steps):
+        pattern = f"(?:{step}){TRIVIA}" + (f"(?:{pattern})?" if pattern else "")
+    return pattern
+
+
+# One pattern per statement (the alternatives of one compiled pattern) and
+# one per member clause of an exchange block.  A complete match sets its
+# final step's group; a shorter one ends where the first missing step
+# should begin, and the last group it set picks the error.
+_OPEN = "expected '{' opening the exchange block"
+_HEADER = re.compile(
+    TRIVIA
+    + _optional(
+        _steps(
+            _keyword("problem", then="expected a problem name after 'problem'"),
+            _group("problem_name", f"{STRING}|{_IDENT}"),
         )
-
-    def _parse_problem_header(self) -> str:
-        if not self._accept("problem"):
-            return "unnamed"
-        token = self._advance()
-        if token.type not in (_STRING, _IDENT):
-            raise self._error("expected a problem name after 'problem'", token)
-        return str(token.value)
-
-    def _parse_principal(self, start: Token) -> PrincipalDecl:
-        kind_token = self._advance()
-        if kind_token.type is not _KEYWORD or kind_token.value not in _PRINCIPAL_KINDS:
-            raise self._error(
-                "expected 'consumer', 'broker' or 'producer' after 'principal'",
-                kind_token,
-            )
-        name = self._expect_ident("a principal name")
-        kind = _PRINCIPAL_KINDS[str(kind_token.value)]
-        position = new_record(Position, (start.line, start.column))
-        return new_record(PrincipalDecl, (kind, str(name.value), position))
-
-    def _parse_trusted(self, start: Token) -> TrustedDecl:
-        name = self._expect_ident("a trusted-component name")
-        position = new_record(Position, (start.line, start.column))
-        return new_record(TrustedDecl, (str(name.value), position))
-
-    def _parse_exchange(self, start: Token) -> ExchangeDecl:
-        self._expect_keyword("via")
-        via = self._expect_ident("a trusted-component name")
-        deadline: int | None = None
-        if self._accept("deadline"):
-            number = self._advance()
-            if number.type is not _NUMBER:
-                raise self._error("expected a number after 'deadline'", number)
-            deadline = int(number.value)
-        brace = self._advance()
-        if brace.type is not _LBRACE:
-            raise self._error("expected '{' opening the exchange block", brace)
-        clauses: list[MemberClause] = []
-        tokens = self._tokens
-        while (token := tokens[self._index]).type is not _RBRACE:
-            if token.type is _EOF:
-                raise self._error("unterminated exchange block (missing '}')", token)
-            clauses.append(self._parse_clause())
-        self._index += 1  # consume '}'
-        if len(clauses) < 2:
-            raise self._error("an exchange needs at least two member clauses", start)
-        position = new_record(Position, (start.line, start.column))
-        return new_record(ExchangeDecl, (str(via.value), tuple(clauses), position, deadline))
-
-    def _parse_clause(self) -> MemberClause:
-        party = self._expect_ident("a participant name")
-        verb = self._advance()
-        word = verb.value if verb.type is _KEYWORD else None
-        amount_cents: int | None = None
-        item: str | None = None
-        if word == "pays":
-            amount = self._advance()
-            if amount.type is not _AMOUNT:
-                raise self._error("expected a '$' amount after 'pays'", amount)
-            amount_cents = int(amount.value)
-            kind = _PAYS
-        elif word == "gives":
-            item = str(self._expect_ident("an item name").value)
-            kind = _GIVES
-        else:
-            raise self._error(f"expected 'pays' or 'gives', found {verb}", verb)
-        tag = str(self._expect_ident("a tag name").value) if self._accept("tag") else ""
-        expects_item: str | None = None
-        expects_amount: int | None = None
-        expects_tag = ""
-        if self._accept("expects"):
-            target = self._advance()
-            if target.type is _AMOUNT:
-                expects_amount = int(target.value)
-            elif target.type is _IDENT:
-                expects_item = str(target.value)
-            else:
-                raise self._error(
-                    "expected an item name or '$' amount after 'expects'", target
+    )
+)
+_STATEMENT = re.compile(
+    "|".join(
+        (
+            _steps(
+                _keyword(
+                    "principal",
+                    then="expected 'consumer', 'broker' or 'producer' after 'principal'",
+                ),
+                _group(
+                    "kind",
+                    "consumer|broker|producer",
+                    then="expected a principal name, found {found}",
                 )
-            if self._accept("tag"):
-                expects_tag = str(self._expect_ident("a tag name").value)
-        return new_record(
-            MemberClause,
-            (
-                str(party.value),
-                kind,
-                amount_cents,
-                item,
-                tag,
-                new_record(Position, (party.line, party.column)),
-                expects_item,
-                expects_amount,
-                expects_tag,
+                + _WORD_END,
+                _group("principal_name", _IDENT),
+            ),
+            _steps(
+                _keyword("trusted", then="expected a trusted-component name, found {found}"),
+                _group("trusted_name", _IDENT),
+            ),
+            _steps(
+                _keyword("exchange", then="expected 'via', found {found}"),
+                _keyword("via", then="expected a trusted-component name, found {found}"),
+                _group("via_name", _IDENT, then=_OPEN),
+                _optional(_keyword("deadline", then="expected a number after 'deadline'")),
+                _if("deadline", _group("deadline_number", NUMBER, then=_OPEN)),
+                _group("open", LBRACE),
+                _optional(_group("empty", RBRACE)),
+            ),
+            _steps(
+                _keyword("priority", then="expected a principal name, found {found}"),
+                _group("priority_name", _IDENT, then="expected 'via', found {found}"),
+                _keyword(
+                    "via", "priority_via", then="expected a trusted-component name, found {found}"
+                ),
+                _group("priority_via_name", _IDENT),
+            ),
+            _steps(
+                _keyword("trust", then="expected a party name, found {found}"),
+                _group("truster", _IDENT, then="expected '->' in trust statement"),
+                _group("arrow", ARROW, then="expected a party name, found {found}"),
+                _group("trustee", _IDENT),
             ),
         )
+    )
+)
+_MEMBER = re.compile(
+    _steps(
+        _group("party", _IDENT, then="expected 'pays' or 'gives', found {found}"),
+        _keyword("pays", then="expected a '$' amount after 'pays'")
+        + "|"
+        + _keyword("gives", then="expected an item name, found {found}"),
+        _if("pays", amount("dollars", "cents"), _group("item", _IDENT)),
+        _optional(_keyword("tag", then="expected a tag name, found {found}")),
+        _if("tag", _group("tag_name", _IDENT)),
+        _optional(
+            _keyword("expects", then="expected an item name or '$' amount after 'expects'")
+        ),
+        _if(
+            "expects",
+            amount("expects_dollars", "expects_cents") + "|" + _group("expects_item", _IDENT),
+        ),
+        _if(
+            "expects",
+            _optional(_keyword("tag", "expects_tag", then="expected a tag name, found {found}")),
+        ),
+        _if("expects_tag", _group("expects_tag_name", _IDENT)),
+        _group("close", RBRACE) + "|" + _group("member", ""),
+    )
+)
+_MEMBER_FIELDS = (
+    "party",
+    "pays",
+    "dollars",
+    "cents",
+    "item",
+    "tag_name",
+    "expects_dollars",
+    "expects_cents",
+    "expects_item",
+    "expects_tag_name",
+)
+_NO_STATEMENT = (
+    "expected a statement keyword (principal/trusted/exchange/priority/trust), found {found}"
+)
+_NO_MEMBER = "expected a participant name, found {found}"
+_TOO_FEW_MEMBERS = "an exchange needs at least two member clauses"
+_UNTERMINATED = "unterminated exchange block (missing '}')"
 
-    def _parse_priority(self, start: Token) -> PriorityDecl:
-        principal = self._expect_ident("a principal name")
-        self._expect_keyword("via")
-        via = self._expect_ident("a trusted-component name")
-        position = new_record(Position, (start.line, start.column))
-        return new_record(PriorityDecl, (str(principal.value), str(via.value), position))
 
-    def _parse_trust(self, start: Token) -> TrustDecl:
-        truster = self._expect_ident("a party name")
-        arrow = self._advance()
-        if arrow.type is not _ARROW:
-            raise self._error("expected '->' in trust statement", arrow)
-        trustee = self._expect_ident("a party name")
-        position = new_record(Position, (start.line, start.column))
-        return new_record(TrustDecl, (str(truster.value), str(trustee.value), position))
+def _syntax_error(source: str, message: str, offset: int) -> SpecSyntaxError:
+    """The error *message* about the token at *offset*, unless *source* holds
+    a lexical error, which is raised instead."""
+    tokenize(source)
+    token = token_at(source, offset)
+    return SpecSyntaxError(
+        message.replace("{found}", str(token)), line=token.line, column=token.column
+    )
 
 
 def parse(source: str) -> SpecFile:
     """Parse specification text into a :class:`SpecFile`."""
-    return Parser(tokenize(source)).parse()
+    header = _HEADER.match(source)
+    assert header is not None  # every step is optional
+    if header.lastgroup == "problem":
+        raise _syntax_error(source, _EXPECTED["problem"], header.end())
+    name = header.group("problem_name")
+    if name is None:
+        name = "unnamed"
+    elif name[0] == '"':
+        name = name[1:-1]
+    principals: list[PrincipalDecl] = []
+    trusted: list[TrustedDecl] = []
+    exchanges: list[ExchangeDecl] = []
+    priorities: list[PriorityDecl] = []
+    trusts: list[TrustDecl] = []
+    # The exchange whose block is open: its header match and position, and
+    # the member clauses read so far.
+    exchange: re.Match[str] | None = None
+    exchange_position: Position | None = None
+    members: list[MemberClause] = []
+    statement = _STATEMENT.match
+    member = _MEMBER.match
+    count = source.count
+    rfind = source.rfind
+    end = len(source)
+    pos = header.end()
+    line = 1
+    line_start = 0  # offset of the first character of the current line
+    counted = 0  # the offset up to which ``line`` counts the newlines
+    while pos < end:
+        match = (statement if exchange is None else member)(source, pos)
+        if match is None:
+            raise _syntax_error(source, _NO_STATEMENT if exchange is None else _NO_MEMBER, pos)
+        newlines = count("\n", counted, pos)
+        if newlines:
+            line += newlines
+            line_start = rfind("\n", counted, pos) + 1
+        counted = pos
+        position = new_record(Position, (line, pos - line_start + 1))
+        kind = match.lastgroup
+        if kind == "member" or kind == "close":
+            party, pays, dollars, cents, item, tag, e_dollars, e_cents, e_item, e_tag = (
+                match.group(*_MEMBER_FIELDS)
+            )
+            try:
+                amount = None if pays is None else amount_cents(dollars, cents)
+                expects_amount = None if e_dollars is None else amount_cents(e_dollars, e_cents)
+            except ValueError:  # a malformed amount
+                tokenize(source)  # raises its lexical error, or an earlier one
+                raise
+            members.append(
+                new_record(
+                    MemberClause,
+                    (
+                        party,
+                        _GIVES if pays is None else _PAYS,
+                        amount,
+                        item,
+                        tag or "",
+                        position,
+                        e_item,
+                        expects_amount,
+                        e_tag or "",
+                    ),
+                )
+            )
+            if kind == "close":
+                assert exchange is not None  # a member is read only in an open block
+                if len(members) < 2:
+                    raise _syntax_error(source, _TOO_FEW_MEMBERS, exchange.start())
+                via, number = exchange.group("via_name", "deadline_number")
+                try:
+                    deadline = None if number is None else int(number)
+                except ValueError:  # more digits than ``int()`` converts
+                    tokenize(source)  # raises its lexical error, or an earlier one
+                    raise
+                exchanges.append(
+                    new_record(ExchangeDecl, (via, tuple(members), exchange_position, deadline))
+                )
+                exchange = None
+                members = []
+        elif kind == "principal_name":
+            kind_name, principal = match.group("kind", "principal_name")
+            principals.append(
+                new_record(PrincipalDecl, (_PRINCIPAL_KINDS[kind_name], principal, position))
+            )
+        elif kind == "trusted_name":
+            trusted.append(new_record(TrustedDecl, (match.group("trusted_name"), position)))
+        elif kind == "open":
+            exchange = match
+            exchange_position = position
+        elif kind == "priority_via_name":
+            principal, via = match.group("priority_name", "priority_via_name")
+            priorities.append(new_record(PriorityDecl, (principal, via, position)))
+        elif kind == "trustee":
+            truster, trustee = match.group("truster", "trustee")
+            trusts.append(new_record(TrustDecl, (truster, trustee, position)))
+        elif kind == "empty":
+            raise _syntax_error(source, _TOO_FEW_MEMBERS, pos)
+        else:
+            assert kind is not None  # a match sets its first step's group
+            raise _syntax_error(source, _EXPECTED[kind], match.end())
+        pos = match.end()
+    if exchange is not None:
+        raise _syntax_error(source, _UNTERMINATED, end)
+    return SpecFile(
+        name=name,
+        principals=tuple(principals),
+        trusted=tuple(trusted),
+        exchanges=tuple(exchanges),
+        priorities=tuple(priorities),
+        trusts=tuple(trusts),
+    )

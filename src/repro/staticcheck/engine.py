@@ -140,7 +140,9 @@ def lint_spec_source(path: str, source: str) -> list[Finding]:
 
 def _lint_file(path: Path, rules: tuple[Rule, ...]) -> Iterator[Finding]:
     try:
-        source = path.read_text(encoding="utf-8")
+        # A byte-order mark is an encoding marker, not text: dropped, it
+        # leaves every position where the plain file has it.
+        source = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise StaticCheckError(f"cannot read {path}: {exc}") from exc
     if path.suffix == ".exchange":

@@ -6,7 +6,9 @@ hashed or compared.  ``sys.setprofile`` counts Python ``call`` events
 (builtins and C methods are not counted) while each path runs, and the
 count per item must stay within its budget:
 
-* ``spec.parse`` per token, on a 64-broker resale chain's spec text;
+* ``spec.parse`` per token of a 64-broker resale chain's spec text (the
+  parser reads a statement per match and builds no token, so this counts
+  the few calls a parse makes per amount, against the text's size);
 * ``Simulation.run`` per wire attempt, on the same chain over the reliable
   wire;
 * ``Simulation.run`` per wire attempt, over a fixed set of random problems
@@ -48,21 +50,32 @@ cycles cost collector passes and peak memory in later, unrelated work.
 With the collector disabled, the chain exchange, Example 2 under its
 indemnity plan and the faulted random problems are run and dropped, and
 ``gc.collect()`` must then find nothing.
+
+The parser tokenizes a text only to report a syntax error (so that a
+lexical error anywhere in it wins): on a valid spec ``tokenize`` must not
+run at all, and on an invalid one a syntax error must still give way to a
+lexical error later in the text.
 """
 
 from __future__ import annotations
 
 import functools
 import gc
+import glob
+import os
 import random
 import sys
 from typing import Any, Callable
 
+import pytest
+
 from repro.core.indemnity import minimal_indemnity_plan
 from repro.core.parties import Role
+from repro.errors import SpecSyntaxError
 from repro.sim.faults import FaultConfig, random_fault_plan
 from repro.sim.runtime import Simulation
 from repro.sim.safety import evaluate_safety
+from repro.spec import parser
 from repro.spec.compiler import load
 from repro.spec.formatter import format_problem
 from repro.spec.lexer import tokenize
@@ -71,10 +84,10 @@ from repro.workloads import example2, resale_chain
 from repro.workloads.random_graphs import RandomProblemConfig, random_problem
 from tests.test_linear_scaling import _calls as exchange_calls
 
-PARSE_CALLS_PER_TOKEN = 1.40  # 1.277 measured
+PARSE_CALLS_PER_TOKEN = 0.102  # 0.0929 measured: two per amount
 CHAIN_CALLS_PER_ATTEMPT = 38.3  # 34.78 measured
 FAULTED_CALLS_PER_ATTEMPT = 57.7  # 52.50 measured
-EXCHANGE_CALLS_PER_EDGE = 103.2  # 93.85 measured
+EXCHANGE_CALLS_PER_EDGE = 95.0  # 86.37 measured
 ENUM_READS_PER_EDGE = 0.0086  # 0.0078 measured: 2 reads, both of the verdict
 FROZEN_INITS_PER_EDGE = 1.17  # 1.066 measured
 NAMEDTUPLE_NEW_FRAMES_PER_EDGE = 0  # 0 measured
@@ -104,6 +117,27 @@ def test_parse_calls_per_token():
     tokens = len(tokenize(text))
     calls, _ = _calls(lambda: parse(text))
     assert calls / tokens <= PARSE_CALLS_PER_TOKEN, f"{calls} calls for {tokens} tokens"
+
+
+def test_valid_specs_build_no_token_list(monkeypatch):
+    def no_tokenize(source: str) -> None:
+        pytest.fail("a valid spec was tokenized")
+
+    monkeypatch.setattr(parser, "tokenize", no_tokenize)
+    texts = [format_problem(resale_chain(64, retail=1000.0)), format_problem(example2())]
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    for path in sorted(glob.glob(os.path.join(root, "examples", "specs", "*.exchange"))):
+        with open(path, encoding="utf-8") as handle:
+            texts.append(handle.read())
+    for text in texts:
+        parse(text)
+
+
+def test_a_later_lexical_error_wins_over_a_syntax_error():
+    text = "principal wizard W\ntrusted T\nexchange via T { C pays $1.234 P gives d }\n"
+    with pytest.raises(SpecSyntaxError, match="two decimal places") as caught:
+        parse(text)
+    assert (caught.value.line, caught.value.column) == (3, 25)
 
 
 def test_reliable_run_calls_per_attempt():

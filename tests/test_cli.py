@@ -1,9 +1,13 @@
 """End-to-end tests for the repro-trust CLI."""
 
+import codecs
+import shutil
+
 import pytest
 
 from repro.cli import EXAMPLES, main
-from repro.spec import format_problem
+from repro.spec import format_problem, load_file
+from repro.staticcheck import lint_paths
 from repro.workloads import example1
 
 
@@ -383,6 +387,55 @@ class TestLint:
         out = capsys.readouterr().out
         assert "SPECW001" in out
         assert "warning" in out
+
+
+class TestByteOrderMark:
+    """A spec file saved with a UTF-8 byte-order mark reads as the plain file."""
+
+    SPECS = {
+        "example1": "examples/specs/example1.exchange",
+        "example2": "examples/specs/example2.exchange",
+        "scan_ring": "examples/specs/scan_ring.exchange",
+    }
+
+    @staticmethod
+    def _pair(tmp_path, plain):
+        """The plain file copied to *tmp_path*, and a copy with a mark."""
+        unmarked = tmp_path / "plain" / "spec.exchange"
+        marked = tmp_path / "marked" / "spec.exchange"
+        unmarked.parent.mkdir()
+        marked.parent.mkdir()
+        shutil.copyfile(plain, unmarked)
+        marked.write_bytes(codecs.BOM_UTF8 + unmarked.read_bytes())
+        return str(unmarked), str(marked)
+
+    @staticmethod
+    def _findings(path):
+        return [(f.line, f.column, f.rule, f.message) for f in lint_paths([path])]
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_loads_and_lints_like_the_plain_file(self, name, tmp_path):
+        plain, marked = self._pair(tmp_path, self.SPECS[name])
+        loaded = format_problem(load_file(marked, validate=False))
+        assert loaded == format_problem(load_file(plain, validate=False))
+        assert self._findings(marked) == self._findings(plain)
+
+    def test_an_error_keeps_its_position(self, tmp_path):
+        broken = tmp_path / "broken.exchange"
+        broken.write_text("principal wizard W\n", encoding="utf-8")
+        plain, marked = self._pair(tmp_path, broken)
+        findings = self._findings(marked)
+        assert findings == self._findings(plain)
+        assert [(line, column, rule) for line, column, rule, _ in findings] == [
+            (1, 11, "SPEC000")
+        ]
+
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    def test_check_and_simulate_accept_it(self, command, tmp_path, capsys):
+        _, marked = self._pair(tmp_path, self.SPECS["example1"])
+        assert main([command, marked]) == 0
+        assert "\\ufeff" not in capsys.readouterr().err
+
 
 class TestServe:
     def test_task_mode_run_is_safe(self, tmp_path, capsys):
